@@ -144,6 +144,21 @@ class UGraph:
             canon.add((i, j) if i < j else (j, i))
         return cls(n, tuple(sorted(canon)))
 
+    @classmethod
+    def from_rows(cls, rows: Iterable[int]) -> "UGraph":
+        """Graph whose bit-packed neighbor rows are ``rows`` (0-indexed bits).
+
+        The rows must be symmetric and free of diagonal bits; they become
+        the cached ``adj``, so bitset kernels skip rebuilding them.
+        """
+        rows = tuple(rows)
+        edges = [
+            (i + 1, i + 2 + j) for i, row in enumerate(rows) for j in bits_of(row >> (i + 1))
+        ]
+        g = cls(len(rows), tuple(edges))
+        g.__dict__["adj"] = rows
+        return g
+
     @cached_property
     def adj(self) -> tuple[int, ...]:
         """Bit-packed symmetric neighbor rows (no diagonal bits)."""

@@ -5,14 +5,23 @@ two word-vertices are joined in the lifted T when the second word extends
 the first by one step (overlap in m-1 symbols), and in the lifted I when the
 words are indistinguishable: at every position the symbols are equal or
 I-adjacent.  Lifted vertices are ordered lexicographically by their words.
+
+The lifted I is built as bitset rows: one mask per (position, symbol) of
+the words whose symbol there is I-compatible with it, and each word's row
+is the AND of its m masks, so a lift costs O(words * m) ANDs of words-bit
+integers.  Rows take words^2/8 bytes, so lifts with more than
+``MAX_BITSET_VERTICES`` words instead walk T from each word inside its
+positionwise I-neighborhood, which makes one Python tuple per lifted I-edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .errors import LengthMismatchError, SizeCapExceeded
-from .graph import Digraph, TIGraph, UGraph, Word
+from .graph import MAX_BITSET_VERTICES, Digraph, TIGraph, UGraph, Word
 
 DEFAULT_SIZE_CAP = 2_000_000
 
@@ -88,8 +97,41 @@ def higher_graph(g: TIGraph, m: int, size_cap: int = DEFAULT_SIZE_CAP) -> Higher
         for s in succ_base[w[-1] - 1]:
             t_edges.append((k + 1, index[tail + (s,)] + 1))
 
-    # Indistinguishable partners of each word, found by walking T while
-    # staying positionwise inside the closed I-neighborhood of the word.
+    if len(words) > MAX_BITSET_VERTICES:
+        i_graph = UGraph(len(words), _walk_i_edges(g, words, index))
+    else:
+        i_graph = UGraph.from_rows(_i_rows(g, words))
+    lifted = TIGraph(Digraph.from_edges(len(words), t_edges), i_graph)
+    return HigherGraph(m, g, lifted, tuple(words))
+
+
+def _i_rows(g: TIGraph, words: list[Word]) -> list[int]:
+    """Lifted I as bitset rows; bit j of row k marks words[j] ~ words[k], j != k."""
+    m = len(words[0])
+    at = [[0] * (g.n + 1) for _ in range(m)]  # at[pos][s]: words with symbol s at pos
+    for k, w in enumerate(words):
+        bit = 1 << k
+        for pos, s in enumerate(w):
+            at[pos][s] |= bit
+    closed = [()] + [(s, *g.i.adj_sets[s - 1]) for s in range(1, g.n + 1)]
+    masks = [[reduce(or_, (col[t] for t in closed_s), 0) for closed_s in closed] for col in at]
+    rows = []
+    for k, w in enumerate(words):
+        row = masks[0][w[0]]
+        for pos in range(1, m):
+            row &= masks[pos][w[pos]]
+        rows.append(row ^ (1 << k))
+    return rows
+
+
+def _walk_i_edges(
+    g: TIGraph, words: list[Word], index: dict[Word, int]
+) -> tuple[tuple[int, int], ...]:
+    """Lifted I as a sorted edge tuple, for lifts too large for bitset rows.
+
+    Finds the indistinguishable partners of each word by walking T while
+    staying positionwise inside the closed I-neighborhood of the word.
+    """
     compat = tuple(
         tuple(sorted(g.i.adj_sets[v - 1] | {v})) for v in range(1, g.n + 1)
     )
@@ -97,7 +139,7 @@ def higher_graph(g: TIGraph, m: int, size_cap: int = DEFAULT_SIZE_CAP) -> Higher
     i_edges: set[tuple[int, int]] = set()
     for k, w in enumerate(words):
         partial: list[Word] = [(c,) for c in compat[w[0] - 1]]
-        for pos in range(1, m):
+        for pos in range(1, len(w)):
             allowed = compat[w[pos] - 1]
             nxt: list[Word] = []
             for p in partial:
@@ -111,9 +153,4 @@ def higher_graph(g: TIGraph, m: int, size_cap: int = DEFAULT_SIZE_CAP) -> Higher
                 continue
             j = index[u]
             i_edges.add((k + 1, j + 1) if k < j else (j + 1, k + 1))
-
-    lifted = TIGraph(
-        Digraph.from_edges(len(words), t_edges),
-        UGraph(len(words), tuple(sorted(i_edges))),
-    )
-    return HigherGraph(m, g, lifted, tuple(words))
+    return tuple(sorted(i_edges))

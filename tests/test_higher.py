@@ -4,9 +4,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import tigraph.higher
 from tigraph import (
     Digraph,
+    EmptyGraphError,
     LengthMismatchError,
     SizeCapExceeded,
     TIGraph,
@@ -15,6 +19,7 @@ from tigraph import (
     is_primitive,
     max_independent_set,
     primitivity_index,
+    prune_stranded,
     words_indistinguishable,
 )
 
@@ -170,3 +175,62 @@ def test_gamma_formula_on_random_primitive_graphs():
 def test_gamma_formula_on_dbl(dbl):
     lift = higher_graph(dbl, 2)
     assert primitivity_index(lift.lifted.t) == 3
+
+
+def _complete4():
+    vs = range(1, 5)
+    return TIGraph(
+        Digraph.from_edges(4, [(i, j) for i in vs for j in vs]),
+        UGraph.from_edges(4, [(i, j) for i in vs for j in vs if i < j]),
+    )
+
+
+def _assert_rows_match_walk(g, m):
+    lift = higher_graph(g, m)
+    words = list(lift.vertex_words)
+    index = {w: k for k, w in enumerate(words)}
+    i = lift.lifted.i
+    assert i.edges == tigraph.higher._walk_i_edges(g, words, index)
+    assert i.adj == UGraph(i.n, i.edges).adj
+
+
+def test_lifted_i_rows_match_walk_dbl(dbl):
+    for m in range(1, 7):
+        _assert_rows_match_walk(dbl, m)
+
+
+def test_lifted_i_rows_match_walk_complete():
+    g = _complete4()
+    for m in range(1, 5):
+        _assert_rows_match_walk(g, m)
+    assert higher_graph(g, 4).lifted.i.num_edges() == 256 * 255 // 2
+
+
+@st.composite
+def tigraphs(draw, n_max=5):
+    n = draw(st.integers(1, n_max))
+    vs = st.integers(1, n)
+    t_edges = draw(st.sets(st.tuples(vs, vs), min_size=1))
+    i_edges = draw(st.sets(st.tuples(vs, vs).filter(lambda p: p[0] != p[1])))
+    try:
+        g, _ = prune_stranded(
+            TIGraph(Digraph.from_edges(n, t_edges), UGraph.from_edges(n, i_edges))
+        )
+    except EmptyGraphError:
+        assume(False)
+    return g
+
+
+@given(tigraphs(), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_lifted_i_rows_match_walk_random(g, m):
+    _assert_rows_match_walk(g, m)
+
+
+def test_large_lift_path_walks_words(dbl, monkeypatch):
+    expect = [higher_graph(dbl, m) for m in (1, 3, 5)]
+    monkeypatch.setattr(tigraph.higher, "MAX_BITSET_VERTICES", 3)
+    for lift in expect:
+        walked = higher_graph(dbl, lift.m)
+        assert "adj" not in walked.lifted.i.__dict__  # built from edges, not rows
+        assert walked == lift
