@@ -63,8 +63,10 @@ class Bound:
     certificate: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        assert self.method in METHOD_ORDER, f"unknown method {self.method!r}"
-        assert self.value >= 0.0
+        if self.method not in METHOD_ORDER:
+            raise AssertionError(f"unknown method {self.method!r}")
+        if not self.value >= 0.0:
+            raise AssertionError(f"bound value {self.value!r} is not >= 0")
 
 
 @dataclass(frozen=True)
@@ -251,8 +253,8 @@ def component_bound(
             gamma = report.gammas[k][c_idx]
             if gamma is None:
                 continue
-            sub_i, idx_map = _restrict_ugraph(g, cls)
-            mis = max_independent_set(sub_i, budget=mis_budget)
+            sub, idx_map = induced_subgraph(g, cls)
+            mis = max_independent_set(sub.i, budget=mis_budget)
             value = math.log(mis.size) / (p * gamma)
             back = {v: old for old, v in idx_map.items()}
             witness = sorted(back[v] for v in mis.witness)
@@ -269,16 +271,6 @@ def component_bound(
     if best is None:
         return Bound("component", 0.0, True, False, {})
     return Bound("component", best[0], True, False, best[1])
-
-
-def _restrict_ugraph(g: TIGraph, vertices: tuple[int, ...]):
-    from .graph import UGraph
-
-    idx_map = {old: new for new, old in enumerate(sorted(vertices), start=1)}
-    edges = [
-        (idx_map[a], idx_map[b]) for a, b in g.i.edges if a in idx_map and b in idx_map
-    ]
-    return UGraph.from_edges(len(vertices), edges), idx_map
 
 
 def sofic_bound(
@@ -335,7 +327,8 @@ def limit_sequence(
             gamma = gamma_base if g.n == 1 else gamma_base - 1 + m
             if m <= GAMMA_CROSSCHECK_M and lift.lifted.n <= GAMMA_CROSSCHECK_MAX_VERTICES:
                 direct = primitivity_index(lift.lifted.t)
-                assert direct == gamma, f"lifted primitivity index {direct} != {gamma}"
+                if direct != gamma:
+                    raise AssertionError(f"lifted primitivity index {direct} != {gamma}")
         entries.append(
             LimitEntry(
                 m=m,

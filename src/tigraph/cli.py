@@ -159,7 +159,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
     g = _read_graph(args.path)
     sys.stdout.write(export_dot(g))
     return EXIT_OK
@@ -203,12 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="build a TI-graph from a circle map and cover")
     p.add_argument("path")
-    _add_common(p)
     p.set_defaults(fn=cmd_ingest)
 
     p = sub.add_parser("export-dot", help="render a TI-graph as Graphviz DOT")
     p.add_argument("path")
-    _add_common(p)
     p.set_defaults(fn=cmd_export_dot)
 
     return parser

@@ -4,11 +4,16 @@ A cover arc N_i gets a T-edge to N_j when some monotone continuous stretch
 of the image f(N_i) contains N_j with the requested slack on both ends;
 it gets an I-edge to N_j when the closed arcs intersect.  All endpoint
 arithmetic is exact (fractions built from the decimal literals of the
-input), so covering and intersection tests cannot suffer float ties.  A
-comparison whose outcome would flip under a perturbation of at most 1e-12
-raises DegenerateCoverError: the caller must move the offending endpoint.
-Exact ties are allowed and resolved by the closed-arc reading (touching
-arcs intersect; a cover with zero slack satisfies margin 0).
+input), so covering and intersection tests cannot suffer float ties.  The
+image of each arc is computed once in fractions (n computations); then
+every endpoint is written as an integer over one common denominator, and
+the n**2 pairwise tests are integer comparisons.  The common denominator
+grows with the input's denominators, which changes the cost of a
+comparison but never its outcome.  A comparison whose outcome would flip
+under a perturbation of at most 1e-12 raises DegenerateCoverError: the
+caller must move the offending endpoint.  Exact ties are allowed and
+resolved by the closed-arc reading (touching arcs intersect; a cover with
+zero slack satisfies margin 0).
 """
 
 from __future__ import annotations
@@ -35,16 +40,6 @@ def _frac(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise ParseError(f"cannot interpret {x!r} as an exact number")
-
-
-def _guarded_ge(x: Fraction, y: Fraction, what: str) -> bool:
-    """x >= y, closed; raises when 0 < |x - y| <= 1e-12 (ambiguous input)."""
-    d = x - y
-    if d == 0:
-        return True
-    if abs(d) <= TIE_WIDTH:
-        raise DegenerateCoverError(f"{what} decided by {float(d):+.2e}; perturb the input")
-    return d > 0
 
 
 @dataclass(frozen=True)
@@ -114,27 +109,6 @@ class IntervalCover:
             raise ValidationError("cover needs at least one arc")
 
 
-def _arcs_intersect(a: Arc, b: Arc) -> bool:
-    # Closed arcs on the circle: lift b's start next to a's and compare.
-    # A clean hit on either side decides; a near-tie only surfaces when the
-    # other side cannot settle the question.
-    d = (b.start - a.start) % 1
-    tie: DegenerateCoverError | None = None
-    try:
-        if _guarded_ge(a.length, d, "arc intersection"):
-            return True
-    except DegenerateCoverError as exc:
-        tie = exc
-    try:
-        if _guarded_ge(d, 1 - b.length, "arc intersection"):
-            return True
-    except DegenerateCoverError as exc:
-        tie = exc
-    if tie is not None:
-        raise tie
-    return False
-
-
 def _image_runs(cmap: CircleMap, arc: Arc) -> list[tuple[Fraction, Fraction]]:
     """Maximal monotone continuous stretches of f(arc), as lift intervals.
 
@@ -181,16 +155,6 @@ def _image_runs(cmap: CircleMap, arc: Arc) -> list[tuple[Fraction, Fraction]]:
     return runs
 
 
-def _run_covers(run: tuple[Fraction, Fraction], target: Arc, margin: Fraction) -> bool:
-    ylo, yhi = run
-    # smallest lift of the target start that clears the lower margin
-    k = math.ceil(ylo + margin - target.start)
-    lo_ok = _guarded_ge(target.start + k, ylo + margin, "covering (lower end)")
-    if not lo_ok:  # pragma: no cover - ceil guarantees the inequality
-        return False
-    return _guarded_ge(yhi - margin, target.start + k + target.length, "covering (upper end)")
-
-
 def ti_from_circle(cmap: CircleMap, cover: IntervalCover, margin=0) -> TIGraph:
     """Build the TI-graph of a circle map over an interval cover.
 
@@ -198,21 +162,58 @@ def ti_from_circle(cmap: CircleMap, cover: IntervalCover, margin=0) -> TIGraph:
     at least ``margin`` at both ends (so every finite itinerary through the
     interiors is realized by an actual orbit); I-edge {i, j} when the
     closed arcs N_i and N_j intersect.  The output is not pruned.
+
+    The n image-run computations use ``Fraction``.  Every endpoint is then
+    scaled by one common denominator ``den`` (the lcm of all denominators
+    and 10**12) to an exact integer, so the n**2 covering and intersection
+    tests are integer comparisons.  ``den`` may grow with the input; the
+    results do not depend on its size, only the cost of each comparison does.
     """
     margin = _frac(margin)
     if margin < 0:
         raise ValidationError("margin must be >= 0")
     arcs = cover.arcs
     n = len(arcs)
+    runs = [_image_runs(cmap, arc) for arc in arcs]
+    den = math.lcm(
+        TIE_WIDTH.denominator,
+        margin.denominator,
+        *(x.denominator for arc in arcs for x in (arc.start, arc.length)),
+        *(y.denominator for arc_runs in runs for run in arc_runs for y in run),
+    )
+    width = den // TIE_WIDTH.denominator  # TIE_WIDTH in units of 1/den
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (den // x.denominator)
+
+    def guarded_ge(d: int, what: str) -> bool:
+        # d/den >= 0, closed; raises when 0 < |d/den| <= 1e-12 (ambiguous input)
+        if d == 0:
+            return True
+        if -width <= d <= width:
+            raise DegenerateCoverError(
+                f"{what} decided by {float(Fraction(d, den)):+.2e}; perturb the input"
+            )
+        return d > 0
+
+    m = scaled(margin)
+    starts = [scaled(arc.start) for arc in arcs]
+    lengths = [scaled(arc.length) for arc in arcs]
     t_edges = []
-    for i, src in enumerate(arcs, start=1):
-        runs = _image_runs(cmap, src)
-        for j, dst in enumerate(arcs, start=1):
+    for i, arc_runs in enumerate(runs, start=1):
+        # each run shrunk by the margin: the lift window a target must fit in
+        windows = [(scaled(ylo) + m, scaled(yhi) - m) for ylo, yhi in arc_runs]
+        for j in range(n):
+            start, length = starts[j], lengths[j]
             covered = False
             tie: DegenerateCoverError | None = None
-            for run in runs:
+            for lo, hi in windows:
+                # smallest lift start + k*den (k integer) that clears lo
+                lifted = lo + (start - lo) % den
                 try:
-                    if _run_covers(run, dst, margin):
+                    if guarded_ge(lifted - lo, "covering (lower end)") and guarded_ge(
+                        hi - lifted - length, "covering (upper end)"
+                    ):
                         covered = True
                         break
                 except DegenerateCoverError as exc:
@@ -220,12 +221,27 @@ def ti_from_circle(cmap: CircleMap, cover: IntervalCover, margin=0) -> TIGraph:
             if not covered and tie is not None:
                 raise tie
             if covered:
-                t_edges.append((i, j))
+                t_edges.append((i, j + 1))
     i_edges = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if _arcs_intersect(arcs[i - 1], arcs[j - 1]):
-                i_edges.append((i, j))
+    for i in range(n):
+        for j in range(i + 1, n):
+            # Closed arcs on the circle: lift j's start next to i's and compare.
+            # A clean hit on either side decides; a near-tie only surfaces when
+            # the other side cannot settle the question.
+            d = (starts[j] - starts[i]) % den
+            tie = None
+            hit = False
+            for slack in (lengths[i] - d, d - den + lengths[j]):
+                try:
+                    if guarded_ge(slack, "arc intersection"):
+                        hit = True
+                        break
+                except DegenerateCoverError as exc:
+                    tie = exc
+            if not hit and tie is not None:
+                raise tie
+            if hit:
+                i_edges.append((i + 1, j + 1))
     return TIGraph(Digraph.from_edges(n, t_edges), UGraph.from_edges(n, i_edges))
 
 

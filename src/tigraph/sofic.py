@@ -31,7 +31,8 @@ class LabeledGraph:
 
     def __post_init__(self) -> None:
         r = max(self.labels)
-        assert sorted(set(self.labels)) == list(range(1, r + 1)), "labels must be surjective onto 1..r"
+        if sorted(set(self.labels)) != list(range(1, r + 1)):
+            raise AssertionError("labels must be surjective onto 1..r")
 
     @property
     def num_labels(self) -> int:
@@ -54,7 +55,8 @@ class RightResolvingPresentation:
     def __post_init__(self) -> None:
         for s in range(1, self.t.n + 1):
             out_labels = [self.labels[q - 1] for q in self.t.succ[s - 1]]
-            assert len(out_labels) == len(set(out_labels)), "presentation is not right-resolving"
+            if len(out_labels) != len(set(out_labels)):
+                raise AssertionError("presentation is not right-resolving")
 
 
 def component_labeling(g: TIGraph) -> LabeledGraph:

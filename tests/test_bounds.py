@@ -1,10 +1,15 @@
 """Bound methods, the limit sequence, the oracle, and the aggregator."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tigraph
 from tigraph import (
     Config,
     Digraph,
@@ -398,3 +403,31 @@ def test_verify_bound_rejects_tampered_certificates(dbl):
         {**b.certificate, "independent_set": [1, 2]},
     )
     assert not verify_bound(dbl, tampered)
+
+
+_BROKEN_INVARIANT = {
+    "unknown Bound method": (
+        "from tigraph.bounds import Bound\n"
+        "Bound('no_such_method', 0.0, True, False)\n",
+        "AssertionError: unknown method 'no_such_method'",
+    ),
+    "non-surjective LabeledGraph": (
+        "from tigraph import Digraph\n"
+        "from tigraph.sofic import LabeledGraph\n"
+        "LabeledGraph(Digraph.from_edges(2, [(1, 2)]), (1, 3))\n",
+        "AssertionError: labels must be surjective onto 1..r",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BROKEN_INVARIANT))
+def test_invariant_checks_raise_under_python_O(name):
+    body, expected = _BROKEN_INVARIANT[name]
+    script = "assert False, 'asserts are live'\n" + body
+    src = str(Path(tigraph.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode != 0
+    assert expected in proc.stderr

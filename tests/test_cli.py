@@ -189,6 +189,16 @@ def test_export_dot_does_not_prune(tmp_path, capsys):
     assert "  2;" in out
 
 
+@pytest.mark.parametrize(
+    "argv", [["ingest", "map.json", "--m-max", "3"], ["export-dot", "g.json", "--tol", "1"]]
+)
+def test_subcommands_without_common_flags_reject_them(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = _run(capsys, ["report", "/nonexistent/g.json"])
     assert code == 2

@@ -1,21 +1,30 @@
 """Circle-map ingest: covering relations, intersections, degeneracy guards."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tigraph import (
     DegenerateCoverError,
+    Digraph,
     EmptyGraphError,
+    TIGraph,
+    UGraph,
     ValidationError,
     prune_stranded,
     ti_from_circle,
 )
 from tigraph.ingest import (
+    TIE_WIDTH,
     AffinePiece,
     Arc,
     CircleMap,
     IntervalCover,
+    _frac,
+    _image_runs,
     doubling_map,
     load_map_spec,
 )
@@ -149,3 +158,231 @@ def test_wrapping_image_covers_across_zero():
     # arc [0.9, 1.1] under doubling maps onto [1.8, 2.2]; it covers [0.85, 1.15]
     g = ti_from_circle(doubling_map(), _cover(("0.9", "1.1"), ("0.85", "1.15")))
     assert (1, 2) in g.t.edges()
+
+
+# --- reference: the covering and intersection tests in Fraction arithmetic ---
+
+
+def _ref_guarded_ge(x: Fraction, y: Fraction, what: str) -> bool:
+    d = x - y
+    if d == 0:
+        return True
+    if abs(d) <= TIE_WIDTH:
+        raise DegenerateCoverError(f"{what} decided by {float(d):+.2e}; perturb the input")
+    return d > 0
+
+
+def _ref_arcs_intersect(a: Arc, b: Arc) -> bool:
+    d = (b.start - a.start) % 1
+    tie = None
+    try:
+        if _ref_guarded_ge(a.length, d, "arc intersection"):
+            return True
+    except DegenerateCoverError as exc:
+        tie = exc
+    try:
+        if _ref_guarded_ge(d, 1 - b.length, "arc intersection"):
+            return True
+    except DegenerateCoverError as exc:
+        tie = exc
+    if tie is not None:
+        raise tie
+    return False
+
+
+def _ref_run_covers(run, target: Arc, margin: Fraction) -> bool:
+    ylo, yhi = run
+    k = math.ceil(ylo + margin - target.start)
+    if not _ref_guarded_ge(target.start + k, ylo + margin, "covering (lower end)"):
+        return False
+    return _ref_guarded_ge(yhi - margin, target.start + k + target.length, "covering (upper end)")
+
+
+def _ref_ti_from_circle(cmap: CircleMap, cover: IntervalCover, margin=0) -> TIGraph:
+    margin = _frac(margin)
+    arcs = cover.arcs
+    n = len(arcs)
+    t_edges = []
+    for i, src in enumerate(arcs, start=1):
+        runs = _image_runs(cmap, src)
+        for j, dst in enumerate(arcs, start=1):
+            covered = False
+            tie = None
+            for run in runs:
+                try:
+                    if _ref_run_covers(run, dst, margin):
+                        covered = True
+                        break
+                except DegenerateCoverError as exc:
+                    tie = exc
+            if not covered and tie is not None:
+                raise tie
+            if covered:
+                t_edges.append((i, j))
+    i_edges = [
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        if _ref_arcs_intersect(arcs[i - 1], arcs[j - 1])
+    ]
+    return TIGraph(Digraph.from_edges(n, t_edges), UGraph.from_edges(n, i_edges))
+
+
+def _outcome(build, cmap, cover, margin=0):
+    try:
+        return build(cmap, cover, margin)
+    except DegenerateCoverError as exc:
+        return f"DegenerateCoverError: {exc}"
+
+
+def _assert_matches_reference(cmap, cover, margin=0):
+    got = _outcome(ti_from_circle, cmap, cover, margin)
+    assert got == _outcome(_ref_ti_from_circle, cmap, cover, margin)
+    return got
+
+
+NEAR = Fraction(1, 10**13)
+IDENTITY = CircleMap((AffinePiece(Fraction(0), Fraction(1), Fraction(1), Fraction(0)),))
+
+
+@st.composite
+def circle_maps(draw):
+    k = draw(st.integers(1, 3))
+    cuts = sorted(draw(st.sets(st.integers(1, 99), min_size=k - 1, max_size=k - 1)))
+    bounds = [Fraction(0)] + [Fraction(c, 100) for c in cuts] + [Fraction(1)]
+    slopes = st.sampled_from(
+        [Fraction(s) for s in (-4, -3, -2, -1, 1, 2, 3, 4)]
+        + [Fraction(3, 2), Fraction(-3, 2), Fraction(5, 2), Fraction(2, 3)]
+    )
+    pieces = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        slope = draw(slopes)
+        if pieces and draw(st.booleans()):
+            # continuous junction: start where the previous piece ends, mod 1
+            intercept = pieces[-1].value(lo) - slope * lo + draw(st.integers(-1, 1))
+        else:
+            intercept = Fraction(draw(st.integers(-1000, 1000)), 1000)
+        pieces.append(AffinePiece(lo, hi, slope, intercept))
+    return CircleMap(tuple(pieces))
+
+
+@st.composite
+def arcs(draw):
+    start = Fraction(draw(st.integers(-1500, 2500)), 1000)
+    length = Fraction(draw(st.integers(1, 999)), 1000)
+    # occasionally move an endpoint by 1e-13 to land inside the tie band
+    nudge = st.sampled_from([0, 0, 0, NEAR, -NEAR])
+    start += draw(nudge)
+    length += draw(nudge)
+    if draw(st.booleans()):
+        return Arc.from_endpoints(start, start + length)
+    return Arc(start, length)  # start outside [0, 1) on purpose
+
+
+@given(
+    circle_maps(),
+    st.lists(arcs(), min_size=1, max_size=6),
+    st.sampled_from(["0", "0.001", "0.01", "0.05", "0.0000000000001"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_integer_ingest_matches_fraction_reference(cmap, arc_list, margin):
+    _assert_matches_reference(cmap, IntervalCover(tuple(arc_list)), margin)
+
+
+def _near_cover(*pairs):
+    return IntervalCover(tuple(Arc(Fraction(a), Fraction(b) - Fraction(a)) for a, b in pairs))
+
+
+@pytest.mark.parametrize(
+    "pairs, expected",
+    [
+        # lower end: target starts 1e-13 inside the image of [0.2, 0.7]
+        (
+            [("0.2", "0.7"), (Fraction("0.2") + NEAR, "0.5")],
+            "DegenerateCoverError: covering (lower end) decided by +1.00e-13; perturb the input",
+        ),
+        # upper end, target 1e-13 short of and past the image's end
+        (
+            [("0.2", "0.7"), ("0.3", Fraction("0.7") - NEAR)],
+            "DegenerateCoverError: covering (upper end) decided by +1.00e-13; perturb the input",
+        ),
+        (
+            [("0.2", "0.7"), ("0.3", Fraction("0.7") + NEAR)],
+            "DegenerateCoverError: covering (upper end) decided by -1.00e-13; perturb the input",
+        ),
+        # the tie band is closed: a difference of exactly 1e-12 is a tie
+        (
+            [("0.2", "0.7"), ("0.3", Fraction("0.7") - TIE_WIDTH)],
+            "DegenerateCoverError: covering (upper end) decided by +1.00e-12; perturb the input",
+        ),
+        # arc intersection, 1e-13 apart and 1e-13 overlapping
+        (
+            [("0", "0.5"), (Fraction("0.5") + NEAR, "0.9")],
+            "DegenerateCoverError: arc intersection decided by -1.00e-13; perturb the input",
+        ),
+        (
+            [("0", "0.5"), (Fraction("0.5") - NEAR, "0.9")],
+            "DegenerateCoverError: arc intersection decided by +1.00e-13; perturb the input",
+        ),
+        # both sides of the intersection test tie: the far side's tie is reported
+        (
+            [("0", "0.5"), (Fraction("0.5") + NEAR, 1 - 2 * NEAR)],
+            "DegenerateCoverError: arc intersection decided by -2.00e-13; perturb the input",
+        ),
+    ],
+)
+def test_near_ties_raise_like_reference(pairs, expected):
+    assert _assert_matches_reference(IDENTITY, _near_cover(*pairs)) == expected
+
+
+def test_exact_touch_and_zero_slack_are_edges():
+    cover = _near_cover(("0.2", "0.7"), ("0.2", "0.7"), ("0.7", "0.9"))
+    g = _assert_matches_reference(IDENTITY, cover)
+    assert g.t.edges() == [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)]
+    assert g.i.edges == ((1, 2), (1, 3), (2, 3))
+
+
+# jump at 1/2: the image of [0.1, 0.9] is the two runs [0.1, 0.5] and [0.75, 1.15]
+JUMP = CircleMap(
+    (
+        AffinePiece(Fraction(0), Fraction(1, 2), Fraction(1), Fraction(0)),
+        AffinePiece(Fraction(1, 2), Fraction(1), Fraction(1), Fraction(1, 4)),
+    )
+)
+
+
+def test_tie_in_one_run_is_overridden_by_a_cover_in_another():
+    # the target ties the first run's lower end but fits the second with zero slack
+    cover = _near_cover(("0.1", "0.9"), (Fraction("0.1") + NEAR, "0.15"))
+    g = _assert_matches_reference(JUMP, cover)
+    assert (1, 2) in g.t.edges()
+
+
+def test_ties_in_two_runs_report_the_later_run():
+    # lower end of the first run ties by +1e-13, upper end of the second by -2e-13
+    cover = _near_cover(("0.1", "0.9"), (Fraction("0.1") + NEAR, Fraction("0.15") + 2 * NEAR))
+    assert _assert_matches_reference(JUMP, cover) == (
+        "DegenerateCoverError: covering (upper end) decided by -2.00e-13; perturb the input"
+    )
+
+
+def test_intersection_tie_on_one_side_is_overridden_by_the_other():
+    # the second arc wraps past 1: 1e-13 short on the near side, overlapping on the far side
+    cover = _near_cover(("0", "0.5"), (Fraction("0.5") + NEAR, "1.2"))
+    g = _assert_matches_reference(IDENTITY, cover)
+    assert g.i.edges == ((1, 2),)
+
+
+def _slope3_cover(rotation):
+    arcs = [
+        Arc.from_endpoints(Fraction(5 * i - 1, 1000), Fraction(5 * (i + 1) + 1, 1000))
+        for i in range(200)
+    ]
+    return IntervalCover(tuple(arcs[rotation:] + arcs[:rotation]))
+
+
+@pytest.mark.parametrize("rotation", [0, 55, 199])
+def test_wide_slope3_cover_matches_reference(rotation):
+    cmap = CircleMap((AffinePiece(Fraction(0), Fraction(1), Fraction(3), Fraction(0)),))
+    g = _assert_matches_reference(cmap, _slope3_cover(rotation))
+    assert g.n == 200 and g.i.num_edges() == 200
