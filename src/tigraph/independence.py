@@ -1,10 +1,24 @@
 """Exact and greedy maximum independent set computation on UGraphs.
 
 The exact solver is branch-and-bound on bit-packed candidate masks: branch
-on a maximum-degree vertex (exclude it, or include it and delete its closed
-neighborhood), prune with a greedy clique-cover upper bound, and apply
+on a maximum-degree vertex (include it and delete its closed neighborhood,
+then exclude it), prune with greedy clique-cover upper bounds, and apply
 degree-0/degree-1/domination reductions.  All tie-breaking is by lowest
 vertex index, so witnesses are reproducible.
+
+The bound has two stages.  The first is the first-fit clique cover in index
+order, built one class at a time on bitsets (the greedy colouring of San
+Segundo et al., BBMC, applied to cliques of the graph): one AND per vertex.
+Only when it cannot prune is the same cover built in ascending order of
+degree within the candidates (Tomita & Kameda's colouring order), which is
+usually smaller.  A node's bound is never above the first stage's alone, and
+the incumbent changes only on a strict improvement, so the search visits a
+subset of the nodes the first stage alone would, in the same order, and
+returns the same witness.
+
+Domination pruning runs once per component and resumes its scan at the
+lowest neighbour of each dropped vertex instead of restarting: the vertices
+below it cannot have gained a dominated neighbour.
 
 Each component starts from a minimum-degree greedy incumbent kept in a lazy
 heap: O((n + e) log n) time on n vertices and e edges, plus one n-bit AND
@@ -17,6 +31,7 @@ from __future__ import annotations
 import heapq
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import SizeCapExceeded
 from .graph import UGraph, bits_of
@@ -45,23 +60,57 @@ class _Solver:
         self.best_mask = 0
 
     def _cover_bound(self, p: int) -> int:
-        # Greedy clique cover: each class is a clique, so any independent
-        # set meets it at most once.
+        # Greedy clique cover of p in index order: each class is a clique, so
+        # an independent set meets it at most once.  Built one class at a
+        # time, this is exactly first-fit in index order: the lowest
+        # uncovered vertex opens a class, which then takes the lowest
+        # uncovered vertex adjacent to all its members.
         adj = self.adj
-        joints: list[int] = []
         bound = 0
-        m = p
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            for k, joint in enumerate(joints):
-                if joint >> v & 1:
-                    joints[k] = joint & adj[v]
-                    break
-            else:
-                joints.append(adj[v])
+        while p:
+            low = p & -p
+            p ^= low
+            cand = adj[low.bit_length() - 1] & p
+            while cand:
+                low = cand & -cand
+                p ^= low
+                cand &= adj[low.bit_length() - 1]
+            bound += 1
+        return bound
+
+    def _degree_cover_bound(self, p: int, degrees: list[tuple[int, int]]) -> int:
+        # The same greedy cover, placing vertices by ascending (degree,
+        # index) instead (Tomita & Kameda's colouring order on the
+        # complement).  Vertices of one degree form one level mask, so the
+        # next vertex of a class is the lowest bit of the first level that
+        # meets its candidates.
+        adj = self.adj
+        by_degree: dict[int, int] = {}
+        for d, v in degrees:
+            by_degree[d] = by_degree.get(d, 0) | (1 << v)
+        levels = [by_degree[d] for d in sorted(by_degree)]
+        top = len(levels)
+        bound = 0
+        for i in range(top):
+            rest = levels[i]
+            while rest:
+                low = rest & -rest
+                levels[i] ^= low
+                p ^= low
+                cand = adj[low.bit_length() - 1] & p
+                for j in range(i, top):
+                    hit = cand & levels[j]
+                    while hit:
+                        low = hit & -hit
+                        levels[j] ^= low
+                        p ^= low
+                        a = adj[low.bit_length() - 1]
+                        cand &= a
+                        hit &= a
+                    if not cand:
+                        break
                 bound += 1
+                rest = levels[i]
         return bound
 
     def _greedy(self, p: int) -> int:
@@ -101,11 +150,15 @@ class _Solver:
                     heappush(heap, (deg[w], w))
         return chosen
 
-    def _reduce(self, p: int, chosen: int) -> tuple[int, int]:
+    def _reduce(self, p: int, chosen: int) -> tuple[int, int, list[tuple[int, int]]]:
+        # Degree-0/1 reductions to a fixed point.  The final sweep changes
+        # nothing, so the (degree within p, vertex) pairs it records, in
+        # index order, hold for the returned p.
         adj = self.adj
         changed = True
         while changed:
             changed = False
+            degrees = []
             m = p
             while m:
                 low = m & -m
@@ -123,61 +176,60 @@ class _Solver:
                     chosen |= low
                     p &= ~(nb | low)
                     changed = True
-        return p, chosen
+                elif not changed:
+                    degrees.append((nb.bit_count(), v))
+        return p, chosen, degrees
 
     def solve(self, p: int, chosen: int) -> None:
         self.nodes += 1
         if self.nodes > self.budget:
             raise _BudgetExhausted
-        p, chosen = self._reduce(p, chosen)
+        p, chosen, degrees = self._reduce(p, chosen)
         size = chosen.bit_count()
         if size > self.best_size:
             self.best_size = size
             self.best_mask = chosen
         if not p:
             return
-        if size + self._cover_bound(p) <= self.best_size:
+        room = self.best_size - size
+        if self._cover_bound(p) <= room or self._degree_cover_bound(p, degrees) <= room:
             return
         # branch vertex: maximum degree within p, lowest index on ties
-        adj = self.adj
-        best_v = -1
-        best_d = -1
-        m = p
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            d = (adj[v] & p).bit_count()
-            if d > best_d:
-                best_d = d
-                best_v = v
-        self.solve(p & ~self.closed[best_v], chosen | (1 << best_v))
-        self.solve(p & ~(1 << best_v), chosen)
+        v = max(degrees, key=itemgetter(0))[1]
+        self.solve(p & ~self.closed[v], chosen | (1 << v))
+        self.solve(p & ~(1 << v), chosen)
 
 
 def _dominated_pruned(adj: tuple[int, ...], closed: tuple[int, ...], p: int) -> int:
     # If u, v are adjacent and N[u] subset of N[v], some maximum independent
-    # set avoids v; drop the higher-indexed vertex on exact ties.
-    removed = True
-    while removed:
-        removed = False
-        m = p
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            m ^= low
-            cu = closed[u] & p
-            nb = adj[u] & p
-            while nb:
-                nlow = nb & -nb
-                v = nlow.bit_length() - 1
-                nb ^= nlow
-                cv = closed[v] & p
-                if cu & ~cv == 0 and (cu != cv or u < v):
-                    p ^= nlow
-                    removed = True
-            if removed:
+    # set avoids v; drop the higher-indexed vertex on exact ties.  Each step
+    # drops the lowest v dominated by the lowest u that dominates any.  A
+    # drop can only give a dominated neighbour to a neighbour of v, so the
+    # scan resumes at v's lowest remaining neighbour instead of vertex 0.
+    # u's lowest dominated neighbour is found by witness elimination: a
+    # w in N[u] outside N[v] rules out v and every other candidate not
+    # adjacent to w.
+    m = p
+    while m:
+        low = m & -m
+        u = low.bit_length() - 1
+        m ^= low
+        cu = closed[u] & p
+        cand = adj[u] & p
+        while cand:
+            vlow = cand & -cand
+            v = vlow.bit_length() - 1
+            miss = cu & ~closed[v]
+            if miss:
+                cand &= closed[(miss & -miss).bit_length() - 1]
+            elif u < v or cu != closed[v] & p:
+                p ^= vlow
+                nb = adj[v] & p  # holds u
+                r = (nb & -nb).bit_length() - 1
+                m = p >> r << r
                 break
+            else:
+                cand ^= vlow
     return p
 
 

@@ -44,10 +44,16 @@ def _frac(x) -> Fraction:
 
 @dataclass(frozen=True)
 class AffinePiece:
+    """y = slope * x + intercept on [lo, hi); fields are read with ``_frac``."""
+
     lo: Fraction
     hi: Fraction
     slope: Fraction
     intercept: Fraction
+
+    def __post_init__(self) -> None:
+        for name in ("lo", "hi", "slope", "intercept"):
+            object.__setattr__(self, name, _frac(getattr(self, name)))
 
     def value(self, x: Fraction) -> Fraction:
         return self.slope * x + self.intercept
@@ -85,12 +91,17 @@ class CircleMap:
 
 @dataclass(frozen=True)
 class Arc:
-    """Closed circle arc [start, start + length] with 0 < length < 1."""
+    """Closed circle arc [start, start + length] with 0 < length < 1.
+
+    Fields are read with ``_frac``, so a float means its decimal literal.
+    """
 
     start: Fraction
     length: Fraction
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "start", _frac(self.start))
+        object.__setattr__(self, "length", _frac(self.length))
         if not 0 < self.length < 1:
             raise ValidationError("arc length must lie strictly between 0 and 1")
 
@@ -265,9 +276,7 @@ def load_map_spec(data: str | bytes) -> tuple[CircleMap, IntervalCover, Fraction
     for k, item in enumerate(obj["pieces"]):
         try:
             lo, hi = item["from"]
-            pieces.append(
-                AffinePiece(_frac(lo), _frac(hi), _frac(item["slope"]), _frac(item["intercept"]))
-            )
+            pieces.append(AffinePiece(lo, hi, item["slope"], item["intercept"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"piece {k}: {exc}") from exc
     arcs = []

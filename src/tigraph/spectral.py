@@ -9,6 +9,11 @@ reported value carries a two-sided Collatz-Wielandt certificate
 
 evaluated on a strictly positive iterate v, so the error bound is rigorous
 up to floating-point rounding.  Natural logarithm throughout.
+
+Matrices are held as CSR in plain lists and numpy arrays; scipy is not
+imported.  The matvec ``np.bincount(rows, weights=data * v[cols])`` adds
+each row's products in stored order, as a CSR matvec does, so the values
+are bitwise those of scipy's ``csr_matvec``.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import NoConvergenceError, ValidationError
 from .graph import Digraph
@@ -45,29 +49,39 @@ class SpectralResult:
             raise ValidationError("certified interval dips below zero")
 
 
-def _to_csr(a) -> sparse.csr_array:
+def _to_csr(a) -> tuple[int, list[int], list[int], np.ndarray]:
+    """A square nonnegative matrix as CSR lists: (n, indptr, indices, data).
+
+    Takes a Digraph, a dense array-like, or a sparse matrix with a
+    ``tocsr`` method (scipy's), which keeps its stored entry order.
+    """
     if isinstance(a, Digraph):
         indptr = [0]
         indices: list[int] = []
         for row in a.succ:
             indices.extend(j - 1 for j in row)
             indptr.append(len(indices))
-        return sparse.csr_array(
-            (np.ones(len(indices)), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-            shape=(a.n, a.n),
-        )
-    if sparse.issparse(a):
-        mat = a.tocsr().astype(float)
+        return a.n, indptr, indices, np.ones(len(indices))
+    if hasattr(a, "tocsr"):
+        mat = a.tocsr()
+        shape = mat.shape
+        indptr = mat.indptr.tolist()
+        indices = mat.indices.tolist()
+        data = np.asarray(mat.data, dtype=float)
     else:
         dense = np.asarray(a, dtype=float)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+        if dense.ndim != 2:
             raise ValidationError("matrix must be square")
-        mat = sparse.csr_array(dense)
-    if mat.shape[0] != mat.shape[1]:
+        shape = dense.shape
+        rows, cols = np.nonzero(dense)
+        data = dense[rows, cols]
+        indptr = np.searchsorted(rows, np.arange(shape[0] + 1)).tolist()
+        indices = cols.tolist()
+    if shape[0] != shape[1]:
         raise ValidationError("matrix must be square")
-    if mat.nnz and mat.data.min() < 0:
+    if data.size and data.min() < 0:
         raise ValidationError("matrix must be nonnegative")
-    return mat
+    return shape[0], indptr, indices, data
 
 
 def _csr_sccs(n: int, indptr, indices) -> list[list[int]]:
@@ -130,28 +144,39 @@ def perron_eigenvalue(a, tol: float = DEFAULT_TOL, iteration_cap: int | None = N
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
-    mat = _to_csr(a)
-    n = mat.shape[0]
-    comps = _csr_sccs(n, mat.indptr, mat.indices)
+    n, indptr, indices, data = _to_csr(a)
+    comps = _csr_sccs(n, indptr, indices)
 
     results: list[tuple[float, float, tuple[int, ...], tuple[float, ...]]] = []
     total_iters = 0
     for comp in comps:
         if len(comp) == 1:
             v = comp[0]
-            val = _entry(mat, v, v)
+            val = _entry(indptr, indices, data, v, v)
             results.append((val, 0.0, (v,), (1.0,)))
             continue
-        idx = np.array(comp, dtype=np.int64)
-        block = mat[np.ix_(idx, idx)]
-        if not sparse.issparse(block):  # scipy returns dense for tiny slices
-            block = sparse.csr_array(block)
+        # the block's entries, each row in stored order
+        local = {v: i for i, v in enumerate(comp)}
+        rows: list[int] = []
+        cols: list[int] = []
+        take: list[int] = []
+        for v in comp:
+            for ptr in range(indptr[v], indptr[v + 1]):
+                col = local.get(indices[ptr])
+                if col is not None:
+                    rows.append(local[v])
+                    cols.append(col)
+                    take.append(ptr)
+        block_rows = np.array(rows, dtype=np.int64)
+        block_cols = np.array(cols, dtype=np.int64)
+        block_data = data[take]
         nb = len(comp)
         cap = iteration_cap if iteration_cap is not None else 100 * nb * nb + 1000
         vec = np.ones(nb)
         iters = 0
         while True:
-            w = block @ vec + vec  # (A' + Id) v
+            # (A' + Id) v
+            w = np.bincount(block_rows, weights=block_data * vec[block_cols], minlength=nb) + vec
             iters += 1
             ratios = w / vec
             lo = float(ratios.min())
@@ -176,12 +201,10 @@ def perron_eigenvalue(a, tol: float = DEFAULT_TOL, iteration_cap: int | None = N
     return SpectralResult(value, error_bound, total_iters, block_ids, vec_out)
 
 
-def _entry(mat: sparse.csr_array, i: int, j: int) -> float:
-    row = mat.indices[mat.indptr[i] : mat.indptr[i + 1]]
-    dat = mat.data[mat.indptr[i] : mat.indptr[i + 1]]
-    for col, val in zip(row, dat):
-        if col == j:
-            return float(val)
+def _entry(indptr: list[int], indices: list[int], data: np.ndarray, i: int, j: int) -> float:
+    for ptr in range(indptr[i], indptr[i + 1]):
+        if indices[ptr] == j:
+            return float(data[ptr])
     return 0.0
 
 

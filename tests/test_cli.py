@@ -223,3 +223,22 @@ def test_byte_identical_reruns(dbl_path, gm_path, capsys):
                 assert code == 0
                 outs.append(out)
             assert outs[0] == outs[1]
+
+
+def test_reused_parser_keeps_no_state_between_calls(dbl_path, capsys):
+    # main builds its parser once per process; flags of one call must not
+    # reach the next
+    _, text_first, _ = _run(capsys, ["report", dbl_path, "--m-max", "2"])
+    code, as_json, _ = _run(capsys, ["report", dbl_path, "--m-max", "3", "--format", "json"])
+    assert code == 0
+    assert json.loads(as_json)
+    _, text_again, _ = _run(capsys, ["report", dbl_path, "--m-max", "2"])
+    assert text_again == text_first
+    assert text_first.startswith("graph digest")
+    _, default_m, _ = _run(capsys, ["report", dbl_path])
+    _, explicit_m, _ = _run(capsys, ["report", dbl_path, "--m-max", "4"])
+    assert default_m == explicit_m
+    code, stats, _ = _run(capsys, ["higher", dbl_path, "-m", "2", "--stats"])
+    assert code == 0 and stats.startswith("m=2 ")
+    code, dumped, _ = _run(capsys, ["higher", dbl_path, "-m", "2"])
+    assert code == 0 and json.loads(dumped)["n"] == 8

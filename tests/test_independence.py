@@ -1,17 +1,20 @@
 """Exact and greedy maximum independent set."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tigraph
+import tigraph.independence as ind
 from tigraph import UGraph, greedy_independent_set, higher_graph, max_independent_set
-from tigraph.independence import _Solver
+from tigraph.independence import _BudgetExhausted, _dominated_pruned, _Solver
 
 from conftest import brute_force_mis
 
@@ -39,6 +42,140 @@ def _reference_greedy(adj, p):
         chosen |= 1 << best_v
         p &= ~closed[best_v]
     return chosen
+
+
+class _ReferenceSolver(_Solver):
+    """The branch and bound as it was before the bitset kernels.
+
+    First-fit clique cover scanning every open class per vertex, a separate
+    scan for the branch vertex, and no second bound.  ``_greedy`` is shared:
+    it has its own reference above.
+    """
+
+    def _cover_bound(self, p):
+        adj = self.adj
+        joints = []
+        bound = 0
+        m = p
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            for k, joint in enumerate(joints):
+                if joint >> v & 1:
+                    joints[k] = joint & adj[v]
+                    break
+            else:
+                joints.append(adj[v])
+                bound += 1
+        return bound
+
+    def _reduce(self, p, chosen):
+        adj = self.adj
+        changed = True
+        while changed:
+            changed = False
+            m = p
+            while m:
+                low = m & -m
+                v = low.bit_length() - 1
+                m ^= low
+                if not p & low:
+                    continue
+                nb = adj[v] & p
+                if nb == 0:
+                    chosen |= low
+                    p ^= low
+                    changed = True
+                elif nb & (nb - 1) == 0:
+                    chosen |= low
+                    p &= ~(nb | low)
+                    changed = True
+        return p, chosen
+
+    def solve(self, p, chosen):
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise _BudgetExhausted
+        p, chosen = self._reduce(p, chosen)
+        size = chosen.bit_count()
+        if size > self.best_size:
+            self.best_size = size
+            self.best_mask = chosen
+        if not p:
+            return
+        if size + self._cover_bound(p) <= self.best_size:
+            return
+        adj = self.adj
+        best_v = -1
+        best_d = -1
+        m = p
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            d = (adj[v] & p).bit_count()
+            if d > best_d:
+                best_d = d
+                best_v = v
+        self.solve(p & ~self.closed[best_v], chosen | (1 << best_v))
+        self.solve(p & ~(1 << best_v), chosen)
+
+
+def _reference_dominated_pruned(adj, closed, p):
+    """Domination pruning that restarts its scan at vertex 0 after each drop."""
+    removed = True
+    while removed:
+        removed = False
+        m = p
+        while m:
+            low = m & -m
+            u = low.bit_length() - 1
+            m ^= low
+            cu = closed[u] & p
+            nb = adj[u] & p
+            while nb:
+                nlow = nb & -nb
+                v = nlow.bit_length() - 1
+                nb ^= nlow
+                cv = closed[v] & p
+                if cu & ~cv == 0 and (cu != cv or u < v):
+                    p ^= nlow
+                    removed = True
+            if removed:
+                break
+    return p
+
+
+def _reference_first_fit(adj, order):
+    """Clique cover size: each vertex joins the first class it is adjacent to all of."""
+    classes = []
+    for v in order:
+        for cls in classes:
+            if all(adj[v] >> u & 1 for u in cls):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return len(classes)
+
+
+def _solve_counting(g, budget, solver_cls=_Solver, prune=_dominated_pruned):
+    """max_independent_set run with the given kernels; also returns B&B nodes."""
+    made = []
+
+    class Counting(solver_cls):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with patch.object(ind, "_Solver", Counting), patch.object(ind, "_dominated_pruned", prune):
+        res = ind.max_independent_set(g, budget)
+    return (res.size, res.witness, res.exact), sum(s.nodes for s in made)
+
+
+def _solve_reference(g, budget):
+    return _solve_counting(g, budget, _ReferenceSolver, _reference_dominated_pruned)
 
 
 def test_four_cycle(dbl):
@@ -157,6 +294,96 @@ def test_greedy_never_beats_exact(g):
 def test_solver_greedy_matches_reference_scan(g, data):
     p = data.draw(st.integers(0, (1 << g.n) - 1))
     assert _Solver(g.adj, 1)._greedy(p) == _reference_greedy(g.adj, p)
+
+
+@st.composite
+def random_ugraphs(draw, n_max=32, connected=False):
+    """G(n, p) graphs dense enough to make the branch and bound search."""
+    n = draw(st.integers(1, n_max))
+    prob = draw(st.sampled_from((0.1, 0.2, 0.3, 0.5, 0.8)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pairs = {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < prob}
+    if connected:  # a random spanning tree joins every vertex to an earlier one
+        pairs |= {(rng.randrange(1, v), v) for v in range(2, n + 1)}
+    return UGraph.from_edges(n, pairs)
+
+
+@given(random_ugraphs())
+@settings(max_examples=150, deadline=None)
+def test_solver_matches_reference_and_visits_no_more_nodes(g):
+    res, nodes = _solve_counting(g, ind.DEFAULT_BUDGET)
+    ref, ref_nodes = _solve_reference(g, ind.DEFAULT_BUDGET)
+    assert res == ref
+    assert nodes <= ref_nodes
+    assert max_independent_set(g) == ind.IndependenceResult(*ref)
+
+
+@given(random_ugraphs(connected=True), st.integers(1, 60))
+@settings(max_examples=150, deadline=None)
+def test_budgeted_size_never_smaller_on_connected_graphs(g, budget):
+    # The visited nodes are a subsequence of the reference's, in the same
+    # order, so the incumbent at exhaustion is at least the reference's.
+    # (Across components this can fail by one: finishing a component early
+    # lets the next start from the greedy of its dominance-pruned vertices,
+    # which may be smaller than the reference's greedy of all of them.)
+    res, _ = _solve_counting(g, budget)
+    ref, _ = _solve_reference(g, budget)
+    assert res[0] >= ref[0]
+    assert res[2] or not ref[2]
+
+
+@given(random_ugraphs(), st.integers(1, 60))
+@settings(max_examples=100, deadline=None)
+def test_budgeted_run_is_exact_whenever_the_reference_is(g, budget):
+    res, _ = _solve_counting(g, budget)
+    ref, _ = _solve_reference(g, budget)
+    if ref[2]:
+        assert res == ref
+
+
+@given(random_ugraphs(n_max=40), st.data())
+@settings(max_examples=150, deadline=None)
+def test_cover_bounds_match_first_fit(g, data):
+    p = data.draw(st.integers(0, (1 << g.n) - 1))
+    adj = g.adj
+    solver = _Solver(adj, 1)
+    index_order = [v for v in range(g.n) if p >> v & 1]
+    assert solver._cover_bound(p) == _reference_first_fit(adj, index_order)
+    assert solver._cover_bound(p) == _ReferenceSolver(adj, 1)._cover_bound(p)
+    degrees = [((adj[v] & p).bit_count(), v) for v in index_order]
+    by_degree = [v for _, v in sorted(degrees)]
+    assert solver._degree_cover_bound(p, degrees) == _reference_first_fit(adj, by_degree)
+
+
+@given(random_ugraphs(n_max=40), st.data())
+@settings(max_examples=200, deadline=None)
+def test_dominated_pruned_matches_restarting_scan(g, data):
+    p = data.draw(st.integers(0, (1 << g.n) - 1))
+    closed = tuple(a | (1 << v) for v, a in enumerate(g.adj))
+    assert _dominated_pruned(g.adj, closed, p) == _reference_dominated_pruned(g.adj, closed, p)
+
+
+def test_dominated_pruned_keeps_one_vertex_of_a_clique():
+    n = 64
+    g = UGraph.from_edges(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+    closed = tuple(a | (1 << v) for v, a in enumerate(g.adj))
+    assert _dominated_pruned(g.adj, closed, (1 << n) - 1) == 1
+
+
+def test_second_cover_cuts_the_search_with_the_same_witness(dbl):
+    # G(60, 0.15): the degree-ordered cover prunes where the index-ordered
+    # one cannot (139 nodes against 245); the doubling lift closes at once
+    rng = random.Random(108)
+    n = 60
+    g = UGraph.from_edges(
+        n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.15]
+    )
+    res, nodes = _solve_counting(g, ind.DEFAULT_BUDGET)
+    ref, ref_nodes = _solve_reference(g, ind.DEFAULT_BUDGET)
+    assert res == ref
+    assert nodes < ref_nodes
+    lift = higher_graph(dbl, 5).lifted.i
+    assert _solve_counting(lift, ind.DEFAULT_BUDGET) == _solve_reference(lift, ind.DEFAULT_BUDGET)
 
 
 def test_budget_gone_finishes_remaining_components_greedily():

@@ -143,6 +143,19 @@ def test_map_validation():
         CircleMap((AffinePiece(Fraction(0), Fraction(1), Fraction(0), Fraction(0)),))
 
 
+def test_float_fields_are_read_as_their_decimal_literals(dbl):
+    # floats used to stay floats and break the integer arithmetic of ingest
+    g = ti_from_circle(doubling_map(), IntervalCover((Arc(0.2, 0.5),)))
+    assert g == ti_from_circle(doubling_map(), IntervalCover((Arc(Fraction("0.2"), Fraction("0.5")),)))
+    assert Arc(0.2, 0.5) == Arc(Fraction(1, 5), Fraction(1, 2))
+    assert AffinePiece(0, 0.5, 2, -0.25) == AffinePiece(
+        Fraction(0), Fraction(1, 2), Fraction(2), Fraction(-1, 4)
+    )
+    halves = CircleMap((AffinePiece(0, 0.5, 2, 0), AffinePiece(0.5, 1, 2, -1)))
+    arcs = tuple(Arc(a % 1, b - a) for a, b in ((-0.1, 0.35), (0.15, 0.6), (0.4, 0.85), (0.65, 1.1)))
+    assert ti_from_circle(halves, IntervalCover(arcs)) == dbl
+
+
 def test_load_map_spec_reads_decimals_exactly():
     cmap, cover, margin = load_map_spec(
         '{"pieces": [{"from": [0, 1], "slope": 2, "intercept": 0}],'

@@ -1,12 +1,16 @@
 """Perron eigenvalue computation and its Collatz-Wielandt certificates."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tigraph
 from tigraph import Digraph, ValidationError, perron_eigenvalue, sft_entropy
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -147,3 +151,73 @@ def test_interval_brackets_rayleigh_quotient(a):
     lo = res.value + 1 - res.error_bound
     hi = res.value + 1 + res.error_bound
     assert lo - 1e-12 <= rayleigh <= hi + 1e-12
+
+
+@st.composite
+def irreducible_int_matrices(draw, n_max=12):
+    """Nonnegative integer matrices made strongly connected by a cycle."""
+    n = draw(st.integers(2, n_max))
+    entries = draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n))
+    a = np.array(entries, dtype=int).reshape(n, n)
+    for i in range(n):
+        a[i, (i + 1) % n] = max(a[i, (i + 1) % n], 1)
+    return a
+
+
+def _scipy_power_iteration(a, tol=1e-10):
+    """The power iteration on an irreducible matrix with scipy's CSR matvec."""
+    sparse = pytest.importorskip("scipy.sparse")
+    block = sparse.csr_array(np.asarray(a, dtype=float))
+    vec = np.ones(block.shape[0])
+    iters = 0
+    while True:
+        w = block @ vec + vec
+        iters += 1
+        ratios = w / vec
+        lo, hi = float(ratios.min()), float(ratios.max())
+        if hi - lo <= 2.0 * tol:
+            break
+        vec = w / w.max()
+    value, err = (lo + hi) / 2.0 - 1.0, (hi - lo) / 2.0
+    return value, max(err, (value + err) - value), iters, tuple(float(x) for x in vec)
+
+
+@given(irreducible_int_matrices())
+@settings(max_examples=60, deadline=None)
+def test_matvec_is_bitwise_scipy_csr(a):
+    res = perron_eigenvalue(a)
+    value, err, iters, vec = _scipy_power_iteration(a)
+    assert (res.value, res.error_bound, res.iterations, res.witness_vector) == (value, err, iters, vec)
+
+
+@given(small_01_matrices(n_max=9))
+@settings(max_examples=60, deadline=None)
+def test_dense_digraph_and_scipy_sparse_inputs_agree(a):
+    sparse = pytest.importorskip("scipy.sparse")
+    n = a.shape[0]
+    edges = [(i + 1, j + 1) for i, j in zip(*np.nonzero(a))]
+    expect = perron_eigenvalue(a)
+    assert perron_eigenvalue(Digraph.from_edges(n, edges)) == expect
+    assert perron_eigenvalue(a.tolist()) == expect
+    assert perron_eigenvalue(sparse.csr_array(a)) == expect
+    assert perron_eigenvalue(sparse.coo_matrix(a)) == expect
+
+
+def test_sparse_input_is_validated():
+    sparse = pytest.importorskip("scipy.sparse")
+    with pytest.raises(ValidationError, match="square"):
+        perron_eigenvalue(sparse.csr_array(np.ones((2, 3))))
+    with pytest.raises(ValidationError, match="nonnegative"):
+        perron_eigenvalue(sparse.csr_array(np.array([[1.0, -1.0], [1.0, 0.0]])))
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = str(Path(tigraph.__file__).resolve().parents[1])
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); import tigraph.cli\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(loaded)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
