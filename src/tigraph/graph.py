@@ -113,25 +113,46 @@ class Digraph:
         return all(self.succ[v] for v in range(self.n)) and all(self.pred[v] for v in range(self.n))
 
 
-@dataclass(frozen=True)
 class UGraph:
-    """Simple undirected graph; edges stored canonically as (i, j) with i < j."""
+    """Simple undirected graph; edges stored canonically as (i, j) with i < j.
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    ``edges`` is a strictly sorted tuple of canonical pairs.  A graph built
+    by ``from_rows`` keeps only ``n`` and its bitset rows; its ``edges`` is
+    derived from them on first access and cached.  Equality and hashing are
+    by ``(n, edges)`` whichever constructor built the graph.  Instances are
+    immutable.
+    """
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]) -> None:
+        if n < 1:
             raise ValidationError("vertex count must be >= 1")
         prev = (0, 0)
-        for i, j in self.edges:
+        for i, j in edges:
             if i == j:
                 raise ValidationError(f"I edge ({i},{j}): self-loops are not allowed")
-            if not (1 <= i < j <= self.n):
-                raise ValidationError(f"I edge ({i},{j}): not canonical or out of range 1..{self.n}")
+            if not (1 <= i < j <= n):
+                raise ValidationError(f"I edge ({i},{j}): not canonical or out of range 1..{n}")
             if (i, j) <= prev:
                 raise ValidationError("I edge list not strictly sorted")
             prev = (i, j)
+        self.__dict__.update(n=n, edges=edges)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: UGraph is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: UGraph is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"UGraph(n={self.n!r}, edges={self.edges!r})"
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "UGraph":
@@ -148,16 +169,30 @@ class UGraph:
     def from_rows(cls, rows: Iterable[int]) -> "UGraph":
         """Graph whose bit-packed neighbor rows are ``rows`` (0-indexed bits).
 
-        The rows must be symmetric and free of diagonal bits; they become
-        the cached ``adj``, so bitset kernels skip rebuilding them.
+        The rows become the cached ``adj``, and nothing else is stored: no
+        per-edge tuple is made until ``edges`` is read.  Raises
+        ValidationError on an empty row list, a diagonal bit or a bit at or
+        above ``len(rows)``.  Symmetry is the caller's to keep.
         """
         rows = tuple(rows)
-        edges = [
-            (i + 1, i + 2 + j) for i, row in enumerate(rows) for j in bits_of(row >> (i + 1))
-        ]
-        g = cls(len(rows), tuple(edges))
-        g.__dict__["adj"] = rows
+        n = len(rows)
+        if n < 1:
+            raise ValidationError("vertex count must be >= 1")
+        for i, row in enumerate(rows):
+            if row >> n:
+                raise ValidationError(f"I row {i + 1}: neighbor out of range 1..{n}")
+            if row >> i & 1:
+                raise ValidationError(f"I edge ({i + 1},{i + 1}): self-loops are not allowed")
+        g = cls.__new__(cls)
+        g.__dict__.update(n=n, adj=rows)
         return g
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Canonical sorted pairs; only a row-built graph reaches this."""
+        return tuple(
+            (i + 1, i + 2 + j) for i, row in enumerate(self.adj) for j in bits_of(row >> (i + 1))
+        )
 
     @cached_property
     def adj(self) -> tuple[int, ...]:
@@ -190,7 +225,9 @@ class UGraph:
         return len(self.adj_sets[i - 1])
 
     def num_edges(self) -> int:
-        return len(self.edges)
+        if "edges" in self.__dict__:
+            return len(self.edges)
+        return sum(row.bit_count() for row in self.adj) // 2
 
 
 @dataclass(frozen=True)

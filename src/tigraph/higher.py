@@ -6,12 +6,16 @@ the first by one step (overlap in m-1 symbols), and in the lifted I when the
 words are indistinguishable: at every position the symbols are equal or
 I-adjacent.  Lifted vertices are ordered lexicographically by their words.
 
+The lifted T is built as successor tuples straight from the word index.
 The lifted I is built as bitset rows: one mask per (position, symbol) of
 the words whose symbol there is I-compatible with it, and each word's row
 is the AND of its m masks, so a lift costs O(words * m) ANDs of words-bit
-integers.  Rows take words^2/8 bytes, so lifts with more than
+integers.  The lifted ``UGraph`` keeps only these rows; its ``edges``
+tuple is derived only if something reads it, which the report path does
+not.  Rows take words^2/8 bytes, so lifts with more than
 ``MAX_BITSET_VERTICES`` words instead walk T from each word inside its
-positionwise I-neighborhood, which makes one Python tuple per lifted I-edge.
+positionwise I-neighborhood; only that path makes one Python tuple per
+lifted I-edge.
 """
 
 from __future__ import annotations
@@ -90,19 +94,18 @@ def higher_graph(g: TIGraph, m: int, size_cap: int = DEFAULT_SIZE_CAP) -> Higher
     words = _enumerate_words(g.t, m)  # already lexicographic
     index = {w: k for k, w in enumerate(words)}
     succ_base = g.t.succ
-
-    t_edges: list[tuple[int, int]] = []
-    for k, w in enumerate(words):
-        tail = w[1:]
-        for s in succ_base[w[-1] - 1]:
-            t_edges.append((k + 1, index[tail + (s,)] + 1))
+    # the words are lexicographic and succ_base rows increase, so each
+    # successor tuple comes out strictly increasing, as Digraph requires
+    t_graph = Digraph(
+        len(words),
+        tuple(tuple(index[w[1:] + (s,)] + 1 for s in succ_base[w[-1] - 1]) for w in words),
+    )
 
     if len(words) > MAX_BITSET_VERTICES:
         i_graph = UGraph(len(words), _walk_i_edges(g, words, index))
     else:
         i_graph = UGraph.from_rows(_i_rows(g, words))
-    lifted = TIGraph(Digraph.from_edges(len(words), t_edges), i_graph)
-    return HigherGraph(m, g, lifted, tuple(words))
+    return HigherGraph(m, g, TIGraph(t_graph, i_graph), tuple(words))
 
 
 def _i_rows(g: TIGraph, words: list[Word]) -> list[int]:

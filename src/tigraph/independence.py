@@ -22,7 +22,8 @@ below it cannot have gained a dominated neighbour.
 
 Each component starts from a minimum-degree greedy incumbent kept in a lazy
 heap: O((n + e) log n) time on n vertices and e edges, plus one n-bit AND
-per vertex.  Graphs above ``MAX_BITSET_VERTICES`` have no bitset rows, so
+per vertex.  Once the node budget is spent, every remaining component keeps
+that incumbent.  Graphs above ``MAX_BITSET_VERTICES`` have no bitset rows, so
 ``max_independent_set`` returns the sparse-adjacency greedy there instead.
 """
 
@@ -238,7 +239,13 @@ def max_independent_set(g: UGraph, budget: int = DEFAULT_BUDGET) -> Independence
 
     Budget counts branch-and-bound node expansions.  On exhaustion the best
     set found so far is returned with ``exact=False`` (still a valid
-    independent set, hence still usable as a certificate).
+    independent set, hence still usable as a certificate); each component
+    not yet searched contributes the greedy incumbent its search would have
+    started from, on its dominance-pruned vertices.
+
+    Works on the bitset rows ``g.adj`` only, the final independence check
+    included, so a graph built by ``UGraph.from_rows`` never makes its
+    per-edge ``edges`` tuple here.
     """
     try:
         adj = g.adj
@@ -249,7 +256,6 @@ def max_independent_set(g: UGraph, budget: int = DEFAULT_BUDGET) -> Independence
     n = g.n
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * n + 100))
     solver = _Solver(adj, budget)
-    full = (1 << n) - 1
 
     # independent components can be solved separately
     chosen_total = 0
@@ -272,30 +278,19 @@ def max_independent_set(g: UGraph, budget: int = DEFAULT_BUDGET) -> Independence
             frontier = nxt
         seen |= comp
         comp = _dominated_pruned(adj, solver.closed, comp)
-        solver.best_size = 0
-        solver.best_mask = 0
         greedy_mask = solver._greedy(comp)
         solver.best_size = greedy_mask.bit_count()
         solver.best_mask = greedy_mask
-        try:
-            solver.solve(comp, 0)
-        except _BudgetExhausted:
-            exact = False
+        if exact:  # once the budget is gone, a component keeps this incumbent
+            try:
+                solver.solve(comp, 0)
+            except _BudgetExhausted:
+                exact = False
         chosen_total |= solver.best_mask
-        if not exact:
-            # budget gone: greedily finish the remaining components
-            rest = full & ~seen
-            if rest:
-                rest_chosen = solver._greedy(rest)
-                chosen_total |= rest_chosen
-                seen = full
-            break
 
     witness = tuple(v + 1 for v in bits_of(chosen_total))
-    w_set = set(witness)
-    for a, b in g.edges:
-        if a in w_set and b in w_set:
-            raise AssertionError("witness is not independent")
+    if any(adj[v - 1] & chosen_total for v in witness):
+        raise AssertionError("witness is not independent")
     return IndependenceResult(len(witness), witness, exact)
 
 

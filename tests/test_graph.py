@@ -234,3 +234,55 @@ def test_json_serialization_is_canonical(dbl):
         {"n": 4, "t_edges": list(reversed(obj["t_edges"])), "i_edges": list(reversed(obj["i_edges"]))}
     )
     assert serialize_tigraph(parse_tigraph(shuffled)) == blob
+
+
+@st.composite
+def row_graphs(draw, n_max=70):
+    """(n, edge pairs, bitset rows) of a random simple graph; rows past 64 bits too."""
+    n = draw(st.integers(1, n_max))
+    pairs = draw(
+        st.sets(st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1]))
+    )
+    rows = [0] * n
+    for i, j in pairs:
+        rows[i - 1] |= 1 << (j - 1)
+        rows[j - 1] |= 1 << (i - 1)
+    return n, pairs, rows
+
+
+@given(row_graphs())
+@settings(max_examples=150)
+def test_from_rows_matches_from_edges(case):
+    n, pairs, rows = case
+    by_edges = UGraph.from_edges(n, pairs)
+    by_rows = UGraph.from_rows(rows)
+    assert by_rows.num_edges() == by_edges.num_edges()
+    assert "edges" not in by_rows.__dict__  # counted from the rows alone
+    assert by_rows.adj == by_edges.adj
+    assert by_rows.edges == by_edges.edges
+    assert by_rows.adj_sets == by_edges.adj_sets
+    assert by_rows == by_edges and by_edges == by_rows
+    assert hash(by_rows) == hash(by_edges) == hash((n, by_edges.edges))
+
+
+def test_from_rows_rejects_empty_row_list():
+    with pytest.raises(ValidationError, match="vertex count"):
+        UGraph.from_rows([])
+
+
+def test_from_rows_rejects_diagonal_bit():
+    with pytest.raises(ValidationError, match=r"\(2,2\): self-loops"):
+        UGraph.from_rows([0b010, 0b011, 0b000])
+
+
+def test_from_rows_rejects_bit_past_last_vertex():
+    with pytest.raises(ValidationError, match="row 3: neighbor out of range 1..3"):
+        UGraph.from_rows([0b100, 0b000, 0b1001])
+
+
+def test_ugraph_is_immutable():
+    for g in (UGraph.from_edges(2, [(1, 2)]), UGraph.from_rows([0b10, 0b01])):
+        with pytest.raises(AttributeError):
+            g.n = 3
+        with pytest.raises(AttributeError):
+            del g.edges

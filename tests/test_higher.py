@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import tigraph.bounds
 import tigraph.higher
 from tigraph import (
     Digraph,
@@ -20,8 +21,10 @@ from tigraph import (
     max_independent_set,
     primitivity_index,
     prune_stranded,
+    serialize_tigraph,
     words_indistinguishable,
 )
+from tigraph.cli import main
 
 from conftest import random_pruned_tigraph
 
@@ -234,3 +237,48 @@ def test_large_lift_path_walks_words(dbl, monkeypatch):
         walked = higher_graph(dbl, lift.m)
         assert "adj" not in walked.lifted.i.__dict__  # built from edges, not rows
         assert walked == lift
+
+
+_HIGHER_STATS = {
+    "dbl": (
+        "m=1 vertices=4 t_edges=8 i_edges=4 gamma=2",
+        "m=2 vertices=8 t_edges=16 i_edges=12 gamma=3",
+        "m=3 vertices=16 t_edges=32 i_edges=32 gamma=4",
+        "m=4 vertices=32 t_edges=64 i_edges=80 gamma=5",
+        "m=5 vertices=64 t_edges=128 i_edges=192 gamma=6",
+        "m=6 vertices=128 t_edges=256 i_edges=448 gamma=7",
+    ),
+    "complete4": (
+        "m=1 vertices=4 t_edges=16 i_edges=6 gamma=1",
+        "m=2 vertices=16 t_edges=64 i_edges=120 gamma=2",
+        "m=3 vertices=64 t_edges=256 i_edges=2016 gamma=3",
+        "m=4 vertices=256 t_edges=1024 i_edges=32640 gamma=4",
+    ),
+}
+
+
+def test_higher_stats_counts(tmp_path, capsys, dbl):
+    # edge counts come from row popcounts and successor tuples, not edge lists
+    for name, g in (("dbl", dbl), ("complete4", _complete4())):
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_tigraph(g))
+        for m, line in enumerate(_HIGHER_STATS[name], start=1):
+            assert main(["higher", str(path), "-m", str(m), "--stats"]) == 0
+            assert capsys.readouterr().out == line + "\n"
+
+
+def test_report_keeps_lifted_i_as_rows(tmp_path, capsys, monkeypatch):
+    # 523,776 lifted I-edges at m=5: the report reads them as bitset rows only
+    lifts = []
+
+    def spy(*args, **kwargs):
+        lifts.append(higher_graph(*args, **kwargs))
+        return lifts[-1]
+
+    monkeypatch.setattr(tigraph.bounds, "higher_graph", spy)
+    path = tmp_path / "complete4.json"
+    path.write_text(serialize_tigraph(_complete4()))
+    assert main(["report", str(path), "--m-max", "5"]) == 0
+    assert "higher_limit" in capsys.readouterr().out
+    assert {lift.m for lift in lifts} == {1, 2, 3, 4, 5}
+    assert all("edges" not in lift.lifted.i.__dict__ for lift in lifts)
