@@ -26,16 +26,27 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .config import Config
 from .errors import EmptyGraphError, NotPrimitiveError, SizeCapExceeded, TigraphError
-from .graph import TIGraph, Word, induced_subgraph, prune_stranded, serialize_tigraph
+from .graph import (
+    Digraph,
+    TIGraph,
+    UGraph,
+    Word,
+    induced_digraph,
+    induced_subgraph,
+    prune_digraph,
+    prune_stranded,
+    serialize_tigraph,
+)
 from .higher import DEFAULT_SIZE_CAP, higher_graph
 from .independence import DEFAULT_BUDGET, max_independent_set
 from .sofic import DEFAULT_STATE_CAP, clique_components_check, sofic_entropy
-from .spectral import DEFAULT_TOL, perron_eigenvalue, sft_entropy
+from .spectral import DEFAULT_TOL, perron_eigenvalue, perron_eigenvalues, sft_entropy
 from .structure import analyze_structure, is_primitive, primitivity_index
 
 METHOD_ORDER = (
@@ -47,6 +58,14 @@ METHOD_ORDER = (
     "higher_limit",
     "oracle_exact",
 )
+
+# Independent-set candidates whose Perron values share one batched power
+# iteration.  On the 200-arc x -> 3x cover (100 candidates; 20-second
+# benchmark runs, one each), peak RSS was 36.6 MB with one Perron solve per
+# candidate, 39.6 MB with all of them in one batch, and 37.6 / 37.9 /
+# 38.1 MB with batches of 4 / 8 / 16.  8 runs as fast as 16; 4 is about 9 %
+# slower.
+SUBSHIFT_BATCH = 8
 
 # Direct recomputation of the lifted primitivity index is used to confirm
 # the shift formula gamma(T_[m]) = gamma(T) - 1 + m at small m.
@@ -116,6 +135,24 @@ def graph_digest(g: TIGraph) -> str:
     return hashlib.sha256(serialize_tigraph(g).encode()).hexdigest()[:16]
 
 
+def _pruned_transitions(
+    t: Digraph, candidates: Iterable[tuple[int, ...]], scored: list
+) -> Iterator[Digraph]:
+    """T restricted to each candidate vertex set and pruned, lazily.
+
+    Only T matters for the entropy.  A candidate that prunes to nothing
+    induces no recurrent dynamics and is skipped; the others are appended to
+    ``scored`` in the order their digraphs are yielded.
+    """
+    for cand in candidates:
+        try:
+            pruned, _ = prune_digraph(induced_digraph(t, cand)[0])
+        except EmptyGraphError:
+            continue
+        scored.append(cand)
+        yield pruned
+
+
 def independent_subshift_bound(
     g: TIGraph, tol: float = DEFAULT_TOL, mis_budget: int = DEFAULT_BUDGET
 ) -> Bound:
@@ -146,18 +183,18 @@ def independent_subshift_bound(
     best_value = -1.0
     best_set: tuple[int, ...] = ()
     best_lambda = 0.0
-    for cand in dict.fromkeys(candidates):
-        sub, _ = induced_subgraph(g, cand)
-        try:
-            pruned_sub, _ = prune_stranded(sub)
-        except EmptyGraphError:
-            continue
-        lam = perron_eigenvalue(pruned_sub.t, tol=tol).value
-        value = math.log(max(lam, 1.0))
-        if value > best_value + tol:
-            best_value = value
-            best_set = cand
-            best_lambda = lam
+    unique = list(dict.fromkeys(candidates))
+    for start in range(0, len(unique), SUBSHIFT_BATCH):
+        scored: list[tuple[int, ...]] = []
+        chunk = _pruned_transitions(g.t, unique[start : start + SUBSHIFT_BATCH], scored)
+        spectra = perron_eigenvalues(chunk, tol=tol)
+        for cand, res in zip(scored, spectra):
+            lam = res.value
+            value = math.log(max(lam, 1.0))
+            if value > best_value + tol:
+                best_value = value
+                best_set = cand
+                best_lambda = lam
     if not best_set:
         # no candidate induces any recurrent dynamics
         return Bound("independent_subshift", 0.0, True, False, {})
@@ -395,7 +432,6 @@ def oracle_separated_count(
     the resulting graph exactly.  Independent of the higher-shift
     construction; used to cross-check it.
     """
-    from .graph import UGraph
     from .higher import count_paths, _enumerate_words
 
     _prune_checked(g)
@@ -416,11 +452,8 @@ def oracle_separated_count(
     pairwise = compat[arr[:, None, :], arr[None, :, :]].all(axis=2)
     np.fill_diagonal(pairwise, False)
 
-    edges = [
-        (int(a) + 1, int(b) + 1)
-        for a, b in zip(*np.nonzero(np.triu(pairwise)))
-    ]
-    graph = UGraph(len(words), tuple(edges))
+    packed = np.packbits(pairwise, axis=1, bitorder="little")
+    graph = UGraph.from_rows(int.from_bytes(row.tobytes(), "little") for row in packed)
     mis = max_independent_set(graph, budget=mis_budget)
     if not mis.exact:
         raise SizeCapExceeded("independent-set budget exhausted inside the oracle")

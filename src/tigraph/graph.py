@@ -387,8 +387,8 @@ def prune_stranded(g: TIGraph) -> tuple[TIGraph, dict[int, int]]:
     return TIGraph(t, UGraph.from_edges(t.n, i_edges)), index_map
 
 
-def induced_subgraph(g: TIGraph, vertices: Iterable[int]) -> tuple[TIGraph, dict[int, int]]:
-    """Restrict both T and I to ``vertices`` and reindex.
+def induced_digraph(t: Digraph, vertices: Iterable[int]) -> tuple[Digraph, dict[int, int]]:
+    """Restrict T to ``vertices`` and reindex them in ascending order.
 
     Keeps exactly the edges with both endpoints inside the set.  Returns the
     subgraph and the old->new index map.
@@ -397,19 +397,26 @@ def induced_subgraph(g: TIGraph, vertices: Iterable[int]) -> tuple[TIGraph, dict
     if not v_set:
         raise ValidationError("vertex subset must be nonempty")
     for v in v_set:
-        if not 1 <= v <= g.n:
-            raise ValidationError(f"vertex {v} out of range 1..{g.n}")
+        if not 1 <= v <= t.n:
+            raise ValidationError(f"vertex {v} out of range 1..{t.n}")
     index_map = {old: new for new, old in enumerate(sorted(v_set), start=1)}
-    t_edges = [
-        (index_map[i], index_map[j]) for i, j in g.t.edges() if i in v_set and j in v_set
-    ]
-    i_edges = [
-        (index_map[a], index_map[b]) for a, b in g.i.edges if a in v_set and b in v_set
-    ]
-    sub = TIGraph(
-        Digraph.from_edges(len(v_set), t_edges), UGraph.from_edges(len(v_set), i_edges)
+    succ = tuple(
+        tuple(index_map[j] for j in t.succ[old - 1] if j in index_map) for old in index_map
     )
-    return sub, index_map
+    return Digraph(len(index_map), succ), index_map
+
+
+def induced_subgraph(g: TIGraph, vertices: Iterable[int]) -> tuple[TIGraph, dict[int, int]]:
+    """Restrict both T and I to ``vertices`` and reindex.
+
+    Keeps exactly the edges with both endpoints inside the set.  Returns the
+    subgraph and the old->new index map.
+    """
+    t, index_map = induced_digraph(g.t, vertices)
+    i_edges = [
+        (index_map[a], index_map[b]) for a, b in g.i.edges if a in index_map and b in index_map
+    ]
+    return TIGraph(t, UGraph.from_edges(t.n, i_edges)), index_map
 
 
 def export_dot(g: TIGraph, node_labels: dict[int, str] | None = None) -> str:

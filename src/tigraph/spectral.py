@@ -1,6 +1,6 @@
 """Certified Perron eigenvalue computation for nonnegative integer matrices.
 
-The matrix is split into strongly connected blocks; each irreducible block
+Each matrix is split into strongly connected blocks; each irreducible block
 A' is handled by power iteration on A' + Id (the diagonal shift makes the
 block aperiodic, so the iteration converges even when A' is periodic).  Every
 reported value carries a two-sided Collatz-Wielandt certificate
@@ -9,6 +9,15 @@ reported value carries a two-sided Collatz-Wielandt certificate
 
 evaluated on a strictly positive iterate v, so the error bound is rigorous
 up to floating-point rounding.  Natural logarithm throughout.
+
+``perron_eigenvalues`` runs the blocks of many matrices in one power
+iteration: their entries are concatenated, one ``np.bincount`` per step
+gives every block's (A' + Id) v, and ``reduceat`` takes each block's ratio
+bounds and maximum.  A block leaves the batch when it converges or reaches
+its own iteration cap.  Each block's values go through the same IEEE
+operations in the same order as when it runs alone, so every result is
+bitwise the one ``perron_eigenvalue`` gives for that matrix, which is the
+one-matrix case.
 
 Matrices are held as CSR in plain lists and numpy arrays; scipy is not
 imported.  The matvec ``np.bincount(rows, weights=data * v[cols])`` adds
@@ -19,11 +28,13 @@ are bitwise those of scipy's ``csr_matvec``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import NoConvergenceError, ValidationError
 from .graph import Digraph
+from .structure import _tarjan
 
 DEFAULT_TOL = 1e-10
 
@@ -49,19 +60,18 @@ class SpectralResult:
             raise ValidationError("certified interval dips below zero")
 
 
-def _to_csr(a) -> tuple[int, list[int], list[int], np.ndarray]:
-    """A square nonnegative matrix as CSR lists: (n, indptr, indices, data).
+def _to_csr(a) -> tuple[tuple, list[int], list[int], np.ndarray]:
+    """A square nonnegative matrix as (succ, indptr, indices, data).
 
-    Takes a Digraph, a dense array-like, or a sparse matrix with a
-    ``tocsr`` method (scipy's), which keeps its stored entry order.
+    ``succ[i]`` lists the 1-based columns stored in row i, the form
+    ``structure._tarjan`` reads.  Takes a Digraph, a dense array-like, or a
+    sparse matrix with a ``tocsr`` method (scipy's), which keeps its stored
+    entry order.
     """
     if isinstance(a, Digraph):
-        indptr = [0]
-        indices: list[int] = []
-        for row in a.succ:
-            indices.extend(j - 1 for j in row)
-            indptr.append(len(indices))
-        return a.n, indptr, indices, np.ones(len(indices))
+        indptr = list(accumulate(map(len, a.succ), initial=0))
+        indices = [j - 1 for row in a.succ for j in row]
+        return a.succ, indptr, indices, np.ones(len(indices))
     if hasattr(a, "tocsr"):
         mat = a.tocsr()
         shape = mat.shape
@@ -81,58 +91,159 @@ def _to_csr(a) -> tuple[int, list[int], list[int], np.ndarray]:
         raise ValidationError("matrix must be square")
     if data.size and data.min() < 0:
         raise ValidationError("matrix must be nonnegative")
-    return shape[0], indptr, indices, data
+    succ = tuple([j + 1 for j in indices[indptr[i] : indptr[i + 1]]] for i in range(shape[0]))
+    return succ, indptr, indices, data
 
 
-def _csr_sccs(n: int, indptr, indices) -> list[list[int]]:
-    """Iterative Tarjan on a CSR pattern; returns 0-based components."""
-    index = [0] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 1
-    for root in range(n):
-        if index[root]:
+def _split(a, iteration_cap: int | None, first: int) -> tuple[list, list]:
+    """One matrix as its per-component parts and its irreducible blocks.
+
+    ``parts`` has one slot per strongly connected component, in Tarjan
+    order: a singleton's (value, 0.0, (v,), (1.0,), 0) is filled in here;
+    a block's slot is None until the iteration fills it.  Each block is
+    (slot, component, rows, cols, data, cap): its entries in stored order,
+    at positions of the batch's vector numbered on from ``first``.
+    """
+    succ, indptr, indices, data = _to_csr(a)
+    parts: list = []
+    blocks: list = []
+    for comp in _tarjan(len(succ), succ):
+        comp = sorted(v - 1 for v in comp)
+        if len(comp) == 1:
+            v = comp[0]
+            parts.append((_entry(indptr, indices, data, v, v), 0.0, (v,), (1.0,), 0))
             continue
-        work: list[tuple[int, int]] = [(root, indptr[root])]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, ptr = work[-1]
-            advanced = False
-            while ptr < indptr[v + 1]:
-                w = indices[ptr]
-                ptr += 1
-                if not index[w]:
-                    work[-1] = (v, ptr)
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, indptr[w]))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-    return comps
+        nb = len(comp)
+        pos = {v: first + i for i, v in enumerate(comp)}
+        first += nb
+        rows: list[int] = []
+        cols: list[int] = []
+        take: list[int] = []
+        for v in comp:
+            for ptr in range(indptr[v], indptr[v + 1]):
+                col = pos.get(indices[ptr])
+                if col is not None:
+                    rows.append(pos[v])
+                    cols.append(col)
+                    take.append(ptr)
+        cap = iteration_cap if iteration_cap is not None else 100 * nb * nb + 1000
+        blocks.append((len(parts), tuple(comp), np.array(rows), np.array(cols), data[take], cap))
+        parts.append(None)
+    return parts, blocks
+
+
+def _iterate(blocks: list, tol: float) -> list[tuple[float, float, int, tuple[float, ...]]]:
+    """Power iteration on A' + Id for every block at once.
+
+    Returns (lo, hi, iterations, v) per block, where v is the iterate whose
+    ratios gave the bounds lo and hi.  A block stops at its first step with
+    hi - lo <= 2 tol, or else at its cap.  The blocks that are still running
+    have all taken the same number of steps.
+    """
+    sizes = [len(b[1]) for b in blocks]
+    starts = list(accumulate(sizes[:-1], initial=0))
+    at = np.array(starts)  # reduceat converts a list on every call
+    rows = np.concatenate([b[2] for b in blocks])
+    cols = np.concatenate([b[3] for b in blocks])
+    data = np.concatenate([b[4] for b in blocks])
+    caps = [b[5] for b in blocks]
+    first_cap = min(caps)
+    block_of = np.repeat(np.arange(len(blocks)), sizes)  # position -> running block
+    running = list(range(len(blocks)))
+    out: list = [None] * len(blocks)
+    vec = np.ones(block_of.size)
+    width_tol = 2.0 * tol
+    iters = 0
+    while True:
+        # (A' + Id) v, every block at once
+        prod = vec[cols]
+        prod *= data
+        w = np.bincount(rows, weights=prod, minlength=vec.size)
+        w += vec
+        iters += 1
+        ratios = w / vec
+        lo = np.minimum.reduceat(ratios, at)
+        hi = np.maximum.reduceat(ratios, at)
+        width = hi - lo
+        if np.minimum.reduce(width) <= width_tol or iters >= first_cap:
+            stop = width <= width_tol
+            if iters >= first_cap:
+                stop |= np.array(caps) <= iters
+            done = np.nonzero(stop)[0].tolist()
+            for k in done:
+                block_vec = tuple(vec[starts[k] : starts[k] + sizes[k]].tolist())
+                out[running[k]] = (float(lo[k]), float(hi[k]), iters, block_vec)
+            if len(done) == len(running):
+                return out
+            keep = ~stop
+            keep_pos = keep[block_of]
+            new_pos = np.cumsum(keep_pos) - 1
+            keep_entry = keep_pos[rows]
+            rows = new_pos[rows[keep_entry]]
+            cols = new_pos[cols[keep_entry]]
+            data = data[keep_entry]
+            vec, w = vec[keep_pos], w[keep_pos]
+            kept = np.nonzero(keep)[0].tolist()
+            running = [running[k] for k in kept]
+            sizes = [sizes[k] for k in kept]
+            caps = [caps[k] for k in kept]
+            first_cap = min(caps)
+            starts = list(accumulate(sizes[:-1], initial=0))
+            at = np.array(starts)
+            block_of = np.repeat(np.arange(len(sizes)), sizes)
+        w /= np.maximum.reduceat(w, at)[block_of]
+        vec = w
+
+
+def _solve(batch: list, tol: float) -> list[SpectralResult]:
+    """Results of the split matrices of one batch, in order.
+
+    Raises the NoConvergenceError of the first matrix, and within it of the
+    first block, that reached its cap, as a one-matrix loop would.
+    """
+    blocks = [b for _, mat_blocks in batch for b in mat_blocks]
+    outcomes = iter(_iterate(blocks, tol) if blocks else ())
+    results = []
+    for parts, mat_blocks in batch:
+        for (slot, comp, _, _, _, _), (lo, hi, iters, vec) in zip(mat_blocks, outcomes):
+            if hi - lo > 2.0 * tol:
+                raise NoConvergenceError(
+                    f"block of size {len(comp)}: interval width {hi - lo:.3e} after {iters} iterations"
+                )
+            parts[slot] = ((lo + hi) / 2.0 - 1.0, (hi - lo) / 2.0, comp, vec, iters)
+        best = max(range(len(parts)), key=lambda k: parts[k][0])
+        value, err_best, block_ids, vec_out, _ = parts[best]
+        # lambda_true <= max_k (value_k + err_k); fold that into the half-width.
+        overshoot = max((v + e) - value for v, e, _, _, _ in parts)
+        error_bound = max(err_best, overshoot, 0.0)
+        total_iters = sum(part[4] for part in parts)
+        results.append(SpectralResult(value, error_bound, total_iters, block_ids, vec_out))
+    return results
+
+
+def perron_eigenvalues(
+    mats, tol: float = DEFAULT_TOL, iteration_cap: int | None = None
+) -> list[SpectralResult]:
+    """``perron_eigenvalue`` of every matrix of an iterable, in one iteration.
+
+    The iterable is read once and no matrix is kept once its blocks are
+    built, so the matrices of a generator are never all in memory at once.
+    Every result is bitwise the one-matrix one.  Raises the error that
+    calling ``perron_eigenvalue`` on the matrices in order would raise first.
+    """
+    if tol <= 0:
+        raise ValidationError("tol must be positive")
+    batch: list = []
+    size = 0  # length of the batch's vector
+    for a in mats:
+        try:
+            parts, blocks = _split(a, iteration_cap, size)
+        except ValidationError:
+            _solve(batch, tol)  # an earlier matrix's NoConvergenceError comes first
+            raise
+        batch.append((parts, blocks))
+        size += sum(len(b[1]) for b in blocks)
+    return _solve(batch, tol)
 
 
 def perron_eigenvalue(a, tol: float = DEFAULT_TOL, iteration_cap: int | None = None) -> SpectralResult:
@@ -142,63 +253,7 @@ def perron_eigenvalue(a, tol: float = DEFAULT_TOL, iteration_cap: int | None = N
     NoConvergenceError if some block's certified interval does not shrink
     below ``tol`` within the iteration cap (default 100 n^2 + 1000 per block).
     """
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
-    n, indptr, indices, data = _to_csr(a)
-    comps = _csr_sccs(n, indptr, indices)
-
-    results: list[tuple[float, float, tuple[int, ...], tuple[float, ...]]] = []
-    total_iters = 0
-    for comp in comps:
-        if len(comp) == 1:
-            v = comp[0]
-            val = _entry(indptr, indices, data, v, v)
-            results.append((val, 0.0, (v,), (1.0,)))
-            continue
-        # the block's entries, each row in stored order
-        local = {v: i for i, v in enumerate(comp)}
-        rows: list[int] = []
-        cols: list[int] = []
-        take: list[int] = []
-        for v in comp:
-            for ptr in range(indptr[v], indptr[v + 1]):
-                col = local.get(indices[ptr])
-                if col is not None:
-                    rows.append(local[v])
-                    cols.append(col)
-                    take.append(ptr)
-        block_rows = np.array(rows, dtype=np.int64)
-        block_cols = np.array(cols, dtype=np.int64)
-        block_data = data[take]
-        nb = len(comp)
-        cap = iteration_cap if iteration_cap is not None else 100 * nb * nb + 1000
-        vec = np.ones(nb)
-        iters = 0
-        while True:
-            # (A' + Id) v
-            w = np.bincount(block_rows, weights=block_data * vec[block_cols], minlength=nb) + vec
-            iters += 1
-            ratios = w / vec
-            lo = float(ratios.min())
-            hi = float(ratios.max())
-            if hi - lo <= 2.0 * tol:
-                break
-            if iters >= cap:
-                raise NoConvergenceError(
-                    f"block of size {nb}: interval width {hi - lo:.3e} after {iters} iterations"
-                )
-            vec = w / w.max()
-        total_iters += iters
-        value = (lo + hi) / 2.0 - 1.0
-        err = (hi - lo) / 2.0
-        results.append((value, err, tuple(comp), tuple(float(x) for x in vec)))
-
-    best = max(range(len(results)), key=lambda k: results[k][0])
-    value, err_best, block_ids, vec_out = results[best]
-    # lambda_true <= max_k (value_k + err_k); fold that into the half-width.
-    overshoot = max((v + e) - value for v, e, _, _ in results)
-    error_bound = max(err_best, overshoot, 0.0)
-    return SpectralResult(value, error_bound, total_iters, block_ids, vec_out)
+    return perron_eigenvalues((a,), tol, iteration_cap)[0]
 
 
 def _entry(indptr: list[int], indices: list[int], data: np.ndarray, i: int, j: int) -> float:

@@ -99,14 +99,12 @@ def _tarjan(n: int, succ: tuple[tuple[int, ...], ...]) -> list[list[int]]:
     return comps
 
 
-def period(t: Digraph, scc: Iterable[int]) -> int:
-    """gcd of the lengths of all cycles through the given component.
+def _bfs_levels(t: Digraph, comp: list[int]) -> dict[int, int]:
+    """BFS depth of each vertex of ``comp`` from its smallest, inside ``comp``.
 
-    Cycle length counts edge steps.  Computed as the gcd of
-    level(u) + 1 - level(v) over the component's edges, with levels from a
-    BFS layering.
+    Raises ValidationError when some vertex is not reached, i.e. the set is
+    not one strongly connected component.
     """
-    comp = sorted(set(scc))
     members = set(comp)
     root = comp[0]
     level = {root: 0}
@@ -121,14 +119,30 @@ def period(t: Digraph, scc: Iterable[int]) -> int:
         frontier = nxt
     if len(level) != len(members):
         raise ValidationError("vertex set is not a single strongly connected component")
+    return level
+
+
+def _period_of(t: Digraph, comp: list[int], level: dict[int, int]) -> int:
+    """gcd of level(u) + 1 - level(w) over the edges inside ``comp``."""
     g = 0
     for u in comp:
         for w in t.succ[u - 1]:
-            if w in members:
+            if w in level:
                 g = gcd(g, level[u] + 1 - level[w])
     if g == 0:
         raise ValidationError("component contains no cycle; period undefined")
     return abs(g)
+
+
+def period(t: Digraph, scc: Iterable[int]) -> int:
+    """gcd of the lengths of all cycles through the given component.
+
+    Cycle length counts edge steps.  Computed as the gcd of
+    level(u) + 1 - level(v) over the component's edges, with levels from a
+    BFS layering.
+    """
+    comp = sorted(set(scc))
+    return _period_of(t, comp, _bfs_levels(t, comp))
 
 
 def primitive_components(t: Digraph, scc: Iterable[int]) -> list[tuple[tuple[int, ...], Digraph]]:
@@ -141,18 +155,8 @@ def primitive_components(t: Digraph, scc: Iterable[int]) -> list[tuple[tuple[int
     """
     comp = sorted(set(scc))
     members = set(comp)
-    p = period(t, comp)
-    root = comp[0]
-    level = {root: 0}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in t.succ[u - 1]:
-                if w in members and w not in level:
-                    level[w] = level[u] + 1
-                    nxt.append(w)
-        frontier = nxt
+    level = _bfs_levels(t, comp)
+    p = _period_of(t, comp, level)
 
     classes: list[list[int]] = [[] for _ in range(p)]
     for v in comp:
@@ -169,7 +173,7 @@ def primitive_components(t: Digraph, scc: Iterable[int]) -> list[tuple[tuple[int
                 rows[local[v]] |= 1 << local[w]
     power = rows
     for _ in range(p - 1):
-        power = _bool_mul(power, rows)
+        power = _bool_mul(rows, power)
 
     out = []
     for cls in classes:
@@ -185,7 +189,12 @@ def primitive_components(t: Digraph, scc: Iterable[int]) -> list[tuple[tuple[int
 
 
 def _bool_mul(a: list[int] | tuple[int, ...], b: list[int] | tuple[int, ...]) -> list[int]:
-    """Boolean matrix product on bit-packed rows: out[i] = OR of b[j] for j in a[i]."""
+    """Boolean matrix product on bit-packed rows: out[i] = OR of b[j] for j in a[i].
+
+    The cost is one OR per set bit of ``a``, so the powers below are stepped
+    as A^(k+1) = A * A^k with the sparse adjacency rows on the left: one OR
+    per edge, where A^k * A would walk every bit of an already dense power.
+    """
     out = []
     for ra in a:
         acc = 0
@@ -203,7 +212,8 @@ def primitivity_index(t: Digraph, cap: int | None = None) -> int:
 
     Searches incrementally up to ``cap`` (default: the Wielandt bound
     n^2 - 2n + 2) and raises NotPrimitiveError beyond it, which signals a
-    period > 1 or a non-irreducible input.
+    period > 1 or a non-irreducible input.  Each step is A^(k+1) = A * A^k,
+    one OR per edge of the graph.
     """
     n = t.n
     if n > MAX_PRIMITIVITY_VERTICES:
@@ -217,7 +227,7 @@ def primitivity_index(t: Digraph, cap: int | None = None) -> int:
     while k <= cap:
         if all(r == full for r in power):
             return k
-        power = _bool_mul(power, rows)
+        power = _bool_mul(rows, power)
         k += 1
     raise NotPrimitiveError(f"no all-positive power up to cap {cap}")
 
@@ -260,8 +270,8 @@ def analyze_structure(t: Digraph) -> StructureReport:
             components.append(None)
             gammas.append(None)
             continue
-        periods.append(period(t, comp))
         comps = tuple(primitive_components(t, comp))
+        periods.append(len(comps))  # one cyclic class per residue of the period
         components.append(comps)
         row: list[int | None] = []
         for _, block in comps:

@@ -5,14 +5,19 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import tigraph
 from tigraph import (
     Config,
     Digraph,
+    EmptyGraphError,
     NotPrimitiveError,
     SizeCapExceeded,
     TIGraph,
@@ -23,15 +28,22 @@ from tigraph import (
     graph_digest,
     higher_graph,
     independent_subshift_bound,
+    induced_subgraph,
     limit_sequence,
     max_independent_set,
     oracle_bound,
     oracle_separated_count,
+    perron_eigenvalue,
     primitive_bound,
+    prune_stranded,
     sft_entropy,
     sofic_bound,
     verify_bound,
 )
+
+from tigraph.bounds import SeparatedCount
+from tigraph.higher import _enumerate_words, count_paths
+from tigraph.ingest import AffinePiece, Arc, CircleMap, IntervalCover, ti_from_circle
 
 from conftest import random_pruned_tigraph
 
@@ -86,6 +98,80 @@ def test_independent_subshift_prefers_entropy_over_size():
     b = independent_subshift_bound(g)
     assert abs(b.value - LN2) <= 1e-9
     assert set(b.certificate["independent_set"]) == {1, 3}
+
+
+def _reference_independent_subshift_bound(g, tol=1e-10):
+    """Each candidate scored alone: full induced subgraph, pruned, one Perron solve."""
+    mis = max_independent_set(g.i)
+    candidates = [mis.witness]
+    adj = g.i.adj_sets
+    seeds = range(1, g.n + 1) if g.n <= 128 else range(1, g.n + 1, max(1, g.n // 128))
+    for seed in seeds:
+        chosen = [seed]
+        excluded = set(adj[seed - 1]) | {seed}
+        for v in range(1, g.n + 1):
+            if v not in excluded:
+                chosen.append(v)
+                excluded |= adj[v - 1] | {v}
+        candidates.append(tuple(sorted(chosen)))
+    best_value, best_set, best_lambda = -1.0, (), 0.0
+    for cand in dict.fromkeys(candidates):
+        sub, _ = induced_subgraph(g, cand)
+        try:
+            pruned_sub, _ = prune_stranded(sub)
+        except EmptyGraphError:
+            continue
+        lam = perron_eigenvalue(pruned_sub.t, tol=tol).value
+        value = math.log(max(lam, 1.0))
+        if value > best_value + tol:
+            best_value, best_set, best_lambda = value, cand, lam
+    if not best_set:
+        return tigraph.Bound("independent_subshift", 0.0, True, False, {})
+    cert = {"independent_set": list(best_set), "lambda": best_lambda, "mis_exact": mis.exact}
+    return tigraph.Bound(
+        "independent_subshift", max(best_value, 0.0), True, g.i.num_edges() == 0, cert
+    )
+
+
+def _assert_subshift_matches_reference(g):
+    got = independent_subshift_bound(g)
+    expect = _reference_independent_subshift_bound(g)
+    assert got == expect
+    assert got.value.hex() == expect.value.hex()
+
+
+@st.composite
+def pruned_tigraphs(draw, n_max=30):
+    n = draw(st.integers(1, n_max))
+    vs = st.integers(1, n)
+    t_edges = draw(st.sets(st.tuples(vs, vs), min_size=1, max_size=3 * n))
+    i_edges = draw(st.sets(st.tuples(vs, vs).filter(lambda p: p[0] != p[1]), max_size=2 * n))
+    try:
+        g, _ = prune_stranded(
+            TIGraph(Digraph.from_edges(n, t_edges), UGraph.from_edges(n, i_edges))
+        )
+    except EmptyGraphError:
+        assume(False)
+    return g
+
+
+@given(pruned_tigraphs())
+@settings(max_examples=150, deadline=None)
+def test_independent_subshift_matches_one_solve_per_candidate(g):
+    _assert_subshift_matches_reference(g)
+
+
+@pytest.mark.parametrize("rotation", [0, 55])
+def test_independent_subshift_matches_one_solve_per_candidate_on_wide_cover(rotation):
+    # 200 arcs under x -> 3x: 100 distinct candidates, several batches
+    arcs = [
+        Arc.from_endpoints(Fraction(5 * i - 1, 1000), Fraction(5 * (i + 1) + 1, 1000))
+        for i in range(200)
+    ]
+    cover = IntervalCover(tuple(arcs[rotation:] + arcs[:rotation]))
+    cmap = CircleMap((AffinePiece(Fraction(0), Fraction(1), Fraction(3), Fraction(0)),))
+    g, _ = prune_stranded(ti_from_circle(cmap, cover))
+    _assert_subshift_matches_reference(g)
 
 
 # --- complete_digraph_bound -------------------------------------------------
@@ -276,6 +362,33 @@ def test_oracle_matches_lifted_independence_number():
                 oracle_separated_count(g, m).count
                 == max_independent_set(lifted.i).size
             )
+
+
+def _reference_oracle_separated_count(g, n):
+    """The oracle with its graph built from one (i, j) tuple per pair."""
+    words = _enumerate_words(g.t, n)
+    compat = np.eye(g.n + 1, dtype=bool)
+    for a, b in g.i.edges:
+        compat[a, b] = compat[b, a] = True
+    arr = np.array(words, dtype=np.int64)
+    pairwise = compat[arr[:, None, :], arr[None, :, :]].all(axis=2)
+    np.fill_diagonal(pairwise, False)
+    edges = [(int(a) + 1, int(b) + 1) for a, b in zip(*np.nonzero(np.triu(pairwise)))]
+    mis = max_independent_set(UGraph(len(words), tuple(edges)))
+    return SeparatedCount(n, mis.size, tuple(words[v - 1] for v in mis.witness))
+
+
+def test_oracle_matches_the_pair_list_graph():
+    rng = random.Random(23)
+    graphs = [random_pruned_tigraph(rng, n_max=6) for _ in range(20)]
+    vs = range(1, 5)
+    graphs.append(
+        TIGraph(_complete_t(4), UGraph.from_edges(4, [(i, j) for i in vs for j in vs if i < j]))
+    )
+    for g in graphs:
+        for n in (1, 2, 3):
+            if count_paths(g.t, n) <= 300:
+                assert oracle_separated_count(g, n) == _reference_oracle_separated_count(g, n)
 
 
 def test_oracle_subadditive_counts():

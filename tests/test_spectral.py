@@ -11,7 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tigraph
-from tigraph import Digraph, ValidationError, perron_eigenvalue, sft_entropy
+from tigraph import (
+    Digraph,
+    NoConvergenceError,
+    SpectralResult,
+    ValidationError,
+    perron_eigenvalue,
+    perron_eigenvalues,
+    sft_entropy,
+)
+from tigraph.spectral import _to_csr
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 PLASTIC = 1.3247179572447460  # positive root of x^3 = x + 1
@@ -221,3 +230,219 @@ def test_importing_the_cli_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# --- batched iteration against the one-matrix loop ----------------------------
+
+
+def _reference_sccs(n, indptr, indices):
+    """Iterative Tarjan on a CSR pattern; 0-based components, each sorted."""
+    index = [0] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    comps = []
+    counter = 1
+    for root in range(n):
+        if index[root]:
+            continue
+        work = [(root, indptr[root])]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, ptr = work[-1]
+            advanced = False
+            while ptr < indptr[v + 1]:
+                w = indices[ptr]
+                ptr += 1
+                if not index[w]:
+                    work[-1] = (v, ptr)
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, indptr[w]))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                low[work[-1][0]] = min(low[work[-1][0]], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(sorted(comp))
+    return comps
+
+
+def _reference_perron(a, tol=1e-10, iteration_cap=None):
+    """The single-matrix power iteration, one block after another."""
+    if tol <= 0:
+        raise ValidationError("tol must be positive")
+    _, indptr, indices, data = _to_csr(a)
+    n = len(indptr) - 1
+    results = []
+    total_iters = 0
+    for comp in _reference_sccs(n, indptr, indices):
+        if len(comp) == 1:
+            v = comp[0]
+            val = next(
+                (float(data[p]) for p in range(indptr[v], indptr[v + 1]) if indices[p] == v), 0.0
+            )
+            results.append((val, 0.0, (v,), (1.0,)))
+            continue
+        local = {v: i for i, v in enumerate(comp)}
+        rows, cols, take = [], [], []
+        for v in comp:
+            for ptr in range(indptr[v], indptr[v + 1]):
+                col = local.get(indices[ptr])
+                if col is not None:
+                    rows.append(local[v])
+                    cols.append(col)
+                    take.append(ptr)
+        block_rows = np.array(rows, dtype=np.int64)
+        block_cols = np.array(cols, dtype=np.int64)
+        block_data = data[take]
+        nb = len(comp)
+        cap = iteration_cap if iteration_cap is not None else 100 * nb * nb + 1000
+        vec = np.ones(nb)
+        iters = 0
+        while True:
+            w = np.bincount(block_rows, weights=block_data * vec[block_cols], minlength=nb) + vec
+            iters += 1
+            ratios = w / vec
+            lo = float(ratios.min())
+            hi = float(ratios.max())
+            if hi - lo <= 2.0 * tol:
+                break
+            if iters >= cap:
+                raise NoConvergenceError(
+                    f"block of size {nb}: interval width {hi - lo:.3e} after {iters} iterations"
+                )
+            vec = w / w.max()
+        total_iters += iters
+        results.append(((lo + hi) / 2.0 - 1.0, (hi - lo) / 2.0, tuple(comp), tuple(float(x) for x in vec)))
+    best = max(range(len(results)), key=lambda k: results[k][0])
+    value, err_best, block_ids, vec_out = results[best]
+    overshoot = max((v + e) - value for v, e, _, _ in results)
+    return SpectralResult(value, max(err_best, overshoot, 0.0), total_iters, block_ids, vec_out)
+
+
+def _bits(res: SpectralResult):
+    """Every field of a result, floats by their exact bit pattern."""
+    return (
+        res.value.hex(),
+        res.error_bound.hex(),
+        res.iterations,
+        res.witness_block,
+        tuple(x.hex() for x in res.witness_vector),
+    )
+
+
+@st.composite
+def block_matrices(draw, n_max=9):
+    """0/1 or small-integer matrices of the shapes the iteration treats apart.
+
+    Reducible (random sparse), periodic (a cycle of cyclic classes), a
+    singleton with or without a loop among other blocks, and all-zero.
+    """
+    n = draw(st.integers(1, n_max))
+    kind = draw(st.sampled_from(["random", "periodic", "loops", "zero"]))
+    a = np.zeros((n, n), dtype=int)
+    if kind == "random":
+        a = _random_01_matrix(draw, n) * draw(st.integers(1, 3))
+    elif kind == "periodic":
+        # p cyclic classes v % p, edges only into the next class, and a
+        # Hamiltonian cycle through them so the graph is irreducible
+        p = draw(st.integers(1, min(n, 4)))
+        n -= n % p
+        a = np.zeros((n, n), dtype=int)
+        for i in range(n):
+            a[i, (i + 1) % n] = 1
+            for j in range((i + 1) % p, n, p):
+                a[i, j] |= int(draw(st.booleans()))
+    elif kind == "loops":
+        for i in range(n):
+            a[i, i] = int(draw(st.booleans()))
+        if n > 2:
+            a[1, 2] = a[2, 1] = 1
+    return a
+
+
+def _as_input(a, form):
+    if form == "digraph" and (a <= 1).all():
+        n = a.shape[0]
+        return Digraph.from_edges(n, [(i + 1, j + 1) for i, j in zip(*np.nonzero(a))])
+    if form == "scipy":
+        sparse = pytest.importorskip("scipy.sparse")
+        return sparse.csr_array(a)
+    return a
+
+
+input_forms = st.sampled_from(["dense", "digraph", "scipy"])
+
+
+@given(st.lists(st.tuples(block_matrices(), input_forms), max_size=8))
+@settings(max_examples=120, deadline=None)
+def test_batched_results_are_bitwise_the_one_matrix_loop(mats):
+    mats = [_as_input(a, form) for a, form in mats]
+    expect = [_bits(_reference_perron(a)) for a in mats]
+    assert [_bits(r) for r in perron_eigenvalues(mats)] == expect
+    assert [_bits(perron_eigenvalue(a)) for a in mats] == expect
+    assert [_bits(r) for r in perron_eigenvalues(iter(mats))] == expect
+
+
+def _outcome(fn):
+    try:
+        return [_bits(r) for r in fn()]
+    except (NoConvergenceError, ValidationError) as exc:
+        return (type(exc), str(exc))
+
+
+@given(
+    st.lists(st.tuples(block_matrices(n_max=7), input_forms), min_size=1, max_size=6),
+    st.integers(1, 3),
+)
+@settings(max_examples=120, deadline=None)
+def test_iteration_cap_raises_for_the_first_failing_matrix_and_block(mats, cap):
+    mats = [_as_input(a, form) for a, form in mats]
+    expect = _outcome(lambda: [_reference_perron(a, iteration_cap=cap) for a in mats])
+    assert _outcome(lambda: perron_eigenvalues(mats, iteration_cap=cap)) == expect
+
+
+def test_iteration_cap_error_names_the_first_block():
+    # a 3-cycle needs several steps; its block comes before the 4-cycle's
+    a = np.zeros((7, 7), dtype=int)
+    for i in range(3):
+        a[i, (i + 1) % 3] = 1
+    a[0, 0] = 1
+    for i in range(4):
+        a[3 + i, 3 + (i + 1) % 4] = 1
+    a[3, 3] = 1
+    expect = _outcome(lambda: [_reference_perron(a, iteration_cap=2)])
+    assert expect[0] is NoConvergenceError and "block of size 3" in expect[1]
+    assert _outcome(lambda: perron_eigenvalues([a], iteration_cap=2)) == expect
+
+
+def test_invalid_matrix_after_a_failing_one_reports_the_earlier_failure():
+    slow = [[1, 1, 0], [0, 0, 1], [1, 0, 0]]
+    with pytest.raises(NoConvergenceError, match="block of size 3"):
+        perron_eigenvalues([slow, [[-1]]], iteration_cap=1)
+    with pytest.raises(ValidationError, match="nonnegative"):
+        perron_eigenvalues([[[1]], [[-1]], slow], iteration_cap=1)
+
+
+def test_perron_eigenvalues_of_no_matrices():
+    assert perron_eigenvalues([]) == []
+    with pytest.raises(ValidationError):
+        perron_eigenvalues([], tol=0)

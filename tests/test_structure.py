@@ -17,6 +17,7 @@ from tigraph import (
     scc_decompose,
     wielandt_cap,
 )
+from tigraph.structure import _bool_mul
 
 
 def test_dbl_single_scc(dbl):
@@ -197,3 +198,105 @@ def test_class_edges_rotate_between_classes(t):
             for w in t.succ[u - 1]:
                 if w in members:
                     assert position[w] == (position[u] + 1) % p
+
+
+# --- boolean powers against the A^k * A order ----------------------------------
+
+
+def _reference_primitivity_index(t, cap=None):
+    """Least all-positive power, stepping A^(k+1) = A^k * A."""
+    if cap is None:
+        cap = wielandt_cap(t.n)
+    full = (1 << t.n) - 1
+    rows = list(t.rows)
+    power = rows
+    k = 1
+    while k <= cap:
+        if all(r == full for r in power):
+            return k
+        power = _bool_mul(power, rows)
+        k += 1
+    raise NotPrimitiveError(f"no all-positive power up to cap {cap}")
+
+
+def _reference_primitive_components(t, scc):
+    """Cyclic classes and their p-step digraphs, with A^(k+1) = A^k * A."""
+    comp = sorted(set(scc))
+    members = set(comp)
+    p = period(t, comp)
+    level = {comp[0]: 0}
+    frontier = [comp[0]]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in t.succ[u - 1]:
+                if w in members and w not in level:
+                    level[w] = level[u] + 1
+                    nxt.append(w)
+        frontier = nxt
+    classes = [sorted(v for v in comp if level[v] % p == r) for r in range(p)]
+    local = {v: k for k, v in enumerate(comp)}
+    rows = [0] * len(comp)
+    for v in comp:
+        for w in t.succ[v - 1]:
+            if w in members:
+                rows[local[v]] |= 1 << local[w]
+    power = rows
+    for _ in range(p - 1):
+        power = _bool_mul(power, rows)
+    out = []
+    for cls in classes:
+        pos = {v: k for k, v in enumerate(cls)}
+        edges = [
+            (pos[v] + 1, pos[w] + 1) for v in cls for w in cls if power[local[v]] >> local[w] & 1
+        ]
+        out.append((tuple(cls), Digraph.from_edges(len(cls), edges)))
+    return out
+
+
+@st.composite
+def shaped_digraphs(draw, n_max=12):
+    """Primitive, periodic or reducible digraphs with a covering cycle or two."""
+    n = draw(st.integers(1, n_max))
+    kind = draw(st.sampled_from(["random", "periodic", "reducible"]))
+    vs = st.integers(1, n)
+    if kind == "random":
+        edges = set(draw(st.sets(st.tuples(vs, vs), max_size=2 * n)))
+        edges |= {(v, v % n + 1) for v in range(1, n + 1)}
+    elif kind == "periodic":
+        p = draw(st.integers(1, n))
+        n -= n % p
+        extra = draw(st.sets(st.tuples(st.integers(1, n), st.integers(0, n // p - 1)), max_size=n))
+        edges = {(v, v % n + 1) for v in range(1, n + 1)}
+        edges |= {(u, v_class * p + u % p + 1) for u, v_class in extra}
+    else:
+        cut = draw(st.integers(0, n))
+        edges = {(v, v % cut + 1) for v in range(1, cut + 1)}
+        edges |= {(v, (v - cut) % (n - cut) + cut + 1) for v in range(cut + 1, n + 1)}
+        edges |= set(draw(st.sets(st.tuples(vs, vs), max_size=n)))
+    return Digraph.from_edges(n, edges)
+
+
+def _gamma_or_error(fn, t, cap):
+    try:
+        return fn(t, cap)
+    except NotPrimitiveError as exc:
+        return str(exc)
+
+
+@given(shaped_digraphs(), st.one_of(st.none(), st.integers(0, 30)))
+@settings(max_examples=200, deadline=None)
+def test_primitivity_index_matches_the_other_power_order(t, cap):
+    expect = _gamma_or_error(_reference_primitivity_index, t, cap)
+    assert _gamma_or_error(primitivity_index, t, cap) == expect
+
+
+@given(shaped_digraphs())
+@settings(max_examples=150, deadline=None)
+def test_primitive_components_match_the_other_power_order(t):
+    report = analyze_structure(t)
+    for comp, p, comps in zip(report.sccs, report.periods, report.components):
+        if comps is None:
+            continue
+        assert comps == tuple(_reference_primitive_components(t, comp))
+        assert p == period(t, comp)
