@@ -6,7 +6,10 @@ recording which symbols overlap.  The package computes the classical
 entropy of T, several certified lower bounds for the overlap entropy
 (independent subshifts, primitive and periodic component estimates, the
 I-component sofic shift, and the higher-shift supremum), and a brute-force
-separated-word oracle for cross-checking.
+separated-word oracle (``oracle_separated_count``) for cross-checking.
+``verify_bound`` re-checks any bound's certificate.  The bounds read T's
+SCCs, periods and primitivity indices from ``Digraph.structure``, which
+analyses a graph once and caches the result.
 """
 
 from .bounds import (
@@ -21,7 +24,6 @@ from .bounds import (
     graph_digest,
     independent_subshift_bound,
     limit_sequence,
-    oracle_bound,
     oracle_separated_count,
     primitive_bound,
     sofic_bound,

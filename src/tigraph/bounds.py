@@ -1,5 +1,8 @@
 """Entropy lower bounds for TI-graphs, the limit sequence, and the oracle.
 
+The bounds that depend on T's SCCs, periods and primitivity index read them
+from ``Digraph.structure``, so one report analyses T once.
+
 Every bound carries a machine-checkable certificate and two flags:
 
 ``certified``
@@ -13,10 +16,11 @@ Every bound carries a machine-checkable certificate and two flags:
     the value equals the overlap entropy, which the engine can only prove
     when I is edgeless or every I-component is a clique.
 
-The brute-force oracle enumerates all length-n words, builds their
-indistinguishability graph by direct pairwise comparison, and takes its
-exact independence number; this equals the independence number of the
-lifted intersection graph, giving the dual route used by the test suite.
+The brute-force oracle (``oracle_separated_count``) enumerates all length-n
+words, builds their indistinguishability graph by direct pairwise
+comparison, and takes its exact independence number; this equals the
+independence number of the lifted intersection graph, giving the dual route
+used by the test suite.
 Raw per-m sequence values need not be monotone; only the running supremum
 of the gamma-normalized values is.
 """
@@ -39,15 +43,22 @@ from .graph import (
     Word,
     induced_digraph,
     induced_subgraph,
+    is_vertex_path,
     prune_digraph,
     prune_stranded,
     serialize_tigraph,
 )
-from .higher import DEFAULT_SIZE_CAP, higher_graph
+from .higher import (
+    DEFAULT_SIZE_CAP,
+    _enumerate_words,
+    count_paths,
+    higher_graph,
+    words_indistinguishable,
+)
 from .independence import DEFAULT_BUDGET, max_independent_set
 from .sofic import DEFAULT_STATE_CAP, clique_components_check, sofic_entropy
 from .spectral import DEFAULT_TOL, perron_eigenvalue, perron_eigenvalues, sft_entropy
-from .structure import analyze_structure, is_primitive, primitivity_index
+from .structure import analyze_structure, higher_gamma, is_primitive, primitivity_index
 
 METHOD_ORDER = (
     "independent_subshift",
@@ -56,7 +67,6 @@ METHOD_ORDER = (
     "component",
     "sofic",
     "higher_limit",
-    "oracle_exact",
 )
 
 # Independent-set candidates whose Perron values share one batched power
@@ -228,9 +238,7 @@ def complete_digraph_bound(g: TIGraph, mis_budget: int = DEFAULT_BUDGET) -> Boun
     )
 
 
-def primitive_bound(
-    g: TIGraph, tol: float = DEFAULT_TOL, mis_budget: int = DEFAULT_BUDGET
-) -> Bound:
+def primitive_bound(g: TIGraph, mis_budget: int = DEFAULT_BUDGET) -> Bound:
     """log(ind(I)) / gamma(T) for primitive T.
 
     Any choice of one vertex per independent-set slot every gamma steps
@@ -238,9 +246,7 @@ def primitive_bound(
     NotPrimitiveError when T is not primitive.
     """
     _prune_checked(g)
-    if not is_primitive(g.t):
-        raise NotPrimitiveError("transition graph is not primitive")
-    gamma = primitivity_index(g.t)
+    gamma = g.t.structure.gamma()
     mis = max_independent_set(g.i, budget=mis_budget)
     value = math.log(mis.size) / gamma
     return Bound(
@@ -252,9 +258,7 @@ def primitive_bound(
     )
 
 
-def component_bound(
-    g: TIGraph, tol: float = DEFAULT_TOL, mis_budget: int = DEFAULT_BUDGET
-) -> Bound:
+def component_bound(g: TIGraph, mis_budget: int = DEFAULT_BUDGET) -> Bound:
     """Best log(ind(I_C)) / (p * gamma) over all primitive components.
 
     C runs over the cyclic classes of each irreducible component of period
@@ -263,48 +267,34 @@ def component_bound(
     I-edge, a positive bound exists; if no class does, the answer is 0.
     """
     _prune_checked(g)
-    report = analyze_structure(g.t)
-
-    some_positive = False
-    for k, comps in enumerate(report.components):
-        if comps is None:
-            continue
-        for cls, _ in comps:
-            for a_i, a in enumerate(cls):
-                if any(b not in g.i.adj_sets[a - 1] for b in cls[a_i + 1 :]):
-                    some_positive = True
-                    break
-            if some_positive:
-                break
-        if some_positive:
-            break
-    if not some_positive:
+    report = g.t.structure
+    adj = g.i.adj_sets
+    if not any(
+        b not in adj[a - 1]
+        for _, _, cls, _ in report.classes()
+        for a_i, a in enumerate(cls)
+        for b in cls[a_i + 1 :]
+    ):
         return Bound("component", 0.0, True, False, {})
 
     best = None
-    for k, comps in enumerate(report.components):
-        if comps is None:
+    for k, p, cls, gamma in report.classes():
+        if gamma is None:
             continue
-        p = report.periods[k]
-        for c_idx, (cls, block) in enumerate(comps):
-            gamma = report.gammas[k][c_idx]
-            if gamma is None:
-                continue
-            sub, idx_map = induced_subgraph(g, cls)
-            mis = max_independent_set(sub.i, budget=mis_budget)
-            value = math.log(mis.size) / (p * gamma)
-            back = {v: old for old, v in idx_map.items()}
-            witness = sorted(back[v] for v in mis.witness)
-            cert = {
-                "scc": list(report.sccs[k]),
-                "class": list(cls),
-                "period": p,
-                "gamma": gamma,
-                "independent_set": witness,
-                "mis_exact": mis.exact,
-            }
-            if best is None or value > best[0]:
-                best = (value, cert)
+        sub, idx_map = induced_subgraph(g, cls)
+        mis = max_independent_set(sub.i, budget=mis_budget)
+        value = math.log(mis.size) / (p * gamma)
+        back = {v: old for old, v in idx_map.items()}
+        cert = {
+            "scc": list(report.sccs[k]),
+            "class": list(cls),
+            "period": p,
+            "gamma": gamma,
+            "independent_set": sorted(back[v] for v in mis.witness),
+            "mis_exact": mis.exact,
+        }
+        if best is None or value > best[0]:
+            best = (value, cert)
     if best is None:
         return Bound("component", 0.0, True, False, {})
     return Bound("component", best[0], True, False, best[1])
@@ -335,7 +325,6 @@ def limit_sequence(
     m_max: int,
     size_cap: int = DEFAULT_SIZE_CAP,
     mis_budget: int = DEFAULT_BUDGET,
-    tol: float = DEFAULT_TOL,
 ) -> LimitSequence:
     """Per-m data of the higher-shift sequence for m = 1..m_max.
 
@@ -347,8 +336,8 @@ def limit_sequence(
     passes ``size_cap``.  Raw values need not be monotone in m.
     """
     _prune_checked(g)
-    primitive = is_primitive(g.t)
-    gamma_base = primitivity_index(g.t) if primitive else None
+    primitive = g.t.structure.primitive
+    gamma_base = g.t.structure.gamma() if primitive else None
 
     entries: list[LimitEntry] = []
     truncated = False
@@ -361,7 +350,7 @@ def limit_sequence(
         mis = max_independent_set(lift.lifted.i, budget=mis_budget)
         gamma = None
         if primitive:
-            gamma = gamma_base if g.n == 1 else gamma_base - 1 + m
+            gamma = higher_gamma(gamma_base, g.n, m)
             if m <= GAMMA_CROSSCHECK_M and lift.lifted.n <= GAMMA_CROSSCHECK_MAX_VERTICES:
                 direct = primitivity_index(lift.lifted.t)
                 if direct != gamma:
@@ -432,8 +421,6 @@ def oracle_separated_count(
     the resulting graph exactly.  Independent of the higher-shift
     construction; used to cross-check it.
     """
-    from .higher import count_paths, _enumerate_words
-
     _prune_checked(g)
     if n < 1:
         raise ValueError("word length must be >= 1")
@@ -459,30 +446,6 @@ def oracle_separated_count(
         raise SizeCapExceeded("independent-set budget exhausted inside the oracle")
     witness = tuple(words[v - 1] for v in mis.witness)
     return SeparatedCount(n, mis.size, witness)
-
-
-def oracle_bound(g: TIGraph, n: int, **kwargs) -> Bound:
-    """Bound built from the brute-force separated count at one length.
-
-    Certified (normalized by the lifted primitivity index) when T is
-    primitive; otherwise an estimate normalized by n.
-    """
-    _prune_checked(g)
-    sep = oracle_separated_count(g, n, **kwargs)
-    primitive = is_primitive(g.t)
-    if primitive:
-        gamma = primitivity_index(g.t) if g.n == 1 else primitivity_index(g.t) - 1 + n
-        value = math.log(sep.count) / gamma
-    else:
-        gamma = None
-        value = math.log(sep.count) / n
-    return Bound(
-        "oracle_exact",
-        max(value, 0.0),
-        primitive,
-        False,
-        {"n": n, "count": sep.count, "gamma": gamma, "witness_words": [list(w) for w in sep.witness]},
-    )
 
 
 @dataclass(frozen=True)
@@ -539,17 +502,15 @@ def best_bound(g: TIGraph, config: Config | None = None) -> BoundReport:
     )
     if g.t.num_edges() == g.n * g.n:
         run("complete_digraph", lambda: complete_digraph_bound(g, mis_budget=cfg.mis_budget))
-    if is_primitive(g.t):
-        run("primitive", lambda: primitive_bound(g, tol=cfg.tol, mis_budget=cfg.mis_budget))
-    run("component", lambda: component_bound(g, tol=cfg.tol, mis_budget=cfg.mis_budget))
+    if g.t.structure.primitive:
+        run("primitive", lambda: primitive_bound(g, mis_budget=cfg.mis_budget))
+    run("component", lambda: component_bound(g, mis_budget=cfg.mis_budget))
     run("sofic", lambda: sofic_bound(g, tol=cfg.tol, state_cap=cfg.state_cap))
     run(
         "higher_limit",
         lambda: _limit_bound(
             g,
-            limit_sequence(
-                g, cfg.m_max, size_cap=cfg.size_cap, mis_budget=cfg.mis_budget, tol=cfg.tol
-            ),
+            limit_sequence(g, cfg.m_max, size_cap=cfg.size_cap, mis_budget=cfg.mis_budget),
             size_cap=cfg.size_cap,
             mis_budget=cfg.mis_budget,
         ),
@@ -567,9 +528,10 @@ def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
     """Re-check a bound's certificate against the graph it came from.
 
     Returns False when any certified claim fails to reproduce: a witness
-    set that is not independent, a wrong induced eigenvalue, a wrong
-    primitivity index, or separated witness words that are not pairwise
-    distinguishable vertex paths.
+    set that is empty, repeats a vertex, names one outside 1..n or is not
+    independent, a wrong induced eigenvalue, a wrong primitivity index, or
+    separated witness words that are not pairwise distinguishable vertex
+    paths of one length.
     """
     cert = bound.certificate
     if "error" in cert:
@@ -578,6 +540,10 @@ def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
 
     def independent(vertices) -> bool:
         vs = set(vertices)
+        if not vs or len(vs) != len(vertices):
+            return False
+        if not all(type(v) is int and 1 <= v <= g.n for v in vs):
+            return False
         return all(not (a in vs and b in vs) for a, b in g.i.edges)
 
     if method == "independent_subshift":
@@ -603,7 +569,7 @@ def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
     if method == "primitive":
         if not independent(cert["independent_set"]):
             return False
-        if primitivity_index(g.t) != cert["gamma"]:
+        if not is_primitive(g.t) or primitivity_index(g.t) != cert["gamma"]:
             return False
         return abs(math.log(len(cert["independent_set"])) / cert["gamma"] - bound.value) <= tol
 
@@ -615,7 +581,7 @@ def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
             return False
         if not set(cert["independent_set"]) <= set(cls):
             return False
-        comps = {frozenset(c): (p, gs) for c, p, gs in _class_table(g)}
+        comps = {frozenset(c): (p, gs) for _, p, c, gs in analyze_structure(g.t).classes()}
         key = frozenset(cls)
         if key not in comps:
             return False
@@ -631,23 +597,21 @@ def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
             return False
         return abs(value - bound.value) <= tol
 
-    if method in ("higher_limit", "oracle_exact"):
+    if method == "higher_limit":
         words = [tuple(w) for w in cert["witness_words"]]
         if not words:
             return bound.value == 0.0
-        from .graph import is_vertex_path
-        from .higher import words_indistinguishable
-
+        m = len(words[0])
+        if any(len(w) != m for w in words):
+            return False
         if any(not is_vertex_path(g.t, w) for w in words):
             return False
         for i, a in enumerate(words):
             for b in words[i + 1 :]:
                 if words_indistinguishable(g, a, b):
                     return False
-        m = len(words[0])
         if bound.certified and is_primitive(g.t):
-            gamma = primitivity_index(g.t) if g.n == 1 else primitivity_index(g.t) - 1 + m
-            floor = math.log(len(words)) / gamma
+            floor = math.log(len(words)) / higher_gamma(primitivity_index(g.t), g.n, m)
         else:
             floor = math.log(len(words)) / m
         # the stored family certifies at least this much; the reported value
@@ -655,12 +619,3 @@ def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
         return bound.value <= floor + tol
 
     return False
-
-
-def _class_table(g: TIGraph):
-    report = analyze_structure(g.t)
-    for k, comps in enumerate(report.components):
-        if comps is None:
-            continue
-        for c_idx, (cls, _) in enumerate(comps):
-            yield cls, report.periods[k], report.gammas[k][c_idx]

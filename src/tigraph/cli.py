@@ -28,7 +28,7 @@ from .errors import (
 from .graph import TIGraph, export_dot, parse_tigraph, prune_stranded, serialize_tigraph
 from .higher import higher_graph
 from .ingest import load_map_spec, ti_from_circle
-from .structure import is_primitive, primitivity_index
+from .structure import higher_gamma
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -42,15 +42,8 @@ def _read_graph(path: str) -> TIGraph:
 
 
 def _config_from_args(args: argparse.Namespace) -> Config:
-    return Config(
-        m_max=args.m_max,
-        tol=args.tol,
-        mis_budget=args.mis_budget,
-        size_cap=args.size_cap,
-        state_cap=args.state_cap,
-        output_format=args.format,
-        seed=args.seed,
-    )
+    """Config from the flags the subcommand registers; the rest keep their defaults."""
+    return Config(**{k: v for k, v in vars(args).items() if k in Config.__dataclass_fields__})
 
 
 def _format_report(report: BoundReport, removed: list[int], fmt: str) -> str:
@@ -129,10 +122,9 @@ def cmd_higher(args: argparse.Namespace) -> int:
     lift = higher_graph(pruned, args.m, size_cap=cfg.size_cap)
     if args.stats:
         gamma = ""
-        if is_primitive(pruned.t):
-            base_gamma = primitivity_index(pruned.t)
-            lifted_gamma = base_gamma if pruned.n == 1 else base_gamma - 1 + args.m
-            gamma = f" gamma={lifted_gamma}"
+        structure = pruned.t.structure
+        if structure.primitive:
+            gamma = f" gamma={higher_gamma(structure.gamma(), pruned.n, args.m)}"
         sys.stdout.write(
             f"m={args.m} vertices={lift.lifted.n} t_edges={lift.lifted.t.num_edges()}"
             f" i_edges={lift.lifted.i.num_edges()}{gamma}\n"
@@ -165,14 +157,15 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--m-max", dest="m_max", type=int, default=4)
-    parser.add_argument("--tol", type=float, default=1e-10)
-    parser.add_argument("--mis-budget", dest="mis_budget", type=int, default=10_000_000)
-    parser.add_argument("--size-cap", dest="size_cap", type=int, default=2_000_000)
-    parser.add_argument("--state-cap", dest="state_cap", type=int, default=100_000)
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--seed", type=int, default=0)
+def _add_config_flags(parser: argparse.ArgumentParser, *fields: str) -> None:
+    """Register one flag per named Config field, with Config's default."""
+    for name in fields:
+        default = getattr(Config, name)
+        if name == "output_format":
+            parser.add_argument("--format", dest=name, choices=("text", "json"), default=default)
+        else:
+            flag = "--" + name.replace("_", "-")
+            parser.add_argument(flag, dest=name, type=type(default), default=default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,13 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="prune, run all bound methods, print the report")
     p.add_argument("path")
-    _add_common(p)
+    _add_config_flags(p, "m_max", "tol", "mis_budget", "size_cap", "state_cap", "output_format")
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("oracle", help="brute-force maximum separated word family")
     p.add_argument("path")
     p.add_argument("-n", type=int, required=True, help="word length")
-    _add_common(p)
+    _add_config_flags(p, "mis_budget", "size_cap", "output_format")
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("higher", help="dump the m-th higher vertex graph")
@@ -198,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", type=int, required=True, help="block length")
     p.add_argument("--stats", action="store_true", help="print counts instead of the graph")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
-    _add_common(p)
+    _add_config_flags(p, "size_cap")
     p.set_defaults(fn=cmd_higher)
 
     p = sub.add_parser("ingest", help="build a TI-graph from a circle map and cover")

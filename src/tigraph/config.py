@@ -9,11 +9,7 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class Config:
-    """Caps and tolerances for a full analysis run.
-
-    ``seed`` is accepted for interface stability; every search in the
-    current engine is deterministic, so it does not influence results.
-    """
+    """Caps and tolerances for a full analysis run; every search is deterministic."""
 
     m_max: int = 4
     tol: float = 1e-10
@@ -21,7 +17,6 @@ class Config:
     size_cap: int = 2_000_000
     state_cap: int = 100_000
     output_format: str = "text"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.m_max < 1:

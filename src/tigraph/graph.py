@@ -87,6 +87,13 @@ class Digraph:
     def succ_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(row) for row in self.succ)
 
+    @cached_property
+    def structure(self):
+        """The ``analyze_structure`` report (SCCs, periods, gammas), computed once."""
+        from .structure import analyze_structure
+
+        return analyze_structure(self)
+
     def out_degree(self, i: int) -> int:
         return len(self.succ[i - 1])
 

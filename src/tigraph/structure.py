@@ -1,11 +1,11 @@
-"""Irreducible decomposition, periods, primitive components, primitivity index."""
+"""Irreducible decomposition, periods, primitive components, primitivity index and its lift."""
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import NotPrimitiveError, SizeCapExceeded, ValidationError
 from .graph import Digraph
@@ -207,6 +207,11 @@ def _bool_mul(a: list[int] | tuple[int, ...], b: list[int] | tuple[int, ...]) ->
     return out
 
 
+def _check_search_size(n: int) -> None:
+    if n > MAX_PRIMITIVITY_VERTICES:
+        raise SizeCapExceeded(f"primitivity search unavailable for n={n}")
+
+
 def primitivity_index(t: Digraph, cap: int | None = None) -> int:
     """Least k with the k-th boolean power of the adjacency matrix all-positive.
 
@@ -216,8 +221,7 @@ def primitivity_index(t: Digraph, cap: int | None = None) -> int:
     one OR per edge of the graph.
     """
     n = t.n
-    if n > MAX_PRIMITIVITY_VERTICES:
-        raise SizeCapExceeded(f"primitivity search unavailable for n={n}")
+    _check_search_size(n)
     if cap is None:
         cap = wielandt_cap(n)
     full = (1 << n) - 1
@@ -243,6 +247,15 @@ def is_primitive(t: Digraph) -> bool:
     return period(t, comp) == 1
 
 
+def higher_gamma(gamma: int, n: int, m: int) -> int:
+    """Primitivity index of the m-th higher graph of a primitive T.
+
+    gamma(T_[m]) = gamma(T) - 1 + m for T on n >= 2 vertices; a one-vertex
+    T (a single loop) lifts to itself, so its index stays gamma.
+    """
+    return gamma if n == 1 else gamma - 1 + m
+
+
 @dataclass(frozen=True)
 class StructureReport:
     """Per-SCC decomposition data.
@@ -258,8 +271,33 @@ class StructureReport:
     components: tuple[tuple[tuple[tuple[int, ...], Digraph], ...] | None, ...]
     gammas: tuple[tuple[int | None, ...] | None, ...]
 
+    def classes(self) -> Iterator[tuple[int, int, tuple[int, ...], int | None]]:
+        """(SCC index, period, class vertices, class gamma) of every cyclic class."""
+        for k, comps in enumerate(self.components):
+            for c, (cls, _) in enumerate(comps or ()):
+                yield k, self.periods[k], cls, self.gammas[k][c]
+
+    @property
+    def primitive(self) -> bool:
+        """True iff the graph is one recurrent SCC of period 1."""
+        return len(self.sccs) == 1 and self.periods[0] == 1
+
+    def gamma(self) -> int:
+        """Primitivity index of the whole graph.
+
+        Raises NotPrimitiveError when the graph is not primitive and
+        SizeCapExceeded when it is too large for the primitivity search.
+        """
+        if not self.primitive:
+            raise NotPrimitiveError("transition graph is not primitive")
+        gamma = self.gammas[0][0]
+        if gamma is None:  # a primitive graph is refused only for its size
+            _check_search_size(len(self.sccs[0]))
+        return gamma
+
 
 def analyze_structure(t: Digraph) -> StructureReport:
+    """SCCs, periods, cyclic classes and their gammas; ``Digraph.structure`` caches it."""
     sccs = tuple(scc_decompose(t))
     periods: list[int | None] = []
     components: list[tuple[tuple[tuple[int, ...], Digraph], ...] | None] = []

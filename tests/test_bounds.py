@@ -31,7 +31,6 @@ from tigraph import (
     induced_subgraph,
     limit_sequence,
     max_independent_set,
-    oracle_bound,
     oracle_separated_count,
     perron_eigenvalue,
     primitive_bound,
@@ -214,9 +213,11 @@ def test_primitive_bound_on_lifted_dbl(dbl):
     assert abs(b.value - math.log(4) / 3) <= 1e-9
 
 
-def test_primitive_bound_rejects_periodic(period2_fixture):
+def test_primitive_bound_rejects_periodic(period2_fixture, dbl):
     with pytest.raises(NotPrimitiveError):
         primitive_bound(period2_fixture)
+    # a primitive certificate checked against a periodic graph fails, not raises
+    assert verify_bound(period2_fixture, primitive_bound(dbl)) is False
 
 
 # --- component_bound ---------------------------------------------------------
@@ -415,13 +416,6 @@ def test_concatenation_lower_bound_dbl(dbl):
         assert oracle_separated_count(dbl, k * gamma).count >= ind**k
 
 
-def test_oracle_bound_certified_for_primitive(dbl):
-    b = oracle_bound(dbl, 2)
-    assert b.certified
-    assert abs(b.value - math.log(4) / 3) <= 1e-9
-    assert verify_bound(dbl, b)
-
-
 # --- best_bound aggregator ---------------------------------------------------
 
 def test_best_bound_dbl_m4(dbl):
@@ -509,13 +503,74 @@ def test_higher_shift_pipeline_invariance(dbl):
         assert abs(e.bound_via_gamma - base_e.bound_via_gamma) <= 1e-9
 
 
-def test_verify_bound_rejects_tampered_certificates(dbl):
-    b = primitive_bound(dbl)
+def _complete_dbl_t(dbl):
+    return TIGraph(_complete_t(dbl.n), dbl.i)
+
+
+# (method, graph builder, value or None to keep the honest one, certificate changes)
+_TAMPERED = {
+    "primitive-adjacent": ("primitive", None, None, {"independent_set": [1, 2]}),
+    "primitive-repeated": (
+        "primitive", None, math.log(3) / 2, {"independent_set": [1, 1, 1]}),
+    "primitive-out-of-range": (
+        "primitive", None, math.log(3) / 2, {"independent_set": [1, 3, 9]}),
+    "primitive-empty": ("primitive", None, None, {"independent_set": []}),
+    "primitive-non-integer": (
+        "primitive", None, math.log(3) / 2, {"independent_set": [1, 3, 3.5]}),
+    "component-repeated": (
+        "component", None, math.log(3) / 2, {"independent_set": [1, 1, 1]}),
+    "complete_digraph-repeated": (
+        "complete_digraph", _complete_dbl_t, math.log(3), {"independent_set": [1, 1, 1]}),
+    "independent_subshift-out-of-range": (
+        "independent_subshift", None, None, {"independent_set": [1, 3, 9]}),
+    "higher_limit-unequal-lengths": (
+        "higher_limit", None, None, {"witness_words": [[1, 1], [2, 3, 1]]}),
+}
+
+
+@pytest.mark.parametrize("case", list(_TAMPERED))
+def test_verify_bound_rejects_tampered_certificates(dbl, case):
+    method, build, value, changes = _TAMPERED[case]
+    g = build(dbl) if build else dbl
+    report = best_bound(g, Config(m_max=2))
+    b = next(b for b in report.bounds if b.method == method)
+    assert verify_bound(g, b)
     tampered = type(b)(
-        b.method, b.value, b.certified, b.exact,
-        {**b.certificate, "independent_set": [1, 2]},
+        b.method, b.value if value is None else value, b.certified, b.exact,
+        {**b.certificate, **changes},
     )
-    assert not verify_bound(dbl, tampered)
+    assert verify_bound(g, tampered) is False
+
+
+def test_best_bound_analyses_base_t_once(dbl, monkeypatch):
+    import tigraph.structure
+
+    # a fresh copy: the session fixture's T may already hold its analysis
+    g = TIGraph(Digraph(dbl.n, dbl.t.succ), dbl.i)
+    lifts = []  # kept alive so that no later graph reuses a lifted T's id
+    calls = {"scc_decompose": 0, "primitivity_index": 0}
+
+    def lifting(*args, **kwargs):
+        lifts.append(higher_graph(*args, **kwargs))
+        return lifts[-1]
+
+    def counting(name):
+        original = getattr(tigraph.structure, name)
+
+        def wrapper(t, *args, **kwargs):
+            # the m=1 lift has T's edges too; its cross-check is not counted
+            if t == g.t and all(t is not lift.lifted.t for lift in lifts):
+                calls[name] += 1
+            return original(t, *args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(tigraph.structure, name, counting(name))
+    monkeypatch.setattr(tigraph.bounds, "primitivity_index", tigraph.structure.primitivity_index)
+    monkeypatch.setattr(tigraph.bounds, "higher_graph", lifting)
+    best_bound(g, Config(m_max=3))
+    assert calls == {"scc_decompose": 1, "primitivity_index": 1}
 
 
 _BROKEN_INVARIANT = {

@@ -78,6 +78,27 @@ def test_report_json_validates_against_schema(dbl_path, capsys):
     jsonschema.validate(json.loads(out), schema)
 
 
+def test_report_method_enum_is_method_order():
+    from tigraph.bounds import METHOD_ORDER
+
+    schema = json.loads((REPO_ROOT / "schemas" / "bound_report.schema.json").read_text())
+    method = schema["properties"]["bounds"]["items"]["properties"]["method"]
+    assert tuple(method["enum"]) == METHOD_ORDER
+
+
+def test_report_json_config_has_no_seed(dbl_path, capsys):
+    code, out, _ = _run(capsys, ["report", dbl_path, "--format", "json", "--m-max", "2"])
+    assert code == 0
+    assert json.loads(out)["config"] == {
+        "m_max": 2,
+        "tol": 1e-10,
+        "mis_budget": 10_000_000,
+        "size_cap": 2_000_000,
+        "state_cap": 100_000,
+        "output_format": "json",
+    }
+
+
 def test_report_invalid_input_exit_2(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text('{"n":2,"t_edges":[[1,5]],"i_edges":[]}')
@@ -98,6 +119,21 @@ def test_report_cap_exhaustion_exit_3_with_partial_report(dbl_path, capsys):
     assert code == 3
     assert "best:" in out  # partial report still printed
     assert "FAILED" in out or "higher_limit" in out
+
+
+def test_report_primitivity_search_cap_exit_3(dbl_path, dbl, capsys, monkeypatch):
+    import tigraph.structure
+
+    monkeypatch.setattr(tigraph.structure, "MAX_PRIMITIVITY_VERTICES", dbl.n - 1)
+    code, out, _ = _run(capsys, ["report", dbl_path, "--format", "json", "--m-max", "3"])
+    assert code == 3
+    errors = {b["method"]: b["certificate"].get("error") for b in json.loads(out)["bounds"]}
+    message = f"SizeCapExceeded: primitivity search unavailable for n={dbl.n}"
+    assert errors["primitive"] == errors["higher_limit"] == message
+    assert errors["component"] is None
+    code, _, err = _run(capsys, ["higher", dbl_path, "-m", "2", "--stats"])
+    assert code == 3
+    assert err == f"cap reached: primitivity search unavailable for n={dbl.n}\n"
 
 
 def test_oracle_counts(dbl_path, gm_path, capsys):
@@ -190,7 +226,22 @@ def test_export_dot_does_not_prune(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["ingest", "map.json", "--m-max", "3"], ["export-dot", "g.json", "--tol", "1"]]
+    "argv",
+    [
+        ["ingest", "map.json", "--m-max", "3"],
+        ["export-dot", "g.json", "--tol", "1"],
+        ["report", "g.json", "--seed", "1"],
+        ["oracle", "g.json", "-n", "2", "--m-max", "3"],
+        ["oracle", "g.json", "-n", "2", "--tol", "1"],
+        ["oracle", "g.json", "-n", "2", "--state-cap", "5"],
+        ["oracle", "g.json", "-n", "2", "--seed", "1"],
+        ["higher", "g.json", "-m", "2", "--m-max", "3"],
+        ["higher", "g.json", "-m", "2", "--tol", "1"],
+        ["higher", "g.json", "-m", "2", "--mis-budget", "5"],
+        ["higher", "g.json", "-m", "2", "--state-cap", "5"],
+        ["higher", "g.json", "-m", "2", "--format", "json"],
+        ["higher", "g.json", "-m", "2", "--seed", "1"],
+    ],
 )
 def test_subcommands_without_common_flags_reject_them(argv, capsys):
     with pytest.raises(SystemExit) as exc:
