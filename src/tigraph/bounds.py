@@ -528,28 +528,32 @@ def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
     """Re-check a bound's certificate against the graph it came from.
 
     Returns False when any certified claim fails to reproduce: a witness
-    set that is empty, repeats a vertex, names one outside 1..n or is not
-    independent, a wrong induced eigenvalue, a wrong primitivity index, or
-    separated witness words that are not pairwise distinguishable vertex
-    paths of one length.
+    set that is missing, empty, repeats a vertex, names one outside 1..n or
+    is not independent, a wrong induced eigenvalue, a wrong primitivity
+    index, or separated witness words that are missing or are not pairwise
+    distinguishable vertex paths of one length.  A malformed certificate
+    fails the check; it never raises.
     """
     cert = bound.certificate
     if "error" in cert:
         return bound.value == 0.0
     method = bound.method
 
+    def vertex_list(x) -> bool:
+        return isinstance(x, (list, tuple)) and all(type(v) is int and 1 <= v <= g.n for v in x)
+
     def independent(vertices) -> bool:
+        if not vertex_list(vertices):
+            return False
         vs = set(vertices)
         if not vs or len(vs) != len(vertices):
-            return False
-        if not all(type(v) is int and 1 <= v <= g.n for v in vs):
             return False
         return all(not (a in vs and b in vs) for a, b in g.i.edges)
 
     if method == "independent_subshift":
         if not cert:
             return bound.value == 0.0
-        if not independent(cert["independent_set"]):
+        if not independent(cert.get("independent_set")):
             return False
         sub, _ = induced_subgraph(g, cert["independent_set"])
         try:
@@ -562,22 +566,22 @@ def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
     if method == "complete_digraph":
         if not cert.get("applicable"):
             return bound.value == 0.0
-        if g.t.num_edges() != g.n * g.n or not independent(cert["independent_set"]):
+        if g.t.num_edges() != g.n * g.n or not independent(cert.get("independent_set")):
             return False
         return abs(math.log(len(cert["independent_set"])) - bound.value) <= tol
 
     if method == "primitive":
-        if not independent(cert["independent_set"]):
+        if not independent(cert.get("independent_set")):
             return False
-        if not is_primitive(g.t) or primitivity_index(g.t) != cert["gamma"]:
+        if not is_primitive(g.t) or primitivity_index(g.t) != cert.get("gamma"):
             return False
         return abs(math.log(len(cert["independent_set"])) / cert["gamma"] - bound.value) <= tol
 
     if method == "component":
         if not cert:
             return bound.value == 0.0
-        cls = cert["class"]
-        if not independent(cert["independent_set"]):
+        cls = cert.get("class")
+        if not vertex_list(cls) or not independent(cert.get("independent_set")):
             return False
         if not set(cert["independent_set"]) <= set(cls):
             return False
@@ -586,19 +590,22 @@ def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
         if key not in comps:
             return False
         p, gamma = comps[key]
-        if p != cert["period"] or gamma != cert["gamma"]:
+        if p != cert.get("period") or gamma != cert.get("gamma"):
             return False
         expect = math.log(len(cert["independent_set"])) / (p * gamma)
         return abs(expect - bound.value) <= tol
 
     if method == "sofic":
         value, presentation = sofic_entropy(g)
-        if presentation.t.n != cert["num_states"]:
+        if presentation.t.n != cert.get("num_states"):
             return False
         return abs(value - bound.value) <= tol
 
     if method == "higher_limit":
-        words = [tuple(w) for w in cert["witness_words"]]
+        words = cert.get("witness_words")
+        if not isinstance(words, (list, tuple)) or not all(vertex_list(w) for w in words):
+            return False
+        words = [tuple(w) for w in words]
         if not words:
             return bound.value == 0.0
         m = len(words[0])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 from .errors import ValidationError
@@ -21,8 +22,8 @@ class Config:
     def __post_init__(self) -> None:
         if self.m_max < 1:
             raise ValidationError("m_max must be >= 1")
-        if self.tol <= 0:
-            raise ValidationError("tol must be positive")
+        if not 0 < self.tol < math.inf:  # also false for nan
+            raise ValidationError("tol must be positive and finite")
         for name in ("mis_budget", "size_cap", "state_cap"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be positive")

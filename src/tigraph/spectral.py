@@ -27,6 +27,7 @@ are bitwise those of scipy's ``csr_matvec``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -231,8 +232,8 @@ def perron_eigenvalues(
     Every result is bitwise the one-matrix one.  Raises the error that
     calling ``perron_eigenvalue`` on the matrices in order would raise first.
     """
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    if not 0 < tol < math.inf:  # also false for nan
+        raise ValidationError("tol must be positive and finite")
     batch: list = []
     size = 0  # length of the batch's vector
     for a in mats:

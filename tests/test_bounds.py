@@ -507,6 +507,8 @@ def _complete_dbl_t(dbl):
     return TIGraph(_complete_t(dbl.n), dbl.i)
 
 
+_DROP = object()  # a certificate change that deletes the key
+
 # (method, graph builder, value or None to keep the honest one, certificate changes)
 _TAMPERED = {
     "primitive-adjacent": ("primitive", None, None, {"independent_set": [1, 2]}),
@@ -525,6 +527,18 @@ _TAMPERED = {
         "independent_subshift", None, None, {"independent_set": [1, 3, 9]}),
     "higher_limit-unequal-lengths": (
         "higher_limit", None, None, {"witness_words": [[1, 1], [2, 3, 1]]}),
+    "independent_subshift-missing-set": (
+        "independent_subshift", None, None, {"independent_set": _DROP}),
+    "primitive-missing-set": ("primitive", None, None, {"independent_set": _DROP}),
+    "component-missing-set": ("component", None, None, {"independent_set": _DROP}),
+    "higher_limit-missing-words": ("higher_limit", None, None, {"witness_words": _DROP}),
+    "higher_limit-words-not-a-list": ("higher_limit", None, None, {"witness_words": 4}),
+    "higher_limit-float-symbol": (
+        "higher_limit", None, None, {"witness_words": [[1.5, 1], [2, 3]]}),
+    "higher_limit-string-word": ("higher_limit", None, None, {"witness_words": ["ab"]}),
+    "primitive-missing-gamma": ("primitive", None, None, {"gamma": _DROP}),
+    "component-missing-class": ("component", None, None, {"class": _DROP}),
+    "sofic-missing-states": ("sofic", None, None, {"num_states": _DROP}),
 }
 
 
@@ -535,10 +549,8 @@ def test_verify_bound_rejects_tampered_certificates(dbl, case):
     report = best_bound(g, Config(m_max=2))
     b = next(b for b in report.bounds if b.method == method)
     assert verify_bound(g, b)
-    tampered = type(b)(
-        b.method, b.value if value is None else value, b.certified, b.exact,
-        {**b.certificate, **changes},
-    )
+    cert = {k: v for k, v in {**b.certificate, **changes}.items() if v is not _DROP}
+    tampered = type(b)(b.method, b.value if value is None else value, b.certified, b.exact, cert)
     assert verify_bound(g, tampered) is False
 
 

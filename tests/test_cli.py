@@ -107,6 +107,16 @@ def test_report_invalid_input_exit_2(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf"])
+def test_report_tol_not_positive_and_finite_exit_2(dbl_path, capsys, tol):
+    # with nan no candidate ever beats the incumbent by more than tol, and
+    # with inf every Perron interval "converges" after one step
+    code, out, err = _run(capsys, ["report", dbl_path, f"--tol={tol}"])
+    assert code == 2
+    assert out == ""
+    assert "tol must be positive and finite" in err
+
+
 def test_report_empty_after_prune_exit_2(tmp_path, capsys):
     p = tmp_path / "chain.json"
     p.write_text('{"n":2,"t_edges":[[1,2]],"i_edges":[]}')

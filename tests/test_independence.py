@@ -289,23 +289,60 @@ def test_greedy_never_beats_exact(g):
     assert greedy_independent_set(g).size <= max_independent_set(g).size
 
 
-@given(ugraphs(n_max=24), st.data())
-@settings(max_examples=150, deadline=None)
-def test_solver_greedy_matches_reference_scan(g, data):
-    p = data.draw(st.integers(0, (1 << g.n) - 1))
-    assert _Solver(g.adj, 1)._greedy(p) == _reference_greedy(g.adj, p)
-
-
 @st.composite
-def random_ugraphs(draw, n_max=32, connected=False):
+def random_ugraphs(draw, n_max=32, connected=False, probs=(0.1, 0.2, 0.3, 0.5, 0.8)):
     """G(n, p) graphs dense enough to make the branch and bound search."""
     n = draw(st.integers(1, n_max))
-    prob = draw(st.sampled_from((0.1, 0.2, 0.3, 0.5, 0.8)))
+    prob = draw(st.sampled_from(probs))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     pairs = {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < prob}
     if connected:  # a random spanning tree joins every vertex to an earlier one
         pairs |= {(rng.randrange(1, v), v) for v in range(2, n + 1)}
     return UGraph.from_edges(n, pairs)
+
+
+@given(
+    st.one_of(ugraphs(n_max=24), random_ugraphs(n_max=80, probs=(0.3, 0.6, 0.8, 0.95))),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_solver_greedy_matches_reference_scan(g, data):
+    # dense draws reach degree 64, so picks and borrows cross every slice
+    full = (1 << g.n) - 1
+    p = data.draw(st.one_of(st.just(full), st.integers(0, full)))
+    assert _Solver(g.adj, 1)._greedy(p) == _reference_greedy(g.adj, p)
+
+
+def _star(k):
+    return UGraph.from_edges(k + 1, [(1, j) for j in range(2, k + 2)])
+
+
+def _clique(k):
+    return UGraph.from_edges(k, [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)])
+
+
+def _hub_with_pendants(k):
+    # Hub 1 joined to leaves 2..k+1, leaf i to pendant k+i, and to a K4 on
+    # the last four vertices.  Each pendant pick drops one leaf, so the
+    # hub's degree falls one step at a time from k+4 to 4, crossing every
+    # power of two on the way; it then ties with the K4 and is picked,
+    # by index, only if its count came down right.
+    leaves = range(2, k + 2)
+    k4 = range(2 * k + 2, 2 * k + 6)
+    edges = [(1, i) for i in leaves] + [(i, k + i) for i in leaves] + [(1, a) for a in k4]
+    edges += [(a, b) for a in k4 for b in k4 if a < b]
+    return UGraph.from_edges(2 * k + 5, edges)
+
+
+@pytest.mark.parametrize("k", [31, 32, 33, 63, 64, 65])
+@pytest.mark.parametrize("build", [_star, _clique, _hub_with_pendants])
+def test_solver_greedy_matches_reference_across_powers_of_two(build, k):
+    g = build(k)
+    full = (1 << g.n) - 1
+    solver = _Solver(g.adj, 1)
+    evens = sum(1 << v for v in range(0, g.n, 2))
+    for p in (full, full ^ 1, full ^ (1 << g.n - 1), evens):
+        assert solver._greedy(p) == _reference_greedy(g.adj, p)
 
 
 @given(random_ugraphs())

@@ -70,8 +70,9 @@ def test_invalid_inputs():
         perron_eigenvalue([[1, 2, 3]])
     with pytest.raises(ValidationError):
         perron_eigenvalue([[-1]])
-    with pytest.raises(ValidationError):
-        perron_eigenvalue([[1]], tol=0)
+    for tol in (0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            perron_eigenvalue([[1]], tol=tol)
 
 
 def test_sft_entropy_self_loop():
