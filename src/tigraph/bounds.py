@@ -35,12 +35,13 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .config import Config
-from .errors import EmptyGraphError, NotPrimitiveError, SizeCapExceeded, TigraphError
+from .errors import EmptyGraphError, SizeCapExceeded, TigraphError, ValidationError
 from .graph import (
     Digraph,
     TIGraph,
     UGraph,
     Word,
+    bits_of,
     induced_digraph,
     induced_subgraph,
     is_vertex_path,
@@ -134,8 +135,6 @@ class LimitSequence:
 
 
 def _prune_checked(g: TIGraph) -> TIGraph:
-    from .errors import ValidationError
-
     if not g.t.is_pruned():
         raise ValidationError("graph must be pruned first (use prune_stranded)")
     return g
@@ -179,15 +178,17 @@ def independent_subshift_bound(
     mis = max_independent_set(g.i, budget=mis_budget)
     candidates.append(mis.witness)
 
-    adj = g.i.adj_sets
-    seeds = range(1, g.n + 1) if g.n <= 128 else range(1, g.n + 1, max(1, g.n // 128))
+    # first fit from each seed: repeatedly take the lowest vertex not yet
+    # in or next to the set, as an index-order scan would
+    adj = g.i.adj
+    seeds = range(g.n) if g.n <= 128 else range(0, g.n, max(1, g.n // 128))
     for seed in seeds:
-        chosen = [seed]
-        excluded = set(adj[seed - 1]) | {seed}
-        for v in range(1, g.n + 1):
-            if v not in excluded:
-                chosen.append(v)
-                excluded |= adj[v - 1] | {v}
+        chosen = [seed + 1]
+        free = ((1 << g.n) - 1) & ~(adj[seed] | 1 << seed)
+        while free:
+            v = (free & -free).bit_length() - 1
+            chosen.append(v + 1)
+            free &= ~(adj[v] | 1 << v)
         candidates.append(tuple(sorted(chosen)))
 
     best_value = -1.0
@@ -268,13 +269,9 @@ def component_bound(g: TIGraph, mis_budget: int = DEFAULT_BUDGET) -> Bound:
     """
     _prune_checked(g)
     report = g.t.structure
-    adj = g.i.adj_sets
-    if not any(
-        b not in adj[a - 1]
-        for _, _, cls, _ in report.classes()
-        for a_i, a in enumerate(cls)
-        for b in cls[a_i + 1 :]
-    ):
+    adj = g.i.adj
+    masks = [sum(1 << (v - 1) for v in cls) for _, _, cls, _ in report.classes()]
+    if all(c & (adj[v] | 1 << v) == c for c in masks for v in bits_of(c)):
         return Bound("component", 0.0, True, False, {})
 
     best = None
@@ -423,7 +420,7 @@ def oracle_separated_count(
     """
     _prune_checked(g)
     if n < 1:
-        raise ValueError("word length must be >= 1")
+        raise ValidationError("word length must be >= 1")
     total = count_paths(g.t, n)
     if total > size_cap:
         raise SizeCapExceeded(f"{total} words of length {n} exceed the cap {size_cap}")

@@ -221,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SizeCapExceeded, StateCapExceeded) as exc:
         print(f"cap reached: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable or non-UTF-8 input file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except TigraphError as exc:

@@ -4,6 +4,13 @@ A TI-graph is a directed transition graph T and a simple undirected
 intersection graph I sharing one vertex set.  Vertices are 1-indexed in
 every public interface; the bit-packed adjacency used by the fast kernels
 is 0-indexed (bit j-1 of row i-1 means edge i -> j).
+
+Each graph is read through one adjacency view.  T is read through its
+successor tuples ``succ`` and the derived, cached ``pred`` and bitset
+``rows``.  I is read through its bitset rows ``adj`` and the connected
+components ``UGraph.components`` computes on them.  I's canonical pair
+tuple ``edges`` is there for serialization, restriction to a vertex subset
+and the sparse greedy that runs where rows are too large to build.
 """
 
 from __future__ import annotations
@@ -80,13 +87,6 @@ class Digraph:
                 table[j - 1].append(i)
         return tuple(tuple(p) for p in table)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self.succ_sets[i - 1]
-
-    @cached_property
-    def succ_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(row) for row in self.succ)
-
     @cached_property
     def structure(self):
         """The ``analyze_structure`` report (SCCs, periods, gammas), computed once."""
@@ -94,27 +94,11 @@ class Digraph:
 
         return analyze_structure(self)
 
-    def out_degree(self, i: int) -> int:
-        return len(self.succ[i - 1])
-
-    def in_degree(self, i: int) -> int:
-        return len(self.pred[i - 1])
-
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i, row in enumerate(self.succ, start=1) for j in row]
 
     def num_edges(self) -> int:
         return sum(len(row) for row in self.succ)
-
-    def matrix(self):
-        """Dense 0/1 adjacency as a numpy int64 array."""
-        import numpy as np
-
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        for i, row in enumerate(self.succ):
-            for j in row:
-                a[i, j - 1] = 1
-        return a
 
     def is_pruned(self) -> bool:
         return all(self.succ[v] for v in range(self.n)) and all(self.pred[v] for v in range(self.n))
@@ -215,21 +199,29 @@ class UGraph:
         return tuple(rows)
 
     @cached_property
-    def adj_sets(self) -> tuple[frozenset[int], ...]:
-        table: list[set[int]] = [set() for _ in range(self.n)]
-        for i, j in self.edges:
-            table[i - 1].add(j)
-            table[j - 1].add(i)
-        return tuple(frozenset(s) for s in table)
+    def components(self) -> tuple[int, ...]:
+        """Vertex masks of the connected components, in order of lowest vertex.
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self.adj_sets[i - 1]
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(self.adj_sets[i - 1]))
-
-    def degree(self, i: int) -> int:
-        return len(self.adj_sets[i - 1])
+        Breadth-first on the rows: a level ORs its frontier's rows, then
+        masks out the component found so far.
+        """
+        adj = self.adj
+        comps = []
+        rest = (1 << self.n) - 1
+        while rest:
+            comp = rest & -rest
+            frontier = comp
+            while frontier:
+                nxt = 0
+                while frontier:
+                    u = frontier.bit_length() - 1
+                    frontier ^= 1 << u
+                    nxt |= adj[u]
+                frontier = (nxt | comp) ^ comp
+                comp |= frontier
+            rest ^= comp
+            comps.append(comp)
+        return tuple(comps)
 
     def num_edges(self) -> int:
         if "edges" in self.__dict__:
@@ -353,8 +345,8 @@ def prune_digraph(d: Digraph) -> tuple[Digraph, dict[int, int]]:
     Raises EmptyGraphError if nothing survives.
     """
     alive = set(range(1, d.n + 1))
-    out_deg = {v: d.out_degree(v) for v in alive}
-    in_deg = {v: d.in_degree(v) for v in alive}
+    out_deg = {v: len(d.succ[v - 1]) for v in alive}
+    in_deg = {v: len(d.pred[v - 1]) for v in alive}
     queue = [v for v in alive if out_deg[v] == 0 or in_deg[v] == 0]
     while queue:
         v = queue.pop()
@@ -373,11 +365,7 @@ def prune_digraph(d: Digraph) -> tuple[Digraph, dict[int, int]]:
                     queue.append(w)
     if not alive:
         raise EmptyGraphError("pruning removed every vertex")
-    index_map = {old: new for new, old in enumerate(sorted(alive), start=1)}
-    succ = tuple(
-        tuple(index_map[j] for j in d.succ[old - 1] if j in alive) for old in sorted(alive)
-    )
-    return Digraph(len(alive), succ), index_map
+    return induced_digraph(d, alive)
 
 
 def prune_stranded(g: TIGraph) -> tuple[TIGraph, dict[int, int]]:
@@ -387,11 +375,7 @@ def prune_stranded(g: TIGraph) -> tuple[TIGraph, dict[int, int]]:
     invariant holds.  Returns the pruned TI-graph plus the old->new index
     map; raises EmptyGraphError when everything is stranded.
     """
-    t, index_map = prune_digraph(g.t)
-    i_edges = [
-        (index_map[a], index_map[b]) for a, b in g.i.edges if a in index_map and b in index_map
-    ]
-    return TIGraph(t, UGraph.from_edges(t.n, i_edges)), index_map
+    return induced_subgraph(g, prune_digraph(g.t)[1])
 
 
 def induced_digraph(t: Digraph, vertices: Iterable[int]) -> tuple[Digraph, dict[int, int]]:
@@ -451,4 +435,4 @@ def is_vertex_path(t: Digraph, word: Word) -> bool:
         return False
     if any(not 1 <= v <= t.n for v in word):
         return False
-    return all(b in t.succ_sets[a - 1] for a, b in zip(word, word[1:]))
+    return all(b in t.succ[a - 1] for a, b in zip(word, word[1:]))

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .errors import LengthMismatchError, SizeCapExceeded
-from .graph import MAX_BITSET_VERTICES, Digraph, TIGraph, UGraph, Word
+from .errors import LengthMismatchError, SizeCapExceeded, ValidationError
+from .graph import MAX_BITSET_VERTICES, Digraph, TIGraph, UGraph, Word, bits_of
 
 DEFAULT_SIZE_CAP = 2_000_000
 
@@ -33,13 +33,8 @@ DEFAULT_SIZE_CAP = 2_000_000
 @dataclass(frozen=True)
 class HigherGraph:
     m: int
-    base: TIGraph
     lifted: TIGraph
     vertex_words: tuple[Word, ...]
-
-    def word_of(self, v: int) -> Word:
-        """Base word of lifted vertex v (1-indexed)."""
-        return self.vertex_words[v - 1]
 
 
 def words_indistinguishable(g: TIGraph, a: Word, b: Word) -> bool:
@@ -50,14 +45,14 @@ def words_indistinguishable(g: TIGraph, a: Word, b: Word) -> bool:
     """
     if len(a) != len(b):
         raise LengthMismatchError(f"word lengths differ: {len(a)} vs {len(b)}")
-    adj = g.i.adj_sets
-    return all(x == y or y in adj[x - 1] for x, y in zip(a, b))
+    adj = g.i.adj
+    return all(x == y or adj[x - 1] >> (y - 1) & 1 for x, y in zip(a, b))
 
 
 def count_paths(t: Digraph, m: int) -> int:
     """Number of vertex paths of length m (m vertices, m-1 edge steps)."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise ValidationError("m must be >= 1")
     counts = [1] * t.n
     for _ in range(m - 1):
         counts = [sum(counts[j - 1] for j in t.succ[v]) for v in range(t.n)]
@@ -86,7 +81,7 @@ def higher_graph(g: TIGraph, m: int, size_cap: int = DEFAULT_SIZE_CAP) -> Higher
     m exceeds ``size_cap``.  For m = 1 the lift is an isomorphic copy of g.
     """
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise ValidationError("m must be >= 1")
     total = count_paths(g.t, m)
     if total > size_cap:
         raise SizeCapExceeded(f"{total} words of length {m} exceed the cap {size_cap}")
@@ -105,7 +100,7 @@ def higher_graph(g: TIGraph, m: int, size_cap: int = DEFAULT_SIZE_CAP) -> Higher
         i_graph = UGraph(len(words), _walk_i_edges(g, words, index))
     else:
         i_graph = UGraph.from_rows(_i_rows(g, words))
-    return HigherGraph(m, g, TIGraph(t_graph, i_graph), tuple(words))
+    return HigherGraph(m, TIGraph(t_graph, i_graph), tuple(words))
 
 
 def _i_rows(g: TIGraph, words: list[Word]) -> list[int]:
@@ -116,8 +111,9 @@ def _i_rows(g: TIGraph, words: list[Word]) -> list[int]:
         bit = 1 << k
         for pos, s in enumerate(w):
             at[pos][s] |= bit
-    closed = [()] + [(s, *g.i.adj_sets[s - 1]) for s in range(1, g.n + 1)]
-    masks = [[reduce(or_, (col[t] for t in closed_s), 0) for closed_s in closed] for col in at]
+    # closed[s]: symbol s and its I-neighbours, bit t-1 for symbol t
+    closed = [0] + [a | 1 << s for s, a in enumerate(g.i.adj)]
+    masks = [[reduce(or_, (col[t + 1] for t in bits_of(c)), 0) for c in closed] for col in at]
     rows = []
     for k, w in enumerate(words):
         row = masks[0][w[0]]
@@ -135,10 +131,8 @@ def _walk_i_edges(
     Finds the indistinguishable partners of each word by walking T while
     staying positionwise inside the closed I-neighborhood of the word.
     """
-    compat = tuple(
-        tuple(sorted(g.i.adj_sets[v - 1] | {v})) for v in range(1, g.n + 1)
-    )
-    succ_sets = g.t.succ_sets
+    compat = tuple(tuple(t + 1 for t in bits_of(a | 1 << s)) for s, a in enumerate(g.i.adj))
+    succ_rows = g.t.rows
     i_edges: set[tuple[int, int]] = set()
     for k, w in enumerate(words):
         partial: list[Word] = [(c,) for c in compat[w[0] - 1]]
@@ -146,9 +140,9 @@ def _walk_i_edges(
             allowed = compat[w[pos] - 1]
             nxt: list[Word] = []
             for p in partial:
-                prev_succ = succ_sets[p[-1] - 1]
+                prev_succ = succ_rows[p[-1] - 1]
                 for c in allowed:
-                    if c in prev_succ:
+                    if prev_succ >> (c - 1) & 1:
                         nxt.append(p + (c,))
             partial = nxt
         for u in partial:

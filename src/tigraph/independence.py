@@ -20,6 +20,7 @@ Domination pruning runs once per component and resumes its scan at the
 lowest neighbour of each dropped vertex instead of restarting: the vertices
 below it cannot have gained a dominated neighbour.
 
+The connected components are ``UGraph.components``, solved one at a time.
 Each component starts from a minimum-degree greedy incumbent whose degrees
 are bit-sliced counters: b = bit_length(max degree) masks, one per degree
 bit, so a pick costs b ANDs and dropping a vertex one borrow-propagating
@@ -28,7 +29,9 @@ rows of San Segundo et al.).  That is O(n b) word-parallel operations on
 n-bit masks over the whole greedy, not one per edge.  Once the node budget
 is spent, every remaining component keeps that incumbent.  Graphs above
 ``MAX_BITSET_VERTICES`` have no bitset rows, so ``max_independent_set``
-returns the sparse-adjacency greedy there instead.
+returns ``greedy_independent_set`` there instead: the same pick rule on
+neighbour sets it builds from the edge list, the one reader of I that does
+not use the rows.
 """
 
 from __future__ import annotations
@@ -272,27 +275,13 @@ def max_independent_set(g: UGraph, budget: int = DEFAULT_BUDGET) -> Independence
         # too large for bitset search: fall back to the sparse greedy
         res = greedy_independent_set(g)
         return IndependenceResult(res.size, res.witness, False)
-    n = g.n
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * n + 100))
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * g.n + 100))
     solver = _Solver(adj, budget)
 
-    # independent components can be solved separately, in order of their
-    # lowest vertex; a BFS level ORs its frontier's rows, then masks out comp
+    # independent components are solved separately, in order of their lowest vertex
     chosen_total = 0
     exact = True
-    rest = (1 << n) - 1
-    while rest:
-        comp = rest & -rest
-        frontier = comp
-        while frontier:
-            nxt = 0
-            while frontier:
-                u = frontier.bit_length() - 1
-                frontier ^= 1 << u
-                nxt |= adj[u]
-            frontier = (nxt | comp) ^ comp
-            comp |= frontier
-        rest ^= comp
+    for comp in g.components:
         comp = _dominated_pruned(adj, solver.closed, comp)
         greedy_mask = solver._greedy(comp)
         solver.best_size = greedy_mask.bit_count()
@@ -313,11 +302,15 @@ def max_independent_set(g: UGraph, budget: int = DEFAULT_BUDGET) -> Independence
 def greedy_independent_set(g: UGraph) -> IndependenceResult:
     """Minimum-degree greedy independent set (lowest index on ties).
 
-    Works on sparse adjacency with a lazy heap, so it remains usable on
-    graphs far too large for the exact search.  ``exact`` is set only when
-    every vertex was taken.
+    Works on neighbour sets built from ``g.edges`` with a lazy heap, so it
+    remains usable on graphs far too large for bitset rows.  ``exact`` is
+    set only when every vertex was taken.
     """
-    degrees = {v: g.degree(v) for v in range(1, g.n + 1)}
+    nbrs: list[set[int]] = [set() for _ in range(g.n + 1)]
+    for a, b in g.edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    degrees = {v: len(nbrs[v]) for v in range(1, g.n + 1)}
     alive = set(degrees)
     heap = [(d, v) for v, d in degrees.items()]
     heapq.heapify(heap)
@@ -327,10 +320,10 @@ def greedy_independent_set(g: UGraph) -> IndependenceResult:
         if v not in alive or degrees[v] != d:  # stale entry
             continue
         chosen.append(v)
-        dropped = (g.adj_sets[v - 1] & alive) | {v}
+        dropped = (nbrs[v] & alive) | {v}
         alive -= dropped
         for u in dropped:
-            for w in g.adj_sets[u - 1]:
+            for w in nbrs[u]:
                 if w in alive:
                     degrees[w] -= 1
                     heapq.heappush(heap, (degrees[w], w))

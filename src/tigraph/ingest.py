@@ -36,9 +36,12 @@ def _frac(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, float):
         # decimal reading of the literal, not the binary float
-        return Fraction(repr(x))
+        x = repr(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ValueError:  # an unparseable string, nan or infinity
+            pass
     raise ParseError(f"cannot interpret {x!r} as an exact number")
 
 
@@ -272,12 +275,14 @@ def load_map_spec(data: str | bytes) -> tuple[CircleMap, IntervalCover, Fraction
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "pieces" not in obj or "intervals" not in obj:
         raise ParseError("expected an object with 'pieces' and 'intervals'")
+    if not isinstance(obj["pieces"], list) or not isinstance(obj["intervals"], list):
+        raise ParseError("'pieces' and 'intervals' must be lists")
     pieces = []
     for k, item in enumerate(obj["pieces"]):
         try:
             lo, hi = item["from"]
             pieces.append(AffinePiece(lo, hi, item["slope"], item["intercept"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ParseError) as exc:
             raise ParseError(f"piece {k}: {exc}") from exc
     arcs = []
     for k, pair in enumerate(obj["intervals"]):

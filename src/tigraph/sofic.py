@@ -7,6 +7,11 @@ eigenvalue of any right-resolving presentation, which the subset
 construction below produces: states are label-homogeneous sets of original
 vertices; from state S and label L the successor is the set of L-labeled
 T-successors of S.
+
+The components are the vertex masks of ``UGraph.components``, the one
+connected-components routine, which the exact MIS solver also uses.  The
+subset construction and the clique check work on bitset rows: T's
+``rows`` and I's ``adj``.
 """
 
 from __future__ import annotations
@@ -62,29 +67,13 @@ class RightResolvingPresentation:
 def component_labeling(g: TIGraph) -> LabeledGraph:
     """Label each vertex by its I-connected component (singletons included).
 
-    Components are numbered 1..r in order of their smallest vertex, so the
-    labeling is deterministic.
+    Components are numbered 1..r in the order of ``UGraph.components``, by
+    their smallest vertex, so the labeling is deterministic.
     """
-    parent = list(range(g.n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in g.i.edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    roots: dict[int, int] = {}
-    labels = []
-    for v in range(1, g.n + 1):
-        r = find(v)
-        if r not in roots:
-            roots[r] = len(roots) + 1
-        labels.append(roots[r])
+    labels = [0] * g.n
+    for lab, comp in enumerate(g.i.components, start=1):
+        for v in bits_of(comp):
+            labels[v] = lab
     return LabeledGraph(g.t, tuple(labels))
 
 
@@ -101,7 +90,7 @@ def right_resolve(lg: LabeledGraph, state_cap: int = DEFAULT_STATE_CAP) -> Right
     label_mask = [0] * (r + 1)
     for v, lab in enumerate(lg.labels, start=1):
         label_mask[lab] |= 1 << (v - 1)
-    succ_mask = [sum(1 << (j - 1) for j in row) for row in lg.t.succ]
+    succ_mask = lg.t.rows
 
     initials = [(label_mask[lab], lab) for lab in range(1, r + 1) if label_mask[lab]]
     state_id: dict[int, int] = {}
@@ -171,16 +160,8 @@ def clique_components_check(g: TIGraph) -> bool:
     In that case the I-component shift has exactly the same separated word
     counts as the original, so the sofic value is exact, not just a bound.
     """
-    labels = component_labeling(g).labels
-    members: dict[int, list[int]] = {}
-    for v, lab in enumerate(labels, start=1):
-        members.setdefault(lab, []).append(v)
-    for comp in members.values():
-        for v in comp:
-            need = len(comp) - 1
-            if len(g.i.adj_sets[v - 1]) < need:
-                return False
-    return True
+    adj = g.i.adj
+    return all(adj[v] | 1 << v == comp for comp in g.i.components for v in bits_of(comp))
 
 
 def export_presentation_dot(p: RightResolvingPresentation) -> str:

@@ -242,7 +242,7 @@ def is_primitive(t: Digraph) -> bool:
     if len(comps) != 1:
         return False
     comp = comps[0]
-    if len(comp) == 1 and not t.has_edge(comp[0], comp[0]):
+    if len(comp) == 1 and comp[0] not in t.succ[comp[0] - 1]:
         return False
     return period(t, comp) == 1
 
@@ -303,7 +303,7 @@ def analyze_structure(t: Digraph) -> StructureReport:
     components: list[tuple[tuple[tuple[int, ...], Digraph], ...] | None] = []
     gammas: list[tuple[int | None, ...] | None] = []
     for comp in sccs:
-        if len(comp) == 1 and not t.has_edge(comp[0], comp[0]):
+        if len(comp) == 1 and comp[0] not in t.succ[comp[0] - 1]:
             periods.append(None)
             components.append(None)
             gammas.append(None)

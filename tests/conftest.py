@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from tigraph import (
@@ -100,6 +101,14 @@ def random_pruned_tigraph(rng: random.Random, n_max: int = 6) -> TIGraph:
         except EmptyGraphError:
             continue
         return pruned
+
+
+def adjacency_matrix(t: Digraph) -> np.ndarray:
+    """Dense 0/1 adjacency of T as an int64 array; entry [i-1, j-1] is edge i -> j."""
+    a = np.zeros((t.n, t.n), dtype=np.int64)
+    for i, j in t.edges():
+        a[i - 1, j - 1] = 1
+    return a
 
 
 def brute_force_mis(g: UGraph) -> int:

@@ -103,7 +103,10 @@ def _reference_independent_subshift_bound(g, tol=1e-10):
     """Each candidate scored alone: full induced subgraph, pruned, one Perron solve."""
     mis = max_independent_set(g.i)
     candidates = [mis.witness]
-    adj = g.i.adj_sets
+    adj = [set() for _ in range(g.n)]
+    for i, j in g.i.edges:
+        adj[i - 1].add(j)
+        adj[j - 1].add(i)
     seeds = range(1, g.n + 1) if g.n <= 128 else range(1, g.n + 1, max(1, g.n // 128))
     for seed in seeds:
         chosen = [seed]

@@ -107,6 +107,63 @@ def test_report_invalid_input_exit_2(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["higher", "-m", "0"], ["higher", "-m", "-2"], ["oracle", "-n", "0"]],
+    ids=["higher_m_0", "higher_m_negative", "oracle_n_0"],
+)
+def test_length_below_one_exit_2(dbl_path, capsys, argv):
+    code, out, err = _run(capsys, [argv[0], dbl_path, *argv[1:]])
+    assert code == 2
+    assert out == ""
+    assert "must be >= 1" in err
+
+
+_PIECE = '{"from": [0, 1], "slope": 2, "intercept": 0}'
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"pieces": 5, "intervals": [[0.2, 0.7]]}',
+        '{"pieces": [%s], "intervals": 5}' % _PIECE,
+        '{"pieces": [%s], "intervals": [["x", 0.7]]}' % _PIECE,
+        '{"pieces": [%s], "intervals": [["nan", 0.7]]}' % _PIECE,
+        '{"pieces": [%s], "intervals": [[NaN, 0.7]]}' % _PIECE,
+        '{"pieces": [%s], "intervals": [[0.2, 0.7]], "margin": Infinity}' % _PIECE,
+        '{"pieces": [%s], "intervals": [[0.2, 0.7]], "margin": "0.x"}' % _PIECE,
+        '{"pieces": [{"from": ["x", 1], "slope": 2, "intercept": 0}], "intervals": []}',
+    ],
+    ids=[
+        "pieces_not_list",
+        "intervals_not_list",
+        "interval_unparseable",
+        "interval_nan_string",
+        "interval_nan",
+        "margin_infinity",
+        "margin_unparseable",
+        "piece_unparseable",
+    ],
+)
+def test_ingest_malformed_spec_exit_2(tmp_path, capsys, spec):
+    p = tmp_path / "spec.json"
+    p.write_text(spec)
+    code, out, err = _run(capsys, ["ingest", str(p)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("case", ["not_utf8", "directory"])
+def test_report_unreadable_graph_file_exit_2(tmp_path, capsys, case):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes("n=2\nT 1 2\nT 2 1\n# caf\xe9\n".encode("latin-1"))
+    code, out, err = _run(capsys, ["report", str(p if case == "not_utf8" else tmp_path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf"])
 def test_report_tol_not_positive_and_finite_exit_2(dbl_path, capsys, tol):
     # with nan no candidate ever beats the incumbent by more than tol, and

@@ -260,7 +260,7 @@ def test_from_rows_matches_from_edges(case):
     assert "edges" not in by_rows.__dict__  # counted from the rows alone
     assert by_rows.adj == by_edges.adj
     assert by_rows.edges == by_edges.edges
-    assert by_rows.adj_sets == by_edges.adj_sets
+    assert by_rows.components == by_edges.components
     assert by_rows == by_edges and by_edges == by_rows
     assert hash(by_rows) == hash(by_edges) == hash((n, by_edges.edges))
 

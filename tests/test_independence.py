@@ -489,8 +489,15 @@ _BAD_WITNESS = {
         "ind._Solver.solve = lambda self, p, chosen: None\n"
         "ind.max_independent_set(g)\n"
     ),
+    # the edge list reads empty to the greedy, which then takes both
+    # endpoints, and whole to the final check
     "greedy_independent_set": (
-        "g.__dict__['adj_sets'] = (frozenset(), frozenset())\n"
+        "class Flaky:\n"
+        "    reads = 0\n"
+        "    def __iter__(self):\n"
+        "        Flaky.reads += 1\n"
+        "        return iter(() if Flaky.reads == 1 else ((1, 2),))\n"
+        "g.__dict__['edges'] = Flaky()\n"
         "ind.greedy_independent_set(g)\n"
     ),
 }

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tigraph import (
     Digraph,
@@ -141,3 +143,73 @@ def test_presentation_dot_export(gm):
     dot = export_presentation_dot(pres)
     assert dot.startswith("digraph presentation {")
     assert dot.count("label=") == pres.t.n
+
+
+def _reference_component_labeling(g):
+    """Union-find labels on the edge list, numbered by smallest vertex."""
+    parent = list(range(g.n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in g.i.edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    roots = {}
+    return tuple(roots.setdefault(find(v), len(roots) + 1) for v in range(1, g.n + 1))
+
+
+def _reference_clique_components_check(g):
+    """Every vertex has as many I-neighbours as its component has other members."""
+    labels = _reference_component_labeling(g)
+    degree = [0] * (g.n + 1)
+    for a, b in g.i.edges:
+        degree[a] += 1
+        degree[b] += 1
+    return all(degree[v] == labels.count(labels[v - 1]) - 1 for v in range(1, g.n + 1))
+
+
+@st.composite
+def i_graphs(draw, n_max=12):
+    """(I built by from_edges, the same I built by from_rows)."""
+    n = draw(st.integers(1, n_max))
+    vertex = st.integers(1, n)
+    pairs = draw(st.sets(st.tuples(vertex, vertex).filter(lambda e: e[0] < e[1])))
+    if draw(st.booleans()):  # a union of cliques instead, where the check holds
+        block = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        pairs = {
+            (i, j)
+            for i in range(1, n + 1)
+            for j in range(i + 1, n + 1)
+            if block[i - 1] == block[j - 1]
+        }
+    rows = [0] * n
+    for i, j in pairs:
+        rows[i - 1] |= 1 << (j - 1)
+        rows[j - 1] |= 1 << (i - 1)
+    return UGraph.from_edges(n, pairs), UGraph.from_rows(rows)
+
+
+@given(i_graphs())
+@settings(max_examples=150, deadline=None)
+def test_components_match_networkx(graphs):
+    import networkx as nx
+
+    for i in graphs:
+        nxg = nx.Graph(i.edges)
+        nxg.add_nodes_from(range(1, i.n + 1))
+        expect = sorted((sorted(c) for c in nx.connected_components(nxg)), key=min)
+        assert [[v + 1 for v in range(i.n) if comp >> v & 1] for comp in i.components] == expect
+
+
+@given(i_graphs())
+@settings(max_examples=150, deadline=None)
+def test_labeling_and_clique_check_match_reference(graphs):
+    for i in graphs:
+        g = TIGraph(Digraph.from_edges(i.n, [(v, v % i.n + 1) for v in range(1, i.n + 1)]), i)
+        assert component_labeling(g).labels == _reference_component_labeling(g)
+        assert clique_components_check(g) == _reference_clique_components_check(g)
