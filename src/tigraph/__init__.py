@@ -55,7 +55,7 @@ from .graph import (
     serialize_tigraph,
 )
 from .higher import HigherGraph, higher_graph, words_indistinguishable
-from .independence import IndependenceResult, greedy_independent_set, max_independent_set
+from .independence import IndependenceResult, max_independent_set
 from .ingest import (
     Arc,
     CircleMap,

@@ -51,8 +51,7 @@ from .graph import (
 )
 from .higher import (
     DEFAULT_SIZE_CAP,
-    _enumerate_words,
-    count_paths,
+    _capped_words,
     higher_graph,
     words_indistinguishable,
 )
@@ -416,15 +415,13 @@ def oracle_separated_count(
     Enumerates every length-n vertex path, compares all pairs positionwise
     (equal or I-adjacent at every slot means indistinguishable), and solves
     the resulting graph exactly.  Independent of the higher-shift
-    construction; used to cross-check it.
+    construction; used to cross-check it.  Words are counted and capped
+    as ``higher_graph`` counts them.
     """
     _prune_checked(g)
     if n < 1:
         raise ValidationError("word length must be >= 1")
-    total = count_paths(g.t, n)
-    if total > size_cap:
-        raise SizeCapExceeded(f"{total} words of length {n} exceed the cap {size_cap}")
-    words = _enumerate_words(g.t, n)
+    words = _capped_words(g.t, n, size_cap)
 
     compat = np.zeros((g.n + 1, g.n + 1), dtype=bool)
     for v in range(1, g.n + 1):

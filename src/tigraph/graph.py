@@ -9,8 +9,8 @@ Each graph is read through one adjacency view.  T is read through its
 successor tuples ``succ`` and the derived, cached ``pred`` and bitset
 ``rows``.  I is read through its bitset rows ``adj`` and the connected
 components ``UGraph.components`` computes on them.  I's canonical pair
-tuple ``edges`` is there for serialization, restriction to a vertex subset
-and the sparse greedy that runs where rows are too large to build.
+tuple ``edges`` is there for serialization and restriction to a vertex
+subset.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import EmptyGraphError, ParseError, ValidationError
+from .errors import EmptyGraphError, ParseError, SizeCapExceeded, ValidationError
 
 Word = tuple[int, ...]
 
@@ -188,8 +188,6 @@ class UGraph:
     @cached_property
     def adj(self) -> tuple[int, ...]:
         """Bit-packed symmetric neighbor rows (no diagonal bits)."""
-        from .errors import SizeCapExceeded
-
         if self.n > MAX_BITSET_VERTICES:
             raise SizeCapExceeded(f"bitset adjacency unavailable for n={self.n}")
         rows = [0] * self.n

@@ -12,10 +12,9 @@ the words whose symbol there is I-compatible with it, and each word's row
 is the AND of its m masks, so a lift costs O(words * m) ANDs of words-bit
 integers.  The lifted ``UGraph`` keeps only these rows; its ``edges``
 tuple is derived only if something reads it, which the report path does
-not.  Rows take words^2/8 bytes, so lifts with more than
-``MAX_BITSET_VERTICES`` words instead walk T from each word inside its
-positionwise I-neighborhood; only that path makes one Python tuple per
-lifted I-edge.
+not.  A lift is refused with ``SizeCapExceeded`` above ``size_cap`` or
+``MAX_BITSET_VERTICES`` words, whichever is smaller, before any word is
+made.
 """
 
 from __future__ import annotations
@@ -74,19 +73,37 @@ def _enumerate_words(t: Digraph, m: int) -> list[Word]:
     return words
 
 
+def _capped_words(t: Digraph, m: int, size_cap: int) -> list[Word]:
+    """The length-m words of T in lexicographic order, counted before made.
+
+    Raises SizeCapExceeded when there are more than ``size_cap`` or
+    ``MAX_BITSET_VERTICES`` of them, whichever is smaller.  When every
+    vertex has a successor each path extends, so the count never falls as
+    the length grows, and counting stops once it passes the cap.  With a
+    sink the count runs to length m.
+    """
+    cap = min(size_cap, MAX_BITSET_VERTICES)
+    growing = all(t.succ)
+    counts = [1] * t.n
+    for _ in range(m - 1):
+        if growing and sum(counts) > cap:
+            break
+        counts = [sum(counts[j - 1] for j in t.succ[v]) for v in range(t.n)]
+    if sum(counts) > cap:
+        raise SizeCapExceeded(f"more than {cap} words of length {m}")
+    return _enumerate_words(t, m)
+
+
 def higher_graph(g: TIGraph, m: int, size_cap: int = DEFAULT_SIZE_CAP) -> HigherGraph:
     """Build the m-th higher vertex graph of g.
 
     Raises SizeCapExceeded before enumeration when the path count at length
-    m exceeds ``size_cap``.  For m = 1 the lift is an isomorphic copy of g.
+    m exceeds ``size_cap`` or ``MAX_BITSET_VERTICES``.  For m = 1 the lift
+    is an isomorphic copy of g.
     """
     if m < 1:
         raise ValidationError("m must be >= 1")
-    total = count_paths(g.t, m)
-    if total > size_cap:
-        raise SizeCapExceeded(f"{total} words of length {m} exceed the cap {size_cap}")
-
-    words = _enumerate_words(g.t, m)  # already lexicographic
+    words = _capped_words(g.t, m, size_cap)  # already lexicographic
     index = {w: k for k, w in enumerate(words)}
     succ_base = g.t.succ
     # the words are lexicographic and succ_base rows increase, so each
@@ -95,11 +112,7 @@ def higher_graph(g: TIGraph, m: int, size_cap: int = DEFAULT_SIZE_CAP) -> Higher
         len(words),
         tuple(tuple(index[w[1:] + (s,)] + 1 for s in succ_base[w[-1] - 1]) for w in words),
     )
-
-    if len(words) > MAX_BITSET_VERTICES:
-        i_graph = UGraph(len(words), _walk_i_edges(g, words, index))
-    else:
-        i_graph = UGraph.from_rows(_i_rows(g, words))
+    i_graph = UGraph.from_rows(_i_rows(g, words))
     return HigherGraph(m, TIGraph(t_graph, i_graph), tuple(words))
 
 
@@ -122,32 +135,3 @@ def _i_rows(g: TIGraph, words: list[Word]) -> list[int]:
         rows.append(row ^ (1 << k))
     return rows
 
-
-def _walk_i_edges(
-    g: TIGraph, words: list[Word], index: dict[Word, int]
-) -> tuple[tuple[int, int], ...]:
-    """Lifted I as a sorted edge tuple, for lifts too large for bitset rows.
-
-    Finds the indistinguishable partners of each word by walking T while
-    staying positionwise inside the closed I-neighborhood of the word.
-    """
-    compat = tuple(tuple(t + 1 for t in bits_of(a | 1 << s)) for s, a in enumerate(g.i.adj))
-    succ_rows = g.t.rows
-    i_edges: set[tuple[int, int]] = set()
-    for k, w in enumerate(words):
-        partial: list[Word] = [(c,) for c in compat[w[0] - 1]]
-        for pos in range(1, len(w)):
-            allowed = compat[w[pos] - 1]
-            nxt: list[Word] = []
-            for p in partial:
-                prev_succ = succ_rows[p[-1] - 1]
-                for c in allowed:
-                    if prev_succ >> (c - 1) & 1:
-                        nxt.append(p + (c,))
-            partial = nxt
-        for u in partial:
-            if u == w:
-                continue
-            j = index[u]
-            i_edges.add((k + 1, j + 1) if k < j else (j + 1, k + 1))
-    return tuple(sorted(i_edges))

@@ -1,4 +1,4 @@
-"""Exact and greedy maximum independent set computation on UGraphs.
+"""Exact maximum independent set computation on UGraphs.
 
 The exact solver is branch-and-bound on bit-packed candidate masks: branch
 on a maximum-degree vertex (include it and delete its closed neighborhood,
@@ -27,21 +27,18 @@ bit, so a pick costs b ANDs and dropping a vertex one borrow-propagating
 subtract across the slices (Biham's bit-slicing, FSE 1997, on the bitset
 rows of San Segundo et al.).  That is O(n b) word-parallel operations on
 n-bit masks over the whole greedy, not one per edge.  Once the node budget
-is spent, every remaining component keeps that incumbent.  Graphs above
-``MAX_BITSET_VERTICES`` have no bitset rows, so ``max_independent_set``
-returns ``greedy_independent_set`` there instead: the same pick rule on
-neighbour sets it builds from the edge list, the one reader of I that does
-not use the rows.
+is spent, every remaining component keeps that incumbent.  The solver reads
+only bitset rows, so a graph above ``MAX_BITSET_VERTICES`` is refused with
+``SizeCapExceeded``; lifts never reach it, because ``higher_graph`` caps
+their word count there.
 """
 
 from __future__ import annotations
 
-import heapq
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import SizeCapExceeded
 from .graph import UGraph, bits_of
 
 DEFAULT_BUDGET = 10_000_000
@@ -267,14 +264,10 @@ def max_independent_set(g: UGraph, budget: int = DEFAULT_BUDGET) -> Independence
 
     Works on the bitset rows ``g.adj`` only, the final independence check
     included, so a graph built by ``UGraph.from_rows`` never makes its
-    per-edge ``edges`` tuple here.
+    per-edge ``edges`` tuple here.  Raises SizeCapExceeded, from ``g.adj``,
+    on a graph above ``MAX_BITSET_VERTICES``.
     """
-    try:
-        adj = g.adj
-    except SizeCapExceeded:
-        # too large for bitset search: fall back to the sparse greedy
-        res = greedy_independent_set(g)
-        return IndependenceResult(res.size, res.witness, False)
+    adj = g.adj
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * g.n + 100))
     solver = _Solver(adj, budget)
 
@@ -298,38 +291,3 @@ def max_independent_set(g: UGraph, budget: int = DEFAULT_BUDGET) -> Independence
         raise AssertionError("witness is not independent")
     return IndependenceResult(len(witness), witness, exact)
 
-
-def greedy_independent_set(g: UGraph) -> IndependenceResult:
-    """Minimum-degree greedy independent set (lowest index on ties).
-
-    Works on neighbour sets built from ``g.edges`` with a lazy heap, so it
-    remains usable on graphs far too large for bitset rows.  ``exact`` is
-    set only when every vertex was taken.
-    """
-    nbrs: list[set[int]] = [set() for _ in range(g.n + 1)]
-    for a, b in g.edges:
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    degrees = {v: len(nbrs[v]) for v in range(1, g.n + 1)}
-    alive = set(degrees)
-    heap = [(d, v) for v, d in degrees.items()]
-    heapq.heapify(heap)
-    chosen: list[int] = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v not in alive or degrees[v] != d:  # stale entry
-            continue
-        chosen.append(v)
-        dropped = (nbrs[v] & alive) | {v}
-        alive -= dropped
-        for u in dropped:
-            for w in nbrs[u]:
-                if w in alive:
-                    degrees[w] -= 1
-                    heapq.heappush(heap, (degrees[w], w))
-    chosen.sort()
-    c_set = set(chosen)
-    for a, b in g.edges:
-        if a in c_set and b in c_set:
-            raise AssertionError("witness is not independent")
-    return IndependenceResult(len(chosen), tuple(chosen), len(chosen) == g.n)

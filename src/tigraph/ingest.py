@@ -32,7 +32,7 @@ TIE_WIDTH = Fraction(1, 10**12)
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):  # JSON true/false are refused
         return Fraction(x)
     if isinstance(x, float):
         # decimal reading of the literal, not the binary float

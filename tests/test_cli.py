@@ -133,6 +133,9 @@ _PIECE = '{"from": [0, 1], "slope": 2, "intercept": 0}'
         '{"pieces": [%s], "intervals": [[0.2, 0.7]], "margin": Infinity}' % _PIECE,
         '{"pieces": [%s], "intervals": [[0.2, 0.7]], "margin": "0.x"}' % _PIECE,
         '{"pieces": [{"from": ["x", 1], "slope": 2, "intercept": 0}], "intervals": []}',
+        '{"pieces": [{"from": [0, 1], "slope": true, "intercept": 0}], "intervals": [[0.2, 0.7]]}',
+        '{"pieces": [{"from": [0, 1], "slope": 2, "intercept": false}], "intervals": [[0.2, 0.7]]}',
+        '{"pieces": [%s], "intervals": [[0.2, 0.7]], "margin": true}' % _PIECE,
     ],
     ids=[
         "pieces_not_list",
@@ -143,6 +146,9 @@ _PIECE = '{"from": [0, 1], "slope": 2, "intercept": 0}'
         "margin_infinity",
         "margin_unparseable",
         "piece_unparseable",
+        "slope_bool",
+        "intercept_bool",
+        "margin_bool",
     ],
 )
 def test_ingest_malformed_spec_exit_2(tmp_path, capsys, spec):

@@ -1,5 +1,6 @@
 """Higher vertex graph construction and word indistinguishability."""
 
+import json
 import random
 
 import numpy as np
@@ -19,6 +20,7 @@ from tigraph import (
     higher_graph,
     is_primitive,
     max_independent_set,
+    oracle_separated_count,
     primitivity_index,
     prune_stranded,
     serialize_tigraph,
@@ -110,6 +112,21 @@ def test_size_cap(dbl):
         higher_graph(dbl, 10, size_cap=100)
 
 
+def test_size_cap_stops_counting_once_passed(dbl):
+    # every vertex has a successor, so 100,000 steps are never counted
+    with pytest.raises(SizeCapExceeded, match="more than 100 words of length 100000"):
+        higher_graph(dbl, 100_000, size_cap=100)
+    with pytest.raises(SizeCapExceeded):
+        oracle_separated_count(dbl, 100_000, size_cap=100)
+
+
+def test_size_cap_counts_to_m_with_a_sink():
+    # 6 words at length 1 but only 5 at length 2: the star's leaves are sinks
+    g = TIGraph(Digraph.from_edges(6, [(1, k) for k in range(2, 7)]), UGraph.from_edges(6, []))
+    lift = higher_graph(g, 2, size_cap=5)
+    assert lift.vertex_words == tuple((1, k) for k in range(2, 7))
+
+
 def _flatten(words, base_words):
     out = base_words[words[0] - 1]
     for x in words[1:]:
@@ -190,11 +207,18 @@ def _complete4():
 
 
 def _assert_rows_match_walk(g, m):
+    # the definition: bit j of row k is set iff j != k and the words agree
+    # or are I-adjacent at every position
     lift = higher_graph(g, m)
-    words = list(lift.vertex_words)
-    index = {w: k for k, w in enumerate(words)}
+    words = lift.vertex_words
     i = lift.lifted.i
-    assert i.edges == tigraph.higher._walk_i_edges(g, words, index)
+    for k, row in enumerate(i.adj):
+        expect = sum(
+            1 << j
+            for j, w in enumerate(words)
+            if j != k and words_indistinguishable(g, words[k], w)
+        )
+        assert row == expect
     assert i.adj == UGraph(i.n, i.edges).adj
 
 
@@ -231,13 +255,22 @@ def test_lifted_i_rows_match_walk_random(g, m):
     _assert_rows_match_walk(g, m)
 
 
-def test_large_lift_path_walks_words(dbl, monkeypatch):
-    expect = [higher_graph(dbl, m) for m in (1, 3, 5)]
-    monkeypatch.setattr(tigraph.higher, "MAX_BITSET_VERTICES", 3)
-    for lift in expect:
-        walked = higher_graph(dbl, lift.m)
-        assert "adj" not in walked.lifted.i.__dict__  # built from edges, not rows
-        assert walked == lift
+def test_lift_above_bitset_cap_ends_in_exit_3(tmp_path, capsys, monkeypatch, dbl):
+    # 4, 8, 16 words at m = 1, 2, 3 fit the cap of 16; 32 at m = 4 do not
+    monkeypatch.setattr(tigraph.higher, "MAX_BITSET_VERTICES", 16)
+    path = tmp_path / "dbl.json"
+    path.write_text(serialize_tigraph(dbl))
+    dbl_path = str(path)
+    assert main(["report", dbl_path, "--m-max", "5", "--format", "json"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert "best" in report and report["bounds"]
+    (limit,) = [b for b in report["bounds"] if b["method"] == "higher_limit"]
+    assert limit["certificate"]["truncated"] is True
+    assert [e["m"] for e in limit["certificate"]["sequence"]] == [1, 2, 3]
+    assert main(["higher", dbl_path, "-m", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cap reached" in captured.err
 
 
 _HIGHER_STATS = {

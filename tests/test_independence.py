@@ -1,4 +1,4 @@
-"""Exact and greedy maximum independent set."""
+"""Exact maximum independent set and its greedy incumbent."""
 
 import os
 import random
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import tigraph
 import tigraph.independence as ind
-from tigraph import UGraph, greedy_independent_set, higher_graph, max_independent_set
+from tigraph import UGraph, higher_graph, max_independent_set
 from tigraph.independence import _BudgetExhausted, _dominated_pruned, _Solver
 
 from conftest import brute_force_mis
@@ -240,23 +240,10 @@ def test_tight_budget_can_still_close_at_root():
     assert res.exact
 
 
-def test_greedy_edgeless():
-    res = greedy_independent_set(UGraph.from_edges(4, []))
-    assert res.size == 4
-    assert res.exact
-
-
-def test_greedy_four_cycle():
-    res = greedy_independent_set(_cycle(4))
-    assert res.size == 2
-    assert not res.exact
-
-
 def test_greedy_star_picks_leaves():
     g = UGraph.from_edges(6, [(1, k) for k in range(2, 7)])
-    res = greedy_independent_set(g)
-    assert res.size == 5
-    assert res.witness == (2, 3, 4, 5, 6)
+    full = (1 << 6) - 1
+    assert _Solver(g.adj, 1)._greedy(full) == _reference_greedy(g.adj, full) == full ^ 1
 
 
 @st.composite
@@ -281,12 +268,6 @@ def test_exact_matches_brute_force(g):
 @settings(max_examples=40, deadline=None)
 def test_exact_matches_brute_force_larger(g):
     assert max_independent_set(g).size == brute_force_mis(g)
-
-
-@given(ugraphs())
-@settings(max_examples=100, deadline=None)
-def test_greedy_never_beats_exact(g):
-    assert greedy_independent_set(g).size <= max_independent_set(g).size
 
 
 @st.composite
@@ -488,17 +469,6 @@ _BAD_WITNESS = {
         "ind._Solver._greedy = lambda self, p: p\n"
         "ind._Solver.solve = lambda self, p, chosen: None\n"
         "ind.max_independent_set(g)\n"
-    ),
-    # the edge list reads empty to the greedy, which then takes both
-    # endpoints, and whole to the final check
-    "greedy_independent_set": (
-        "class Flaky:\n"
-        "    reads = 0\n"
-        "    def __iter__(self):\n"
-        "        Flaky.reads += 1\n"
-        "        return iter(() if Flaky.reads == 1 else ((1, 2),))\n"
-        "g.__dict__['edges'] = Flaky()\n"
-        "ind.greedy_independent_set(g)\n"
     ),
 }
 
