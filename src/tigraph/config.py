@@ -6,6 +6,10 @@ import math
 from dataclasses import asdict, dataclass
 
 from .errors import ValidationError
+from .higher import DEFAULT_SIZE_CAP
+from .independence import DEFAULT_BUDGET
+from .sofic import DEFAULT_STATE_CAP
+from .spectral import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -13,10 +17,10 @@ class Config:
     """Caps and tolerances for a full analysis run; every search is deterministic."""
 
     m_max: int = 4
-    tol: float = 1e-10
-    mis_budget: int = 10_000_000
-    size_cap: int = 2_000_000
-    state_cap: int = 100_000
+    tol: float = DEFAULT_TOL
+    mis_budget: int = DEFAULT_BUDGET
+    size_cap: int = DEFAULT_SIZE_CAP
+    state_cap: int = DEFAULT_STATE_CAP
     output_format: str = "text"
 
     def __post_init__(self) -> None:

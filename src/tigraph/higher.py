@@ -59,17 +59,22 @@ def count_paths(t: Digraph, m: int) -> int:
 
 
 def _enumerate_words(t: Digraph, m: int) -> list[Word]:
+    """Length-m paths of T in lexicographic order: one shared path, one tuple per word."""
     words: list[Word] = []
     succ = t.succ
-    for start in range(1, t.n + 1):
-        stack: list[tuple[Word, int]] = [((start,), 1)]
-        while stack:
-            word, length = stack.pop()
-            if length == m:
-                words.append(word)
-                continue
-            for j in reversed(succ[word[-1] - 1]):
-                stack.append((word + (j,), length + 1))
+    path = [0] * m
+    stack = [iter(range(1, t.n + 1))]
+    while stack:
+        depth = len(stack) - 1
+        for v in stack[-1]:
+            path[depth] = v
+            if depth == m - 1:
+                words.append(tuple(path))
+            else:
+                stack.append(iter(succ[v - 1]))
+                break
+        else:
+            stack.pop()
     return words
 
 

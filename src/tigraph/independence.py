@@ -239,10 +239,11 @@ def _dominated_pruned(adj: tuple[int, ...], closed: tuple[int, ...], p: int) -> 
         while cand:
             vlow = cand & -cand
             v = vlow.bit_length() - 1
-            miss = cu & ~closed[v]
+            cv = closed[v]
+            miss = (cu | cv) ^ cv  # cu & ~cv without a negative int
             if miss:
                 cand &= closed[(miss & -miss).bit_length() - 1]
-            elif u < v or cu != closed[v] & p:
+            elif u < v or cu != cv & p:
                 p ^= vlow
                 nb = adj[v] & p  # holds u
                 r = (nb & -nb).bit_length() - 1

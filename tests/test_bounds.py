@@ -22,6 +22,7 @@ from tigraph import (
     SizeCapExceeded,
     TIGraph,
     UGraph,
+    analyze_structure,
     best_bound,
     complete_digraph_bound,
     component_bound,
@@ -29,11 +30,13 @@ from tigraph import (
     higher_graph,
     independent_subshift_bound,
     induced_subgraph,
+    is_primitive,
     limit_sequence,
     max_independent_set,
     oracle_separated_count,
     perron_eigenvalue,
     primitive_bound,
+    primitivity_index,
     prune_stranded,
     sft_entropy,
     sofic_bound,
@@ -41,6 +44,7 @@ from tigraph import (
 )
 
 from tigraph.bounds import SeparatedCount
+from tigraph.graph import bits_of
 from tigraph.higher import _enumerate_words, count_paths
 from tigraph.ingest import AffinePiece, Arc, CircleMap, IntervalCover, ti_from_circle
 
@@ -142,12 +146,7 @@ def _assert_subshift_matches_reference(g):
     assert got.value.hex() == expect.value.hex()
 
 
-@st.composite
-def pruned_tigraphs(draw, n_max=30):
-    n = draw(st.integers(1, n_max))
-    vs = st.integers(1, n)
-    t_edges = draw(st.sets(st.tuples(vs, vs), min_size=1, max_size=3 * n))
-    i_edges = draw(st.sets(st.tuples(vs, vs).filter(lambda p: p[0] != p[1]), max_size=2 * n))
+def _pruned_or_reject(n, t_edges, i_edges):
     try:
         g, _ = prune_stranded(
             TIGraph(Digraph.from_edges(n, t_edges), UGraph.from_edges(n, i_edges))
@@ -155,6 +154,19 @@ def pruned_tigraphs(draw, n_max=30):
     except EmptyGraphError:
         assume(False)
     return g
+
+
+def _i_edge_sets(n):
+    vs = st.integers(1, n)
+    return st.sets(st.tuples(vs, vs).filter(lambda p: p[0] != p[1]), max_size=2 * n)
+
+
+@st.composite
+def pruned_tigraphs(draw, n_max=30):
+    n = draw(st.integers(1, n_max))
+    vs = st.integers(1, n)
+    t_edges = draw(st.sets(st.tuples(vs, vs), min_size=1, max_size=3 * n))
+    return _pruned_or_reject(n, t_edges, draw(_i_edge_sets(n)))
 
 
 @given(pruned_tigraphs())
@@ -245,6 +257,104 @@ def test_component_bound_zero_when_classes_are_cliques():
     g = TIGraph(t, UGraph.from_edges(4, [(1, 3), (2, 4)]))
     b = component_bound(g)
     assert b.value == 0.0
+
+
+# --- the three class bounds against their separate implementations -----------
+
+def _reference_complete_digraph_bound(g):
+    n = g.n
+    if g.t.num_edges() != n * n:
+        return tigraph.Bound("complete_digraph", 0.0, True, False, {"applicable": False})
+    mis = max_independent_set(g.i)
+    return tigraph.Bound(
+        "complete_digraph",
+        math.log(mis.size),
+        True,
+        False,
+        {"applicable": True, "independent_set": list(mis.witness), "mis_exact": mis.exact},
+    )
+
+
+def _reference_primitive_bound(g):
+    gamma = g.t.structure.gamma()
+    mis = max_independent_set(g.i)
+    value = math.log(mis.size) / gamma
+    return tigraph.Bound(
+        "primitive",
+        value,
+        True,
+        False,
+        {"independent_set": list(mis.witness), "gamma": gamma, "mis_exact": mis.exact},
+    )
+
+
+def _reference_component_bound(g):
+    report = g.t.structure
+    adj = g.i.adj
+    masks = [sum(1 << (v - 1) for v in cls) for _, _, cls, _ in report.classes()]
+    if all(c & (adj[v] | 1 << v) == c for c in masks for v in bits_of(c)):
+        return tigraph.Bound("component", 0.0, True, False, {})
+    best = None
+    for k, p, cls, gamma in report.classes():
+        if gamma is None:
+            continue
+        sub, idx_map = induced_subgraph(g, cls)
+        mis = max_independent_set(sub.i)
+        value = math.log(mis.size) / (p * gamma)
+        back = {v: old for old, v in idx_map.items()}
+        cert = {
+            "scc": list(report.sccs[k]),
+            "class": list(cls),
+            "period": p,
+            "gamma": gamma,
+            "independent_set": sorted(back[v] for v in mis.witness),
+            "mis_exact": mis.exact,
+        }
+        if best is None or value > best[0]:
+            best = (value, cert)
+    if best is None:
+        return tigraph.Bound("component", 0.0, True, False, {})
+    return tigraph.Bound("component", best[0], True, False, best[1])
+
+
+_CLASS_BOUNDS = (
+    (complete_digraph_bound, _reference_complete_digraph_bound),
+    (primitive_bound, _reference_primitive_bound),
+    (component_bound, _reference_component_bound),
+)
+
+
+@st.composite
+def complete_t_graphs(draw):
+    n = draw(st.integers(1, 6))
+    return TIGraph(_complete_t(n), UGraph.from_edges(n, draw(_i_edge_sets(n))))
+
+
+@st.composite
+def doubled_graphs(draw):
+    """Bipartite double of a random H on k vertices: period 2 when H is primitive."""
+    k = draw(st.integers(1, 5))
+    ks = st.integers(1, k)
+    h_edges = draw(st.sets(st.tuples(ks, ks), min_size=1, max_size=3 * k))
+    t_edges = [(i, i + k) for i in range(1, k + 1)] + [(i + k, j) for i, j in h_edges]
+    return _pruned_or_reject(2 * k, t_edges, draw(_i_edge_sets(2 * k)))
+
+
+@given(st.one_of(pruned_tigraphs(n_max=12), complete_t_graphs(), doubled_graphs()))
+@settings(max_examples=200, deadline=None)
+def test_class_bounds_match_separate_implementations(g):
+    for fn, reference in _CLASS_BOUNDS:
+        try:
+            expect = reference(g)
+        except NotPrimitiveError:
+            with pytest.raises(NotPrimitiveError):
+                fn(g)
+            continue
+        got = fn(g)
+        assert (got.method, got.certified, got.exact) == (
+            expect.method, expect.certified, expect.exact)
+        assert got.value.hex() == expect.value.hex()
+        assert list(got.certificate.items()) == list(expect.certificate.items())
 
 
 # --- sofic_bound -------------------------------------------------------------
@@ -510,6 +620,15 @@ def _complete_dbl_t(dbl):
     return TIGraph(_complete_t(dbl.n), dbl.i)
 
 
+def _doubled_dbl(dbl):
+    """Bipartite double of dbl's T, I on the first class: period 2, gamma 2 per class.
+
+    The component bound picks the edgeless class [5, 6, 7, 8].
+    """
+    t_edges = [(i, i + 4) for i in range(1, 5)] + [(i + 4, j) for i, j in dbl.t.edges()]
+    return TIGraph(Digraph.from_edges(8, t_edges), UGraph.from_edges(8, dbl.i.edges))
+
+
 _DROP = object()  # a certificate change that deletes the key
 
 # (method, graph builder, value or None to keep the honest one, certificate changes)
@@ -541,6 +660,14 @@ _TAMPERED = {
     "higher_limit-string-word": ("higher_limit", None, None, {"witness_words": ["ab"]}),
     "primitive-missing-gamma": ("primitive", None, None, {"gamma": _DROP}),
     "component-missing-class": ("component", None, None, {"class": _DROP}),
+    "component-period-plus-one": ("component", _doubled_dbl, None, {"period": 3}),
+    "component-period-minus-one": ("component", _doubled_dbl, None, {"period": 1}),
+    "component-gamma-plus-one": ("component", _doubled_dbl, None, {"gamma": 3}),
+    "component-gamma-minus-one": ("component", _doubled_dbl, None, {"gamma": 1}),
+    "component-class-is-whole-scc": (
+        "component", _doubled_dbl, None, {"class": list(range(1, 9))}),
+    "component-list-period": ("component", _doubled_dbl, None, {"period": [2]}),
+    "component-aperiodic-period-plus-one": ("component", None, None, {"period": 2}),
     "sofic-missing-states": ("sofic", None, None, {"num_states": _DROP}),
 }
 
@@ -555,6 +682,108 @@ def test_verify_bound_rejects_tampered_certificates(dbl, case):
     cert = {k: v for k, v in {**b.certificate, **changes}.items() if v is not _DROP}
     tampered = type(b)(b.method, b.value if value is None else value, b.certified, b.exact, cert)
     assert verify_bound(g, tampered) is False
+
+
+def _reference_verify_class_bound(g, bound, tol=1e-9):
+    """The separate checks of the complete_digraph, primitive and component certificates."""
+    cert = bound.certificate
+    if "error" in cert:
+        return bound.value == 0.0
+    method = bound.method
+
+    def vertex_list(x):
+        return isinstance(x, (list, tuple)) and all(type(v) is int and 1 <= v <= g.n for v in x)
+
+    def independent(vertices):
+        if not vertex_list(vertices):
+            return False
+        vs = set(vertices)
+        if not vs or len(vs) != len(vertices):
+            return False
+        return all(not (a in vs and b in vs) for a, b in g.i.edges)
+
+    if method == "complete_digraph":
+        if not cert.get("applicable"):
+            return bound.value == 0.0
+        if g.t.num_edges() != g.n * g.n or not independent(cert.get("independent_set")):
+            return False
+        return abs(math.log(len(cert["independent_set"])) - bound.value) <= tol
+
+    if method == "primitive":
+        if not independent(cert.get("independent_set")):
+            return False
+        if not is_primitive(g.t) or primitivity_index(g.t) != cert.get("gamma"):
+            return False
+        return abs(math.log(len(cert["independent_set"])) / cert["gamma"] - bound.value) <= tol
+
+    assert method == "component"
+    if not cert:
+        return bound.value == 0.0
+    cls = cert.get("class")
+    if not vertex_list(cls) or not independent(cert.get("independent_set")):
+        return False
+    if not set(cert["independent_set"]) <= set(cls):
+        return False
+    comps = {frozenset(c): (p, gs) for _, p, c, gs in analyze_structure(g.t).classes()}
+    key = frozenset(cls)
+    if key not in comps:
+        return False
+    p, gamma = comps[key]
+    if p != cert.get("period") or gamma != cert.get("gamma"):
+        return False
+    expect = math.log(len(cert["independent_set"])) / (p * gamma)
+    return abs(expect - bound.value) <= tol
+
+
+def _certificate_pool(g):
+    """Replacement values: JSON scalars and containers, vertex lists, classes, SCCs."""
+    report = analyze_structure(g.t)
+    pool = [
+        True, False, None, 0, 1, 2, 3, 4, -1, 1.0, 2.0, 0.5, math.nan, math.inf,
+        "1", "class", {}, {"gamma": 1}, [], [[1]], [1.0], [True], [0], [g.n + 1],
+        [1], [2], [1, 2], [1, 3], [2, 4], [5, 6, 7, 8], [1, 1], [2],
+        list(range(1, g.n + 1)), list(range(1, g.n + 2)), list(range(g.n, 0, -1)),
+    ]
+    pool += [list(c) for _, _, c, _ in report.classes()]
+    pool += [list(c) + list(c) for _, _, c, _ in report.classes()]
+    pool += [list(scc) for scc in report.sccs]
+    pool += [q + d for _, q, _, _ in report.classes() for d in (-1, 1)]
+    pool += [gs + d for _, _, _, gs in report.classes() if gs for d in (-1, 1)]
+    return pool
+
+
+def test_verify_bound_matches_separate_checks_on_mutated_certificates(dbl, period2_fixture):
+    rng = random.Random(12)
+    graphs = [
+        dbl,
+        period2_fixture,
+        _complete_dbl_t(dbl),
+        _doubled_dbl(dbl),
+        TIGraph(_complete_t(2), UGraph.from_edges(2, [])),
+        TIGraph(_complete_t(2), UGraph.from_edges(2, [(1, 2)])),
+    ]
+    graphs += [random_pruned_tigraph(rng, n_max=6) for _ in range(6)]
+    decisions = {True: 0, False: 0}
+    for g in graphs:
+        pool = _certificate_pool(g)
+        for b in best_bound(g, Config(m_max=1)).bounds:
+            if b.method not in ("complete_digraph", "primitive", "component"):
+                continue
+            keys = list(b.certificate) + ["applicable", "independent_set", "class", "period",
+                                          "gamma"]
+            for k in range(300):
+                cert = dict(b.certificate) if k % 50 else {}
+                for key in rng.sample(keys, rng.randint(1, 2)):
+                    if rng.random() < 0.2:
+                        cert.pop(key, None)
+                    else:
+                        cert[key] = rng.choice(pool)
+                value = rng.choice([b.value, b.value, 0.0])
+                mutated = type(b)(b.method, value, b.certified, b.exact, cert)
+                expect = _reference_verify_class_bound(g, mutated)
+                assert verify_bound(g, mutated) is expect, (g, mutated)
+                decisions[expect] += 1
+    assert min(decisions.values()) > 100, decisions
 
 
 def test_best_bound_analyses_base_t_once(dbl, monkeypatch):

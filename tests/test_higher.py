@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from tigraph import (
     words_indistinguishable,
 )
 from tigraph.cli import main
+from tigraph.higher import _enumerate_words
 
 from conftest import adjacency_matrix, random_pruned_tigraph
 
@@ -253,6 +255,47 @@ def tigraphs(draw, n_max=5):
 @settings(max_examples=60, deadline=None)
 def test_lifted_i_rows_match_walk_random(g, m):
     _assert_rows_match_walk(g, m)
+
+
+def _reference_enumerate_words(t, m):
+    """Depth-first words that copy the word tuple at every step."""
+    words = []
+    for start in range(1, t.n + 1):
+        stack = [((start,), 1)]
+        while stack:
+            word, length = stack.pop()
+            if length == m:
+                words.append(word)
+                continue
+            for j in reversed(t.succ[word[-1] - 1]):
+                stack.append((word + (j,), length + 1))
+    return words
+
+
+@st.composite
+def digraphs(draw, n_max=6):
+    """Any digraph, sinks and sources included."""
+    n = draw(st.integers(1, n_max))
+    vs = st.integers(1, n)
+    return Digraph.from_edges(n, draw(st.sets(st.tuples(vs, vs), max_size=3 * n)))
+
+
+@given(digraphs(), st.integers(1, 7))
+@settings(max_examples=200, deadline=None)
+def test_enumerate_words_matches_reference(t, m):
+    assert _enumerate_words(t, m) == _reference_enumerate_words(t, m)
+
+
+def test_enumerate_words_is_linear_in_m():
+    # a cycle keeps 3 words at every length, so no size cap ever stops it;
+    # copying the word at every step took seconds here
+    cycle = Digraph.from_edges(3, [(1, 2), (2, 3), (3, 1)])
+    start = time.perf_counter()
+    words = _enumerate_words(cycle, 20_000)
+    elapsed = time.perf_counter() - start
+    assert [w[:4] for w in words] == [(1, 2, 3, 1), (2, 3, 1, 2), (3, 1, 2, 3)]
+    assert all(len(w) == 20_000 for w in words)
+    assert elapsed < 0.5
 
 
 def test_lift_above_bitset_cap_ends_in_exit_3(tmp_path, capsys, monkeypatch, dbl):
