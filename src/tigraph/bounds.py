@@ -390,29 +390,30 @@ def oracle_separated_count(
 ) -> SeparatedCount:
     """Exact maximum n-separated word family, by brute force.
 
-    Enumerates every length-n vertex path, compares all pairs positionwise
-    (equal or I-adjacent at every slot means indistinguishable), and solves
-    the resulting graph exactly.  Independent of the higher-shift
-    construction; used to cross-check it.  Words are counted and capped
-    as ``higher_graph`` counts them.
+    Enumerates every length-n vertex path, compares each with all of them
+    positionwise (equal or I-adjacent at every slot means
+    indistinguishable), and solves the resulting graph exactly.
+    Independent of the higher-shift construction; used to cross-check it.
+    Words are counted and capped as ``higher_graph`` counts them.
     """
     _prune_checked(g)
     if n < 1:
         raise ValidationError("word length must be >= 1")
     words = _capped_words(g.t, n, size_cap)
 
-    compat = np.zeros((g.n + 1, g.n + 1), dtype=bool)
-    for v in range(1, g.n + 1):
-        compat[v, v] = True
+    compat = np.eye(g.n + 1, dtype=bool)  # [a, b]: a = b or a ~ b in I
     for a, b in g.i.edges:
-        compat[a, b] = True
-        compat[b, a] = True
-    arr = np.array(words, dtype=np.int64)
-    pairwise = compat[arr[:, None, :], arr[None, :, :]].all(axis=2)
-    np.fill_diagonal(pairwise, False)
+        compat[a, b] = compat[b, a] = True
+    # one word's row at a time: the pairwise table of every word would take
+    # len(words)**2 * n bytes
+    columns = np.array(words, dtype=np.int64).T
 
-    packed = np.packbits(pairwise, axis=1, bitorder="little")
-    graph = UGraph.from_rows(int.from_bytes(row.tobytes(), "little") for row in packed)
+    def row(k: int) -> int:
+        hits = compat[columns[:, k : k + 1], columns].all(axis=0)
+        hits[k] = False
+        return int.from_bytes(np.packbits(hits, bitorder="little").tobytes(), "little")
+
+    graph = UGraph.from_rows(row(k) for k in range(len(words)))
     mis = max_independent_set(graph, budget=mis_budget)
     if not mis.exact:
         raise SizeCapExceeded("independent-set budget exhausted inside the oracle")
@@ -499,17 +500,29 @@ def best_bound(g: TIGraph, config: Config | None = None) -> BoundReport:
 def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
     """Re-check a bound's certificate against the graph it came from.
 
-    Returns False when any certified claim fails to reproduce: a witness
-    set that is missing, empty, repeats a vertex, names one outside 1..n or
-    is not independent, a wrong induced eigenvalue, a class, period or
-    gamma that T does not have, or separated witness words that are missing or are not pairwise
-    distinguishable vertex paths of one length.  A malformed certificate
-    fails the check; it never raises.
+    Returns False when any claim fails to reproduce: a witness set that is
+    missing, empty, repeats a vertex, names one outside 1..n or is not
+    independent, a wrong induced eigenvalue, a class, period, gamma or
+    state count that T does not have or that is not an int, separated
+    witness words that are missing or are not pairwise distinguishable
+    vertex paths of one length, ``exact`` other than on
+    ``independent_subshift`` with edgeless I (at h(T)) or on ``sofic`` with
+    clique I-components, or ``certified`` on ``higher_limit`` for
+    non-primitive T.  A malformed certificate fails the check; it never
+    raises.
     """
     cert = bound.certificate
+    method = bound.method
+    if bound.exact:
+        if method == "independent_subshift":
+            # no overlaps: the overlap entropy is the classical entropy
+            h = math.log(max(perron_eigenvalue(g.t).value, 1.0))
+            if g.i.num_edges() or abs(h - bound.value) > tol:
+                return False
+        elif method != "sofic" or not clique_components_check(g):
+            return False
     if "error" in cert:
         return bound.value == 0.0
-    method = bound.method
 
     def vertex_list(x) -> bool:
         return isinstance(x, (list, tuple)) and all(type(v) is int and 1 <= v <= g.n for v in x)
@@ -548,7 +561,8 @@ def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
         chosen = cert.get("independent_set")
         if not vertex_list(cls) or not independent(chosen) or not set(chosen) <= set(cls):
             return False
-        # == on the claimed values, never a hash: they may be any JSON value
+        if type(p) is not int or type(gamma) is not int:
+            return False
         for _, q, c, gs in analyze_structure(g.t).classes():
             if gs is not None and set(c) == set(cls) and q == p and gs == gamma:
                 return abs(math.log(len(chosen)) / (q * gs) - bound.value) <= tol
@@ -556,7 +570,8 @@ def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
 
     if method == "sofic":
         value, presentation = sofic_entropy(g)
-        if presentation.t.n != cert.get("num_states"):
+        states = cert.get("num_states")
+        if type(states) is not int or states != presentation.t.n:
             return False
         return abs(value - bound.value) <= tol
 
@@ -578,9 +593,11 @@ def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
                     return False
         divisor = m
         if bound.certified:
+            # only primitive T turns the per-m values into bounds
             report = analyze_structure(g.t)
-            if report.primitive:
-                divisor = higher_gamma(report.gamma(), g.n, m)
+            if not report.primitive:
+                return False
+            divisor = higher_gamma(report.gamma(), g.n, m)
         # the stored family certifies at least log(len(words)) / divisor; the
         # reported value may not exceed what the witness supports
         return bound.value <= math.log(len(words)) / divisor + tol

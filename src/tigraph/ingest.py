@@ -200,62 +200,58 @@ def ti_from_circle(cmap: CircleMap, cover: IntervalCover, margin=0) -> TIGraph:
     def scaled(x: Fraction) -> int:
         return x.numerator * (den // x.denominator)
 
-    def guarded_ge(d: int, what: str) -> bool:
-        # d/den >= 0, closed; raises when 0 < |d/den| <= 1e-12 (ambiguous input)
-        if d == 0:
-            return True
-        if -width <= d <= width:
-            raise DegenerateCoverError(
-                f"{what} decided by {float(Fraction(d, den)):+.2e}; perturb the input"
-            )
-        return d > 0
+    def decided(cases: list[list[list[int]]], what: tuple[str, ...], count: int) -> list[int]:
+        # The tests k < count that some case passes.  cases[c][s][k] is
+        # slack s (named what[s]) of case c in test k, in units of 1/den; a
+        # case passes when its slacks are all >= 0 (closed), checked in
+        # order up to the first that is not.  A slack with 0 < |d/den| <=
+        # 1e-12 is a near-tie (ambiguous input): the first test that no case
+        # passes raises the last tie among its cases, if any.
+        named = [list(zip(case, what)) for case in cases]
+        hits = []
+        for k in range(count):
+            tie = None
+            for case in named:
+                for slacks, name in case:
+                    d = slacks[k]
+                    if d == 0 or d > width:
+                        continue
+                    if d >= -width:
+                        tie = DegenerateCoverError(
+                            f"{name} decided by {float(Fraction(d, den)):+.2e}; perturb the input"
+                        )
+                    break
+                else:
+                    hits.append(k)
+                    break
+            else:
+                if tie is not None:
+                    raise tie
+        return hits
 
     m = scaled(margin)
     starts = [scaled(arc.start) for arc in arcs]
     lengths = [scaled(arc.length) for arc in arcs]
+    covering = ("covering (lower end)", "covering (upper end)")
     t_edges = []
     for i, arc_runs in enumerate(runs, start=1):
-        # each run shrunk by the margin: the lift window a target must fit in
-        windows = [(scaled(ylo) + m, scaled(yhi) - m) for ylo, yhi in arc_runs]
-        for j in range(n):
-            start, length = starts[j], lengths[j]
-            covered = False
-            tie: DegenerateCoverError | None = None
-            for lo, hi in windows:
-                # smallest lift start + k*den (k integer) that clears lo
-                lifted = lo + (start - lo) % den
-                try:
-                    if guarded_ge(lifted - lo, "covering (lower end)") and guarded_ge(
-                        hi - lifted - length, "covering (upper end)"
-                    ):
-                        covered = True
-                        break
-                except DegenerateCoverError as exc:
-                    tie = exc
-            if not covered and tie is not None:
-                raise tie
-            if covered:
-                t_edges.append((i, j + 1))
+        cases = []
+        for ylo, yhi in arc_runs:
+            # the run shrunk by the margin is the window a target must fit
+            # in; lift each start to the first start + k*den >= lo
+            lo, room = scaled(ylo) + m, scaled(yhi) - scaled(ylo) - 2 * m
+            below = [(start - lo) % den for start in starts]
+            cases.append([below, [room - b - length for b, length in zip(below, lengths)]])
+        t_edges += [(i, j + 1) for j in decided(cases, covering, n)]
     i_edges = []
     for i in range(n):
-        for j in range(i + 1, n):
-            # Closed arcs on the circle: lift j's start next to i's and compare.
-            # A clean hit on either side decides; a near-tie only surfaces when
-            # the other side cannot settle the question.
-            d = (starts[j] - starts[i]) % den
-            tie = None
-            hit = False
-            for slack in (lengths[i] - d, d - den + lengths[j]):
-                try:
-                    if guarded_ge(slack, "arc intersection"):
-                        hit = True
-                        break
-                except DegenerateCoverError as exc:
-                    tie = exc
-            if not hit and tie is not None:
-                raise tie
-            if hit:
-                i_edges.append((i + 1, j + 1))
+        # Closed arcs on the circle: lift each later start next to i's and
+        # compare, on either side of it.
+        d = [(start - starts[i]) % den for start in starts[i + 1 :]]
+        inside = [lengths[i] - dj for dj in d]
+        around = [dj - den + length for dj, length in zip(d, lengths[i + 1 :])]
+        hits = decided([[inside], [around]], ("arc intersection",), n - i - 1)
+        i_edges += [(i + 1, i + 2 + k) for k in hits]
     return TIGraph(Digraph.from_edges(n, t_edges), UGraph.from_edges(n, i_edges))
 
 

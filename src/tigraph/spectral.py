@@ -11,13 +11,13 @@ evaluated on a strictly positive iterate v, so the error bound is rigorous
 up to floating-point rounding.  Natural logarithm throughout.
 
 ``perron_eigenvalues`` runs the blocks of many matrices in one power
-iteration: their entries are concatenated, one ``np.bincount`` per step
+iteration over their concatenated entries: one ``np.bincount`` per step
 gives every block's (A' + Id) v, and ``reduceat`` takes each block's ratio
-bounds and maximum.  A block leaves the batch when it converges or reaches
-its own iteration cap.  Each block's values go through the same IEEE
-operations in the same order as when it runs alone, so every result is
-bitwise the one ``perron_eigenvalue`` gives for that matrix, which is the
-one-matrix case.
+bounds and maximum.  Each block is recorded at its own convergence step or
+cap, and every block runs until the last one is recorded.  Blocks share no
+entry, ``bincount`` row or ``reduceat`` segment, so each block's values go
+through the same IEEE operations in the same order as when it runs alone:
+every result is bitwise the one ``perron_eigenvalue`` gives for its matrix.
 
 Matrices are held as CSR in plain lists and numpy arrays; scipy is not
 imported.  The matvec ``np.bincount(rows, weights=data * v[cols])`` adds
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 
 import numpy as np
 
@@ -96,14 +96,14 @@ def _to_csr(a) -> tuple[tuple, list[int], list[int], np.ndarray]:
     return succ, indptr, indices, data
 
 
-def _split(a, iteration_cap: int | None, first: int) -> tuple[list, list]:
+def _split(a, iteration_cap: int | None) -> tuple[list, list]:
     """One matrix as its per-component parts and its irreducible blocks.
 
     ``parts`` has one slot per strongly connected component, in Tarjan
     order: a singleton's (value, 0.0, (v,), (1.0,), 0) is filled in here;
     a block's slot is None until the iteration fills it.  Each block is
-    (slot, component, rows, cols, data, cap): its entries in stored order,
-    at positions of the batch's vector numbered on from ``first``.
+    (slot, component, rows and cols, data, cap): its entries in stored
+    order, rows and columns numbered from 0 within the block.
     """
     succ, indptr, indices, data = _to_csr(a)
     parts: list = []
@@ -115,8 +115,7 @@ def _split(a, iteration_cap: int | None, first: int) -> tuple[list, list]:
             parts.append((_entry(indptr, indices, data, v, v), 0.0, (v,), (1.0,), 0))
             continue
         nb = len(comp)
-        pos = {v: first + i for i, v in enumerate(comp)}
-        first += nb
+        pos = {v: i for i, v in enumerate(comp)}
         rows: list[int] = []
         cols: list[int] = []
         take: list[int] = []
@@ -128,7 +127,7 @@ def _split(a, iteration_cap: int | None, first: int) -> tuple[list, list]:
                     cols.append(col)
                     take.append(ptr)
         cap = iteration_cap if iteration_cap is not None else 100 * nb * nb + 1000
-        blocks.append((len(parts), tuple(comp), np.array(rows), np.array(cols), data[take], cap))
+        blocks.append((len(parts), tuple(comp), np.array([rows, cols]), data[take], cap))
         parts.append(None)
     return parts, blocks
 
@@ -137,20 +136,19 @@ def _iterate(blocks: list, tol: float) -> list[tuple[float, float, int, tuple[fl
     """Power iteration on A' + Id for every block at once.
 
     Returns (lo, hi, iterations, v) per block, where v is the iterate whose
-    ratios gave the bounds lo and hi.  A block stops at its first step with
-    hi - lo <= 2 tol, or else at its cap.  The blocks that are still running
-    have all taken the same number of steps.
+    ratios gave the bounds lo and hi.  A block is recorded at its first step
+    with hi - lo <= 2 tol, or else at its cap, and runs on until the last
+    block is recorded.
     """
     sizes = [len(b[1]) for b in blocks]
     starts = list(accumulate(sizes[:-1], initial=0))
     at = np.array(starts)  # reduceat converts a list on every call
-    rows = np.concatenate([b[2] for b in blocks])
-    cols = np.concatenate([b[3] for b in blocks])
-    data = np.concatenate([b[4] for b in blocks])
-    caps = [b[5] for b in blocks]
-    first_cap = min(caps)
-    block_of = np.repeat(np.arange(len(blocks)), sizes)  # position -> running block
-    running = list(range(len(blocks)))
+    rows, cols = np.concatenate([b[2] + s for b, s in zip(blocks, starts)], axis=1)
+    data = np.concatenate([b[3] for b in blocks])
+    caps = [b[4] for b in blocks]
+    running = [True] * len(blocks)  # until recorded
+    first_cap = min(caps)  # of the running blocks
+    block_of = np.repeat(np.arange(len(blocks)), sizes)  # position -> block
     out: list = [None] * len(blocks)
     vec = np.ones(block_of.size)
     width_tol = 2.0 * tol
@@ -165,33 +163,16 @@ def _iterate(blocks: list, tol: float) -> list[tuple[float, float, int, tuple[fl
         ratios = w / vec
         lo = np.minimum.reduceat(ratios, at)
         hi = np.maximum.reduceat(ratios, at)
-        width = hi - lo
-        if np.minimum.reduce(width) <= width_tol or iters >= first_cap:
-            stop = width <= width_tol
-            if iters >= first_cap:
-                stop |= np.array(caps) <= iters
-            done = np.nonzero(stop)[0].tolist()
-            for k in done:
-                block_vec = tuple(vec[starts[k] : starts[k] + sizes[k]].tolist())
-                out[running[k]] = (float(lo[k]), float(hi[k]), iters, block_vec)
-            if len(done) == len(running):
+        width = (hi - lo).tolist()  # a list's min costs less than a ufunc reduce
+        if min(compress(width, running)) <= width_tol or iters >= first_cap:
+            for k, cap in enumerate(caps):
+                if running[k] and (width[k] <= width_tol or cap <= iters):
+                    running[k] = False
+                    block_vec = tuple(vec[starts[k] : starts[k] + sizes[k]].tolist())
+                    out[k] = (float(lo[k]), float(hi[k]), iters, block_vec)
+            if not any(running):
                 return out
-            keep = ~stop
-            keep_pos = keep[block_of]
-            new_pos = np.cumsum(keep_pos) - 1
-            keep_entry = keep_pos[rows]
-            rows = new_pos[rows[keep_entry]]
-            cols = new_pos[cols[keep_entry]]
-            data = data[keep_entry]
-            vec, w = vec[keep_pos], w[keep_pos]
-            kept = np.nonzero(keep)[0].tolist()
-            running = [running[k] for k in kept]
-            sizes = [sizes[k] for k in kept]
-            caps = [caps[k] for k in kept]
-            first_cap = min(caps)
-            starts = list(accumulate(sizes[:-1], initial=0))
-            at = np.array(starts)
-            block_of = np.repeat(np.arange(len(sizes)), sizes)
+            first_cap = min(compress(caps, running))
         w /= np.maximum.reduceat(w, at)[block_of]
         vec = w
 
@@ -206,7 +187,7 @@ def _solve(batch: list, tol: float) -> list[SpectralResult]:
     outcomes = iter(_iterate(blocks, tol) if blocks else ())
     results = []
     for parts, mat_blocks in batch:
-        for (slot, comp, _, _, _, _), (lo, hi, iters, vec) in zip(mat_blocks, outcomes):
+        for (slot, comp, _, _, _), (lo, hi, iters, vec) in zip(mat_blocks, outcomes):
             if hi - lo > 2.0 * tol:
                 raise NoConvergenceError(
                     f"block of size {len(comp)}: interval width {hi - lo:.3e} after {iters} iterations"
@@ -235,15 +216,12 @@ def perron_eigenvalues(
     if not 0 < tol < math.inf:  # also false for nan
         raise ValidationError("tol must be positive and finite")
     batch: list = []
-    size = 0  # length of the batch's vector
     for a in mats:
         try:
-            parts, blocks = _split(a, iteration_cap, size)
+            batch.append(_split(a, iteration_cap))
         except ValidationError:
             _solve(batch, tol)  # an earlier matrix's NoConvergenceError comes first
             raise
-        batch.append((parts, blocks))
-        size += sum(len(b[1]) for b in blocks)
     return _solve(batch, tol)
 
 

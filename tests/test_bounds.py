@@ -1,10 +1,12 @@
 """Bound methods, the limit sequence, the oracle, and the aggregator."""
 
+import dataclasses
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from tigraph import (
     UGraph,
     analyze_structure,
     best_bound,
+    clique_components_check,
     complete_digraph_bound,
     component_bound,
     graph_digest,
@@ -466,6 +469,19 @@ def test_oracle_size_cap(dbl):
         oracle_separated_count(dbl, 12, size_cap=100)
 
 
+def test_oracle_builds_its_graph_one_row_at_a_time(dbl):
+    # 4,096 words at n = 11: a table of every pair at every position would
+    # take 4096**2 * 11 bytes (176 MiB); the bitset rows take 2 MiB
+    tracemalloc.start()
+    try:
+        sep = oracle_separated_count(dbl, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sep.count == 2048
+    assert peak < 32 * 2**20, peak
+
+
 def test_oracle_matches_lifted_independence_number():
     rng = random.Random(17)
     for _ in range(25):
@@ -669,6 +685,14 @@ _TAMPERED = {
     "component-list-period": ("component", _doubled_dbl, None, {"period": [2]}),
     "component-aperiodic-period-plus-one": ("component", None, None, {"period": 2}),
     "sofic-missing-states": ("sofic", None, None, {"num_states": _DROP}),
+    # claimed integers must be ints: JSON true and 1.0 equal 1 but are not counts
+    "primitive-bool-gamma": ("primitive", _complete_dbl_t, None, {"gamma": True}),
+    "primitive-float-gamma": ("primitive", _complete_dbl_t, None, {"gamma": 1.0}),
+    "component-bool-period": ("component", _complete_dbl_t, None, {"period": True}),
+    "component-float-gamma": ("component", _complete_dbl_t, None, {"gamma": 1.0}),
+    "component-float-period": ("component", _doubled_dbl, None, {"period": 2.0}),
+    "sofic-bool-states": ("sofic", None, None, {"num_states": True}),
+    "sofic-float-states": ("sofic", None, None, {"num_states": 1.0}),
 }
 
 
@@ -682,6 +706,64 @@ def test_verify_bound_rejects_tampered_certificates(dbl, case):
     cert = {k: v for k, v in {**b.certificate, **changes}.items() if v is not _DROP}
     tampered = type(b)(b.method, b.value if value is None else value, b.certified, b.exact, cert)
     assert verify_bound(g, tampered) is False
+
+
+def _leaky_pair():
+    """T = {1, 2 complete with loops; 3 -> 3; 3 -> 1}, I = {1-2}: overlap entropy 0.
+
+    A word is 3...3 then a walk in {1, 2}, and 1 and 2 overlap, so length-n
+    words fall into n + 1 classes.  T is reducible, so higher_limit is an
+    estimate: log ind(I) = log 2 at m = 1.
+    """
+    t = Digraph.from_edges(3, [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3), (3, 1)])
+    return TIGraph(t, UGraph.from_edges(3, [(1, 2)]))
+
+
+def test_verify_bound_rejects_forged_flags(dbl):
+    # no method proves its value exact on the doubling fixture, where the
+    # overlap entropy is ln 2 and higher_limit gives 0.5545 at m = 4
+    for b in best_bound(dbl, Config(m_max=4)).bounds:
+        assert verify_bound(dbl, b)
+        assert verify_bound(dbl, dataclasses.replace(b, exact=True)) is False, b.method
+    g = _leaky_pair()
+    b = next(b for b in best_bound(g, Config(m_max=3)).bounds if b.method == "higher_limit")
+    assert not b.certified and abs(b.value - LN2) <= 1e-9
+    assert verify_bound(g, b)
+    assert verify_bound(g, dataclasses.replace(b, certified=True)) is False
+
+
+def test_verify_bound_accepts_provable_exact_claims(dbl, gm):
+    g = _edgeless_i_graph(dbl.t)
+    exact = [b for b in best_bound(g, Config(m_max=2)).bounds if b.exact]
+    assert [b.method for b in exact] == ["independent_subshift", "sofic"]
+    assert all(verify_bound(g, b) for b in exact)
+    b = next(b for b in best_bound(gm, Config(m_max=2)).bounds if b.method == "sofic")
+    assert b.exact and verify_bound(gm, b)
+    # {1, 2} is independent in edgeless I, but induces entropy 0 < ln 2
+    partial = tigraph.Bound("independent_subshift", 0.0, True, True, {"independent_set": [1, 2]})
+    assert verify_bound(g, dataclasses.replace(partial, exact=False))
+    assert verify_bound(g, partial) is False
+
+
+def test_forged_flags_verify_only_where_provable():
+    rng = random.Random(41)
+    for _ in range(30):
+        g = random_pruned_tigraph(rng, n_max=6)
+        cliques = clique_components_check(g)
+        primitive = analyze_structure(g.t).primitive
+        for b in best_bound(g, Config(m_max=3)).bounds:
+            assert verify_bound(g, b), (g, b)
+            weaker = dataclasses.replace(b, certified=False, exact=False)
+            assert verify_bound(g, weaker), (g, weaker)
+            if "error" in b.certificate:
+                continue
+            provable = (b.method == "independent_subshift" and g.i.num_edges() == 0) or (
+                b.method == "sofic" and cliques
+            )
+            assert verify_bound(g, dataclasses.replace(b, exact=True)) is provable, (g, b)
+            if b.method == "higher_limit":
+                forged = dataclasses.replace(b, certified=True)
+                assert verify_bound(g, forged) is primitive, (g, b)
 
 
 def _reference_verify_class_bound(g, bound, tol=1e-9):
@@ -712,6 +794,8 @@ def _reference_verify_class_bound(g, bound, tol=1e-9):
     if method == "primitive":
         if not independent(cert.get("independent_set")):
             return False
+        if type(cert.get("gamma")) is not int:
+            return False
         if not is_primitive(g.t) or primitivity_index(g.t) != cert.get("gamma"):
             return False
         return abs(math.log(len(cert["independent_set"])) / cert["gamma"] - bound.value) <= tol
@@ -729,6 +813,8 @@ def _reference_verify_class_bound(g, bound, tol=1e-9):
     if key not in comps:
         return False
     p, gamma = comps[key]
+    if type(cert.get("period")) is not int or type(cert.get("gamma")) is not int:
+        return False
     if p != cert.get("period") or gamma != cert.get("gamma"):
         return False
     expect = math.log(len(cert["independent_set"])) / (p * gamma)
