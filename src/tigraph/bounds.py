@@ -502,13 +502,15 @@ def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
 
     Returns False when any claim fails to reproduce: a witness set that is
     missing, empty, repeats a vertex, names one outside 1..n or is not
-    independent, a wrong induced eigenvalue, a class, period, gamma or
-    state count that T does not have or that is not an int, separated
-    witness words that are missing or are not pairwise distinguishable
-    vertex paths of one length, ``exact`` other than on
-    ``independent_subshift`` with edgeless I (at h(T)) or on ``sofic`` with
-    clique I-components, or ``certified`` on ``higher_limit`` for
-    non-primitive T.  A malformed certificate fails the check; it never
+    independent, a wrong induced eigenvalue or a ``lambda`` that is not a
+    float within ``tol`` of it, a class, period, gamma, state or label count
+    that T or the presentation does not have or that is not an int, a
+    ``clique_components`` flag other than the graph's, a ``mis_exact`` that
+    is not a bool, separated witness words that are missing or are not
+    pairwise distinguishable vertex paths of one length, ``exact`` other
+    than on ``independent_subshift`` with edgeless I (at h(T)) or on
+    ``sofic`` with clique I-components, or ``certified`` on ``higher_limit``
+    for non-primitive T.  A malformed certificate fails the check; it never
     raises.
     """
     cert = bound.certificate
@@ -538,12 +540,15 @@ def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
     if method == "independent_subshift":
         if not cert:
             return bound.value == 0.0
-        if not independent(cert.get("independent_set")):
+        if not independent(cert.get("independent_set")) or type(cert.get("mis_exact")) is not bool:
             return False
         try:
             lam = perron_eigenvalue(_restricted(g.t, cert["independent_set"])).value
         except EmptyGraphError:
             return bound.value == 0.0
+        claimed = cert.get("lambda")
+        if not isinstance(claimed, float) or abs(claimed - lam) > tol:
+            return False
         return abs(math.log(max(lam, 1.0)) - bound.value) <= tol
 
     if method in ("complete_digraph", "primitive", "component"):
@@ -561,7 +566,7 @@ def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
         chosen = cert.get("independent_set")
         if not vertex_list(cls) or not independent(chosen) or not set(chosen) <= set(cls):
             return False
-        if type(p) is not int or type(gamma) is not int:
+        if type(p) is not int or type(gamma) is not int or type(cert.get("mis_exact")) is not bool:
             return False
         for _, q, c, gs in analyze_structure(g.t).classes():
             if gs is not None and set(c) == set(cls) and q == p and gs == gamma:
@@ -570,8 +575,12 @@ def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
 
     if method == "sofic":
         value, presentation = sofic_entropy(g)
-        states = cert.get("num_states")
+        states, labels = cert.get("num_states"), cert.get("num_labels")
         if type(states) is not int or states != presentation.t.n:
+            return False
+        if type(labels) is not int or labels != max(presentation.labels):
+            return False
+        if cert.get("clique_components") is not clique_components_check(g):
             return False
         return abs(value - bound.value) <= tol
 

@@ -63,8 +63,6 @@ def _format_report(report: BoundReport, removed: list[int], fmt: str) -> str:
             flags.append("EXACT")
         if "error" in b.certificate:
             flags.append("FAILED")
-        if not b.certificate.get("applicable", True):
-            flags.append("N/A")
         lines.append(
             f"{b.method:<22} {b.value:>14.9f} {b.value / math.log(2):>14.9f} "
             f"{status:<10} {' '.join(flags)}".rstrip()

@@ -5,12 +5,13 @@ intersection graph I sharing one vertex set.  Vertices are 1-indexed in
 every public interface; the bit-packed adjacency used by the fast kernels
 is 0-indexed (bit j-1 of row i-1 means edge i -> j).
 
-Each graph is read through one adjacency view.  T is read through its
-successor tuples ``succ`` and the derived, cached ``pred`` and bitset
-``rows``.  I is read through its bitset rows ``adj`` and the connected
-components ``UGraph.components`` computes on them.  I's canonical pair
-tuple ``edges`` is there for serialization and restriction to a vertex
-subset.
+Each graph is stored in one form and read through one adjacency view.  T
+stores its successor tuples ``succ`` and derives ``pred`` and bitset
+``rows``.  I stores only its bitset rows ``adj``, whichever constructor
+built it, and is refused above ``MAX_BITSET_VERTICES`` vertices before
+``from_edges`` makes a row.  ``UGraph.components`` and the canonical pair
+tuple ``edges`` (for serialization and restriction to a vertex subset) are
+derived from the rows.
 """
 
 from __future__ import annotations
@@ -31,6 +32,14 @@ MAX_PARSE_VERTICES = 4096
 # Bit-packed neighbor rows get dense beyond this; algorithms that need them
 # refuse larger graphs rather than silently allocating gigabytes.
 MAX_BITSET_VERTICES = 262_144
+
+
+def _check_vertex_count(n: int) -> None:
+    """Refuse n < 1, and n above ``MAX_BITSET_VERTICES`` before any row is made."""
+    if n < 1:
+        raise ValidationError("vertex count must be >= 1")
+    if n > MAX_BITSET_VERTICES:
+        raise SizeCapExceeded(f"bitset adjacency unavailable for n={n}")
 
 
 def bits_of(mask: int) -> Iterable[int]:
@@ -104,97 +113,54 @@ class Digraph:
         return all(self.succ[v] for v in range(self.n)) and all(self.pred[v] for v in range(self.n))
 
 
+@dataclass(frozen=True)
 class UGraph:
-    """Simple undirected graph; edges stored canonically as (i, j) with i < j.
+    """Simple undirected graph on vertices 1..n, stored as bitset rows.
 
-    ``edges`` is a strictly sorted tuple of canonical pairs.  A graph built
-    by ``from_rows`` keeps only ``n`` and its bitset rows; its ``edges`` is
-    derived from them on first access and cached.  Equality and hashing are
-    by ``(n, edges)`` whichever constructor built the graph.  Instances are
-    immutable.
+    Bit j-1 of ``adj[i-1]`` is set iff i and j are adjacent.  Rows carry no
+    diagonal bit and no bit at or above n; their symmetry is the caller's to
+    keep.  The canonical pair tuple ``edges`` is derived from the rows on
+    first access and cached.
     """
 
-    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]) -> None:
-        if n < 1:
-            raise ValidationError("vertex count must be >= 1")
-        prev = (0, 0)
-        for i, j in edges:
-            if i == j:
-                raise ValidationError(f"I edge ({i},{j}): self-loops are not allowed")
-            if not (1 <= i < j <= n):
-                raise ValidationError(f"I edge ({i},{j}): not canonical or out of range 1..{n}")
-            if (i, j) <= prev:
-                raise ValidationError("I edge list not strictly sorted")
-            prev = (i, j)
-        self.__dict__.update(n=n, edges=edges)
+    n: int
+    adj: tuple[int, ...]
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: UGraph is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete {name!r}: UGraph is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.edges) == (other.n, other.edges)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
-
-    def __repr__(self) -> str:
-        return f"UGraph(n={self.n!r}, edges={self.edges!r})"
+    def __post_init__(self) -> None:
+        _check_vertex_count(self.n)
+        if len(self.adj) != self.n:
+            raise ValidationError("I row count differs from n")
+        for i, row in enumerate(self.adj):
+            if row >> self.n:
+                raise ValidationError(f"I row {i + 1}: neighbor out of range 1..{self.n}")
+            if row >> i & 1:
+                raise ValidationError(f"I edge ({i + 1},{i + 1}): self-loops are not allowed")
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "UGraph":
-        canon: set[tuple[int, int]] = set()
+        _check_vertex_count(n)
+        rows = [0] * n
         for i, j in pairs:
             if i == j:
                 raise ValidationError(f"I edge ({i},{j}): self-loops are not allowed")
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValidationError(f"I edge ({i},{j}): endpoint out of range 1..{n}")
-            canon.add((i, j) if i < j else (j, i))
-        return cls(n, tuple(sorted(canon)))
+            rows[i - 1] |= 1 << (j - 1)
+            rows[j - 1] |= 1 << (i - 1)
+        return cls(n, tuple(rows))
 
     @classmethod
     def from_rows(cls, rows: Iterable[int]) -> "UGraph":
-        """Graph whose bit-packed neighbor rows are ``rows`` (0-indexed bits).
-
-        The rows become the cached ``adj``, and nothing else is stored: no
-        per-edge tuple is made until ``edges`` is read.  Raises
-        ValidationError on an empty row list, a diagonal bit or a bit at or
-        above ``len(rows)``.  Symmetry is the caller's to keep.
-        """
+        """Graph whose bit-packed neighbor rows are ``rows`` (0-indexed bits)."""
         rows = tuple(rows)
-        n = len(rows)
-        if n < 1:
-            raise ValidationError("vertex count must be >= 1")
-        for i, row in enumerate(rows):
-            if row >> n:
-                raise ValidationError(f"I row {i + 1}: neighbor out of range 1..{n}")
-            if row >> i & 1:
-                raise ValidationError(f"I edge ({i + 1},{i + 1}): self-loops are not allowed")
-        g = cls.__new__(cls)
-        g.__dict__.update(n=n, adj=rows)
-        return g
+        return cls(len(rows), rows)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Canonical sorted pairs; only a row-built graph reaches this."""
+        """Canonical pairs (i, j), i < j, in sorted order."""
         return tuple(
             (i + 1, i + 2 + j) for i, row in enumerate(self.adj) for j in bits_of(row >> (i + 1))
         )
-
-    @cached_property
-    def adj(self) -> tuple[int, ...]:
-        """Bit-packed symmetric neighbor rows (no diagonal bits)."""
-        if self.n > MAX_BITSET_VERTICES:
-            raise SizeCapExceeded(f"bitset adjacency unavailable for n={self.n}")
-        rows = [0] * self.n
-        for i, j in self.edges:
-            rows[i - 1] |= 1 << (j - 1)
-            rows[j - 1] |= 1 << (i - 1)
-        return tuple(rows)
 
     @cached_property
     def components(self) -> tuple[int, ...]:
@@ -222,8 +188,6 @@ class UGraph:
         return tuple(comps)
 
     def num_edges(self) -> int:
-        if "edges" in self.__dict__:
-            return len(self.edges)
         return sum(row.bit_count() for row in self.adj) // 2
 
 

@@ -10,11 +10,11 @@ The lifted T is built as successor tuples straight from the word index.
 The lifted I is built as bitset rows: one mask per (position, symbol) of
 the words whose symbol there is I-compatible with it, and each word's row
 is the AND of its m masks, so a lift costs O(words * m) ANDs of words-bit
-integers.  The lifted ``UGraph`` keeps only these rows; its ``edges``
-tuple is derived only if something reads it, which the report path does
-not.  A lift is refused with ``SizeCapExceeded`` above ``size_cap`` or
-``MAX_BITSET_VERTICES`` words, whichever is smaller, before any word is
-made.
+integers.  The lifted ``UGraph`` stores these rows and nothing else, as
+every ``UGraph`` does; its ``edges`` tuple is derived only if something
+reads it, which the report path does not.  A lift is refused with
+``SizeCapExceeded`` above ``size_cap`` or ``MAX_BITSET_VERTICES`` words,
+whichever is smaller, before any word is made.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
+from typing import Iterator
 
 from .errors import LengthMismatchError, SizeCapExceeded, ValidationError
 from .graph import MAX_BITSET_VERTICES, Digraph, TIGraph, UGraph, Word, bits_of
@@ -48,14 +49,22 @@ def words_indistinguishable(g: TIGraph, a: Word, b: Word) -> bool:
     return all(x == y or adj[x - 1] >> (y - 1) & 1 for x, y in zip(a, b))
 
 
+def _path_totals(t: Digraph, m: int) -> Iterator[int]:
+    """Number of vertex paths of T of length k, for k = 1..m in turn."""
+    counts = [1] * t.n
+    yield t.n
+    for _ in range(m - 1):
+        counts = [sum(counts[j - 1] for j in row) for row in t.succ]
+        yield sum(counts)
+
+
 def count_paths(t: Digraph, m: int) -> int:
     """Number of vertex paths of length m (m vertices, m-1 edge steps)."""
     if m < 1:
         raise ValidationError("m must be >= 1")
-    counts = [1] * t.n
-    for _ in range(m - 1):
-        counts = [sum(counts[j - 1] for j in t.succ[v]) for v in range(t.n)]
-    return sum(counts)
+    for total in _path_totals(t, m):
+        pass
+    return total
 
 
 def _enumerate_words(t: Digraph, m: int) -> list[Word]:
@@ -89,12 +98,10 @@ def _capped_words(t: Digraph, m: int, size_cap: int) -> list[Word]:
     """
     cap = min(size_cap, MAX_BITSET_VERTICES)
     growing = all(t.succ)
-    counts = [1] * t.n
-    for _ in range(m - 1):
-        if growing and sum(counts) > cap:
+    for total in _path_totals(t, m):
+        if growing and total > cap:
             break
-        counts = [sum(counts[j - 1] for j in t.succ[v]) for v in range(t.n)]
-    if sum(counts) > cap:
+    if total > cap:
         raise SizeCapExceeded(f"more than {cap} words of length {m}")
     return _enumerate_words(t, m)
 

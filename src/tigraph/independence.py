@@ -28,9 +28,8 @@ subtract across the slices (Biham's bit-slicing, FSE 1997, on the bitset
 rows of San Segundo et al.).  That is O(n b) word-parallel operations on
 n-bit masks over the whole greedy, not one per edge.  Once the node budget
 is spent, every remaining component keeps that incumbent.  The solver reads
-only bitset rows, so a graph above ``MAX_BITSET_VERTICES`` is refused with
-``SizeCapExceeded``; lifts never reach it, because ``higher_graph`` caps
-their word count there.
+only bitset rows, the one form a ``UGraph`` stores, so it never meets a
+graph above ``MAX_BITSET_VERTICES``: ``UGraph`` refuses to build one.
 """
 
 from __future__ import annotations
@@ -264,9 +263,7 @@ def max_independent_set(g: UGraph, budget: int = DEFAULT_BUDGET) -> Independence
     started from, on its dominance-pruned vertices.
 
     Works on the bitset rows ``g.adj`` only, the final independence check
-    included, so a graph built by ``UGraph.from_rows`` never makes its
-    per-edge ``edges`` tuple here.  Raises SizeCapExceeded, from ``g.adj``,
-    on a graph above ``MAX_BITSET_VERTICES``.
+    included, so no per-edge ``edges`` tuple is made here.
     """
     adj = g.adj
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * g.n + 100))

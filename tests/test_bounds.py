@@ -504,7 +504,7 @@ def _reference_oracle_separated_count(g, n):
     pairwise = compat[arr[:, None, :], arr[None, :, :]].all(axis=2)
     np.fill_diagonal(pairwise, False)
     edges = [(int(a) + 1, int(b) + 1) for a, b in zip(*np.nonzero(np.triu(pairwise)))]
-    mis = max_independent_set(UGraph(len(words), tuple(edges)))
+    mis = max_independent_set(UGraph.from_edges(len(words), edges))
     return SeparatedCount(n, mis.size, tuple(words[v - 1] for v in mis.witness))
 
 
@@ -693,6 +693,24 @@ _TAMPERED = {
     "component-float-period": ("component", _doubled_dbl, None, {"period": 2.0}),
     "sofic-bool-states": ("sofic", None, None, {"num_states": True}),
     "sofic-float-states": ("sofic", None, None, {"num_states": 1.0}),
+    # claim fields that do not enter the value are checked all the same
+    "sofic-clique-components-forged": ("sofic", None, None, {"clique_components": True}),
+    "sofic-clique-components-int": ("sofic", None, None, {"clique_components": 0}),
+    "sofic-wrong-labels": ("sofic", None, None, {"num_labels": 7}),
+    "sofic-string-labels": ("sofic", None, None, {"num_labels": "x"}),
+    "sofic-bool-labels": ("sofic", None, None, {"num_labels": True}),
+    "sofic-missing-labels": ("sofic", None, None, {"num_labels": _DROP}),
+    "independent_subshift-wrong-lambda": (
+        "independent_subshift", None, None, {"lambda": 99.0}),
+    "independent_subshift-int-lambda": ("independent_subshift", None, None, {"lambda": 1}),
+    "independent_subshift-missing-lambda": (
+        "independent_subshift", None, None, {"lambda": _DROP}),
+    "independent_subshift-string-mis-exact": (
+        "independent_subshift", None, None, {"mis_exact": "no"}),
+    "primitive-int-mis-exact": ("primitive", None, None, {"mis_exact": 1}),
+    "component-missing-mis-exact": ("component", _doubled_dbl, None, {"mis_exact": _DROP}),
+    "complete_digraph-none-mis-exact": (
+        "complete_digraph", _complete_dbl_t, None, {"mis_exact": None}),
 }
 
 
@@ -740,7 +758,8 @@ def test_verify_bound_accepts_provable_exact_claims(dbl, gm):
     b = next(b for b in best_bound(gm, Config(m_max=2)).bounds if b.method == "sofic")
     assert b.exact and verify_bound(gm, b)
     # {1, 2} is independent in edgeless I, but induces entropy 0 < ln 2
-    partial = tigraph.Bound("independent_subshift", 0.0, True, True, {"independent_set": [1, 2]})
+    cert = {"independent_set": [1, 2], "lambda": 1.0, "mis_exact": True}
+    partial = tigraph.Bound("independent_subshift", 0.0, True, True, cert)
     assert verify_bound(g, dataclasses.replace(partial, exact=False))
     assert verify_bound(g, partial) is False
 
@@ -787,12 +806,16 @@ def _reference_verify_class_bound(g, bound, tol=1e-9):
     if method == "complete_digraph":
         if not cert.get("applicable"):
             return bound.value == 0.0
+        if type(cert.get("mis_exact")) is not bool:
+            return False
         if g.t.num_edges() != g.n * g.n or not independent(cert.get("independent_set")):
             return False
         return abs(math.log(len(cert["independent_set"])) - bound.value) <= tol
 
     if method == "primitive":
         if not independent(cert.get("independent_set")):
+            return False
+        if type(cert.get("mis_exact")) is not bool:
             return False
         if type(cert.get("gamma")) is not int:
             return False
@@ -803,6 +826,8 @@ def _reference_verify_class_bound(g, bound, tol=1e-9):
     assert method == "component"
     if not cert:
         return bound.value == 0.0
+    if type(cert.get("mis_exact")) is not bool:
+        return False
     cls = cert.get("class")
     if not vertex_list(cls) or not independent(cert.get("independent_set")):
         return False

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tigraph.graph
 from tigraph import (
     Digraph,
     EmptyGraphError,
     ParseError,
+    SizeCapExceeded,
     TIGraph,
     UGraph,
     ValidationError,
@@ -257,12 +259,24 @@ def test_from_rows_matches_from_edges(case):
     by_edges = UGraph.from_edges(n, pairs)
     by_rows = UGraph.from_rows(rows)
     assert by_rows.num_edges() == by_edges.num_edges()
-    assert "edges" not in by_rows.__dict__  # counted from the rows alone
     assert by_rows.adj == by_edges.adj
+    assert by_rows == by_edges and by_edges == by_rows
+    assert hash(by_rows) == hash(by_edges)
+    # counted, compared and hashed from the rows alone, whichever
+    # constructor built the graph
+    assert "edges" not in by_rows.__dict__
+    assert "edges" not in by_edges.__dict__
     assert by_rows.edges == by_edges.edges
     assert by_rows.components == by_edges.components
-    assert by_rows == by_edges and by_edges == by_rows
-    assert hash(by_rows) == hash(by_edges) == hash((n, by_edges.edges))
+
+
+def test_bitset_cap_fires_at_construction(monkeypatch):
+    monkeypatch.setattr(tigraph.graph, "MAX_BITSET_VERTICES", 8)
+    with pytest.raises(SizeCapExceeded, match="n=9"):
+        UGraph.from_edges(9, [])
+    with pytest.raises(SizeCapExceeded, match="n=9"):
+        UGraph.from_rows([0] * 9)
+    assert UGraph.from_edges(8, [(1, 8)]).num_edges() == 1
 
 
 def test_from_rows_rejects_empty_row_list():

@@ -221,7 +221,7 @@ def _assert_rows_match_walk(g, m):
             if j != k and words_indistinguishable(g, words[k], w)
         )
         assert row == expect
-    assert i.adj == UGraph(i.n, i.edges).adj
+    assert i.adj == UGraph.from_edges(i.n, i.edges).adj
 
 
 def test_lifted_i_rows_match_walk_dbl(dbl):
