@@ -77,10 +77,11 @@ METHOD_ORDER = (
 
 # Independent-set candidates whose Perron values share one batched power
 # iteration.  On the 200-arc x -> 3x cover (100 candidates; 20-second
-# benchmark runs, one each), peak RSS was 36.6 MB with one Perron solve per
-# candidate, 39.6 MB with all of them in one batch, and 37.6 / 37.9 /
-# 38.1 MB with batches of 4 / 8 / 16.  8 runs as fast as 16; 4 is about 9 %
-# slower.
+# benchmark runs, one each, all candidates solved), peak RSS was 36.6 MB with
+# one Perron solve per candidate, 39.6 MB with all of them in one batch, and
+# 37.6 / 37.9 / 38.1 MB with batches of 4 / 8 / 16.  8 runs as fast as 16; 4
+# is about 9 % slower.  Those RSS figures include every pass's stdout, which
+# bench/run.py keeps until its gate runs, so they grow with the pass count.
 SUBSHIFT_BATCH = 8
 
 # Direct recomputation of the lifted primitivity index is used to confirm
@@ -154,6 +155,16 @@ def _restricted(t: Digraph, vertices: Iterable[int]) -> Digraph:
     return prune_digraph(induced_digraph(t, vertices)[0])[0]
 
 
+def _sum_bound(t: Digraph, vertices: tuple[int, ...]) -> int:
+    """min(max row sum, max column sum) of T on ``vertices``: >= its Perron value."""
+    rows, cols = t.rows, t.cols
+    mask = sum(1 << (v - 1) for v in vertices)
+    return min(
+        max((rows[v - 1] & mask).bit_count() for v in vertices),
+        max((cols[v - 1] & mask).bit_count() for v in vertices),
+    )
+
+
 def independent_subshift_bound(
     g: TIGraph, tol: float = DEFAULT_TOL, mis_budget: int = DEFAULT_BUDGET
 ) -> Bound:
@@ -161,9 +172,12 @@ def independent_subshift_bound(
 
     The largest independent set need not induce the most entropy, so after
     the exact search a deterministic family of maximal independent sets
-    (one greedily grown from each seed vertex) is also scored.  Returns a
-    zero bound with an empty certificate when no candidate induces a
-    recurrent subgraph.
+    (one greedily grown from each seed vertex) is also scored, in batches of
+    ``SUBSHIFT_BATCH``.  From the second batch on, a candidate whose row- and
+    column-sum bound shows it cannot beat the earlier batches is never
+    restricted or solved, so it cannot raise NoConvergenceError either; the
+    result is the one scoring every candidate gives.  Returns a zero bound
+    with an empty certificate when no candidate induces a recurrent subgraph.
     """
     _prune_checked(g)
     candidates: list[tuple[int, ...]] = []
@@ -191,11 +205,33 @@ def independent_subshift_bound(
         scored: list[tuple[int, ...]] = []
         chunk: list[Digraph] = []
         for cand in unique[start : start + SUBSHIFT_BATCH]:
+            if start:
+                # Skip S when it cannot beat the earlier batches.  lambda_S <=
+                # u = _sum_bound(S) (Frobenius; pruning and the block split only
+                # drop entries).  A solve returns a diagonal entry (<= u) or
+                # fl(fl(lo + hi) / 2 - 1) for Collatz-Wielandt ratio bounds
+                # lo <= hi of a block of A + Id with fl(hi - lo) <= 2 tol.  The
+                # exact smallest ratio is <= u + 1, and a computed ratio rounds
+                # at most n + 1 times (row sum, then division), so with
+                # eps = 2**-53, lo <= (u + 1)(1 + eps)**(n + 1); the width, the
+                # midpoint and the "- 1" round three more times.  To first order
+                # in eps lambda <= u + tol + ((u + 1)(n + 3) + 3 tol) eps; the
+                # ceiling's margin is twice (u + 1 + tol)(n + 3) eps, which also
+                # covers the ceiling's own roundings and, for n far below
+                # 2**26, every higher-order term.  math.log is monotone, so
+                # value = log(max(lambda, 1)) <= log(max(ceiling, 1)) <=
+                # best_value + tol, and S would fail the test below.
+                u = _sum_bound(g.t, cand)
+                ceiling = u + tol + (u + 1 + tol) * (g.n + 3) * 2.0**-52
+                if math.log(max(ceiling, 1.0)) <= best_value + tol:
+                    continue
             try:
                 chunk.append(_restricted(g.t, cand))
             except EmptyGraphError:
                 continue
             scored.append(cand)
+        if not chunk:
+            continue
         for cand, res in zip(scored, perron_eigenvalues(chunk, tol=tol)):
             lam = res.value
             value = math.log(max(lam, 1.0))

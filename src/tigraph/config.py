@@ -24,8 +24,14 @@ class Config:
     output_format: str = "text"
 
     def __post_init__(self) -> None:
+        # type(x) is int: a bool, a float or a string is refused, not coerced
+        for name in ("m_max", "mis_budget", "size_cap", "state_cap"):
+            if type(getattr(self, name)) is not int:
+                raise ValidationError(f"{name} must be an int")
         if self.m_max < 1:
             raise ValidationError("m_max must be >= 1")
+        if isinstance(self.tol, bool) or not isinstance(self.tol, (int, float)):
+            raise ValidationError("tol must be a number")
         if not 0 < self.tol < math.inf:  # also false for nan
             raise ValidationError("tol must be positive and finite")
         for name in ("mis_budget", "size_cap", "state_cap"):

@@ -89,6 +89,11 @@ class Digraph:
         return tuple(sum(1 << (j - 1) for j in row) for row in self.succ)
 
     @cached_property
+    def cols(self) -> tuple[int, ...]:
+        """Bit-packed predecessor rows (bit i-1 of cols[j-1] iff edge i->j)."""
+        return tuple(sum(1 << (i - 1) for i in p) for p in self.pred)
+
+    @cached_property
     def pred(self) -> tuple[tuple[int, ...], ...]:
         table: list[list[int]] = [[] for _ in range(self.n)]
         for i, row in enumerate(self.succ, start=1):

@@ -24,6 +24,7 @@ from tigraph import (
     SizeCapExceeded,
     TIGraph,
     UGraph,
+    ValidationError,
     analyze_structure,
     best_bound,
     clique_components_check,
@@ -189,6 +190,102 @@ def test_independent_subshift_matches_one_solve_per_candidate_on_wide_cover(rota
     cmap = CircleMap((AffinePiece(Fraction(0), Fraction(1), Fraction(3), Fraction(0)),))
     g, _ = prune_stranded(ti_from_circle(cmap, cover))
     _assert_subshift_matches_reference(g)
+
+
+def _counting_perron(monkeypatch):
+    """Record the matrix count of every batch the subshift bound solves."""
+    batches = []
+    solve = tigraph.bounds.perron_eigenvalues
+
+    def counting(mats, **kwargs):
+        mats = list(mats)
+        batches.append(len(mats))
+        return solve(mats, **kwargs)
+
+    monkeypatch.setattr(tigraph.bounds, "perron_eigenvalues", counting)
+    return batches
+
+
+@pytest.mark.parametrize("rotation", [0, 55])
+def test_independent_subshift_skips_candidates_that_cannot_win_on_wide_cover(
+    rotation, monkeypatch
+):
+    # every candidate has lambda <= 2 by row and column sums, and the MIS
+    # witness already reaches log 2: only the first batch is solved
+    arcs = [
+        Arc.from_endpoints(Fraction(5 * i - 1, 1000), Fraction(5 * (i + 1) + 1, 1000))
+        for i in range(200)
+    ]
+    cover = IntervalCover(tuple(arcs[rotation:] + arcs[:rotation]))
+    cmap = CircleMap((AffinePiece(Fraction(0), Fraction(1), Fraction(3), Fraction(0)),))
+    g, _ = prune_stranded(ti_from_circle(cmap, cover))
+    expect = _reference_independent_subshift_bound(g)
+    batches = _counting_perron(monkeypatch)
+    got = independent_subshift_bound(g)
+    assert sum(batches) <= tigraph.bounds.SUBSHIFT_BATCH
+    assert 0 not in batches
+    assert got == expect
+    assert got.value.hex() == expect.value.hex()
+
+
+def test_independent_subshift_winner_in_a_later_batch_is_solved(monkeypatch):
+    # I pairs 2k-1 with 2k, and first fit from the even seed 2k swaps 2k-1
+    # for 2k in the all-odd set.  Every vertex has a loop; 1 <-> 3 gives the
+    # first batch lambda 2, and {18, 19, 21} is a complete digraph, so only
+    # the seed-18 set, which comes after the first batch, reaches lambda 3.
+    # Its smallest row sum is 1, so a bound that took minima would skip it.
+    n = 24
+    triangle = [(a, b) for a in (18, 19, 21) for b in (18, 19, 21)]
+    t = Digraph.from_edges(n, [(v, v) for v in range(1, n + 1)] + [(1, 3), (3, 1)] + triangle)
+    g = TIGraph(t, UGraph.from_edges(n, [(2 * k - 1, 2 * k) for k in range(1, n // 2 + 1)]))
+    winner = sorted({*range(1, n, 2), 18} - {17})
+    assert 18 not in max_independent_set(g.i).witness
+    expect = _reference_independent_subshift_bound(g)
+    batches = _counting_perron(monkeypatch)
+    got = independent_subshift_bound(g)
+    assert got.certificate["independent_set"] == winner
+    assert abs(got.value - math.log(3)) <= 1e-9
+    assert len(batches) >= 2 and 0 not in batches
+    assert got == expect
+
+
+@st.composite
+def batched_tigraphs(draw):
+    """Pruned graphs on 9..40 vertices, so that later batches exist.
+
+    Complete T and disjoint complete blocks have u_S = lambda_S for every
+    S, the tight case of the skip's margin; circulant T is regular.
+    """
+    n = draw(st.integers(9, 40))
+    kind = draw(st.sampled_from(["random", "complete", "blocks", "circulant"]))
+    vs = st.integers(1, n)
+    if kind == "random":
+        t_edges = draw(st.sets(st.tuples(vs, vs), min_size=1, max_size=3 * n))
+    elif kind == "complete":
+        t_edges = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    elif kind == "blocks":
+        size = draw(st.integers(1, 5))
+        t_edges = [
+            (i, j)
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+            if (i - 1) // size == (j - 1) // size
+        ]
+    else:
+        offsets = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4))
+        t_edges = [(i, (i - 1 + a) % n + 1) for i in range(1, n + 1) for a in offsets]
+    # at least n I-edges, or most first-fit candidates coincide
+    pairs = st.tuples(vs, vs).filter(lambda p: p[0] != p[1])
+    return _pruned_or_reject(n, t_edges, draw(st.sets(pairs, min_size=n, max_size=3 * n)))
+
+
+@given(batched_tigraphs(), st.sampled_from([1e-10, 1e-4, 0.5]))
+@settings(max_examples=120, deadline=None)
+def test_independent_subshift_skip_never_changes_the_result(g, tol):
+    got = independent_subshift_bound(g, tol=tol)
+    expect = _reference_independent_subshift_bound(g, tol)
+    assert got == expect
+    assert got.value.hex() == expect.value.hex()
 
 
 # --- complete_digraph_bound -------------------------------------------------
@@ -578,6 +675,26 @@ def test_best_bound_records_failures_without_aborting(dbl):
     failed = next(b for b in report.bounds if b.method == "higher_limit")
     assert "error" in failed.certificate
     assert report.best_bound().value >= LN2 / 2 - 1e-9  # others still ran
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("m_max", True),
+        ("m_max", 2.5),
+        ("m_max", "3"),
+        ("mis_budget", 1.5),
+        ("size_cap", True),
+        ("state_cap", 10.0),
+        ("tol", True),
+    ],
+    ids=["m_max_bool", "m_max_float", "m_max_str", "mis_budget_float", "size_cap_bool",
+         "state_cap_float", "tol_bool"],
+)
+def test_config_rejects_wrongly_typed_fields(field, value):
+    # a bool passes as 1, and m_max=2.5 reached best_bound as a raw TypeError
+    with pytest.raises(ValidationError, match=field):
+        Config(**{field: value})
 
 
 def test_best_bound_deterministic(dbl):

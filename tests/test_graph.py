@@ -104,6 +104,14 @@ def test_prune_removes_out_and_in_stranded():
     assert pruned.i.edges == ()
 
 
+def test_digraph_cols_are_the_transposed_rows(dbl):
+    t = Digraph.from_edges(3, [(1, 2), (1, 3), (3, 3)])
+    assert t.rows == (0b110, 0b000, 0b100)
+    assert t.cols == (0b000, 0b001, 0b101)
+    for j, col in enumerate(dbl.t.cols, start=1):
+        assert col == sum(1 << (i - 1) for i in range(1, 5) if dbl.t.rows[i - 1] >> (j - 1) & 1)
+
+
 def test_prune_keeps_two_cycle():
     g = TIGraph(Digraph.from_edges(2, [(1, 2), (2, 1)]), UGraph.from_edges(2, []))
     pruned, index_map = prune_stranded(g)
