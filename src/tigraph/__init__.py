@@ -77,8 +77,6 @@ from .spectral import SpectralResult, perron_eigenvalue, perron_eigenvalues, sft
 from .structure import (
     StructureReport,
     analyze_structure,
-    is_primitive,
-    period,
     primitive_components,
     primitivity_index,
     scc_decompose,

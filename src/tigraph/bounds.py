@@ -1,7 +1,9 @@
 """Entropy lower bounds for TI-graphs, the limit sequence, and the oracle.
 
-The bounds that depend on T's SCCs, periods and primitivity index read them
-from ``Digraph.structure``, so one report analyses T once.
+The bounds, ``limit_sequence`` and ``verify_bound`` read T's SCCs, periods,
+cyclic classes and primitivity indices from ``Digraph.structure``, so one
+report analyses T once; a lift's index follows from T's by
+gamma(T_[m]) = gamma(T) - 1 + m.
 
 The complete-digraph, primitive and component bounds are one class bound,
 log ind(I_C) / (p * gamma) on a cyclic class C of T: picking one vertex of
@@ -64,7 +66,7 @@ from .higher import (
 from .independence import DEFAULT_BUDGET, max_independent_set
 from .sofic import DEFAULT_STATE_CAP, clique_components_check, sofic_entropy
 from .spectral import DEFAULT_TOL, perron_eigenvalue, perron_eigenvalues, sft_entropy
-from .structure import analyze_structure, higher_gamma, primitivity_index
+from .structure import higher_gamma
 
 METHOD_ORDER = (
     "independent_subshift",
@@ -83,11 +85,6 @@ METHOD_ORDER = (
 # is about 9 % slower.  Those RSS figures include every pass's stdout, which
 # bench/run.py keeps until its gate runs, so they grow with the pass count.
 SUBSHIFT_BATCH = 8
-
-# Direct recomputation of the lifted primitivity index is used to confirm
-# the shift formula gamma(T_[m]) = gamma(T) - 1 + m at small m.
-GAMMA_CROSSCHECK_M = 3
-GAMMA_CROSSCHECK_MAX_VERTICES = 4096
 
 
 @dataclass(frozen=True)
@@ -347,9 +344,9 @@ def limit_sequence(
     """Per-m data of the higher-shift sequence for m = 1..m_max.
 
     For primitive T the lifted primitivity index follows
-    gamma(T_[m]) = gamma(T) - 1 + m, recomputed directly for small m as a
-    consistency check, and the running supremum of log(ind)/gamma is a
-    certified bound.  Otherwise only log(ind)/m is reported, as an
+    gamma(T_[m]) = gamma(T) - 1 + m from T's own gamma, so no lift is
+    analysed, and the running supremum of log(ind)/gamma is a certified
+    bound.  Otherwise only log(ind)/m is reported, as an
     estimate.  The sequence is truncated (with a flag) when the word count
     passes ``size_cap``.  Raw values need not be monotone in m.
     """
@@ -366,13 +363,7 @@ def limit_sequence(
             truncated = True
             break
         mis = max_independent_set(lift.lifted.i, budget=mis_budget)
-        gamma = None
-        if primitive:
-            gamma = higher_gamma(gamma_base, g.n, m)
-            if m <= GAMMA_CROSSCHECK_M and lift.lifted.n <= GAMMA_CROSSCHECK_MAX_VERTICES:
-                direct = primitivity_index(lift.lifted.t)
-                if direct != gamma:
-                    raise AssertionError(f"lifted primitivity index {direct} != {gamma}")
+        gamma = higher_gamma(gamma_base, g.n, m) if primitive else None
         entries.append(
             LimitEntry(
                 m=m,
@@ -604,7 +595,7 @@ def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
             return False
         if type(p) is not int or type(gamma) is not int or type(cert.get("mis_exact")) is not bool:
             return False
-        for _, q, c, gs in analyze_structure(g.t).classes():
+        for _, q, c, gs in g.t.structure.classes():
             if gs is not None and set(c) == set(cls) and q == p and gs == gamma:
                 return abs(math.log(len(chosen)) / (q * gs) - bound.value) <= tol
         return False
@@ -639,7 +630,7 @@ def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
         divisor = m
         if bound.certified:
             # only primitive T turns the per-m values into bounds
-            report = analyze_structure(g.t)
+            report = g.t.structure
             if not report.primitive:
                 return False
             divisor = higher_gamma(report.gamma(), g.n, m)

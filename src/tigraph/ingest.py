@@ -83,14 +83,6 @@ class CircleMap:
         if expect != 1:
             raise ValidationError("pieces must end exactly at 1")
 
-    def piece_at(self, x: Fraction) -> AffinePiece:
-        """Piece owning the fractional part of x (domains are [lo, hi))."""
-        frac_x = x - math.floor(x)
-        for p in self.pieces:
-            if p.lo <= frac_x < p.hi:
-                return p
-        raise AssertionError("pieces tile [0,1)")
-
 
 @dataclass(frozen=True)
 class Arc:

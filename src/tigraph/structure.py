@@ -8,7 +8,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from .errors import NotPrimitiveError, SizeCapExceeded, ValidationError
-from .graph import Digraph
+from .graph import Digraph, bits_of
 
 # Direct primitivity search needs n^2-bit scratch matrices; refuse beyond this.
 MAX_PRIMITIVITY_VERTICES = 16_384
@@ -122,69 +122,51 @@ def _bfs_levels(t: Digraph, comp: list[int]) -> dict[int, int]:
     return level
 
 
-def _period_of(t: Digraph, comp: list[int], level: dict[int, int]) -> int:
-    """gcd of level(u) + 1 - level(w) over the edges inside ``comp``."""
-    g = 0
-    for u in comp:
-        for w in t.succ[u - 1]:
-            if w in level:
-                g = gcd(g, level[u] + 1 - level[w])
-    if g == 0:
-        raise ValidationError("component contains no cycle; period undefined")
-    return abs(g)
-
-
-def period(t: Digraph, scc: Iterable[int]) -> int:
-    """gcd of the lengths of all cycles through the given component.
-
-    Cycle length counts edge steps.  Computed as the gcd of
-    level(u) + 1 - level(v) over the component's edges, with levels from a
-    BFS layering.
-    """
-    comp = sorted(set(scc))
-    return _period_of(t, comp, _bfs_levels(t, comp))
-
-
 def primitive_components(t: Digraph, scc: Iterable[int]) -> list[tuple[tuple[int, ...], Digraph]]:
     """Split one SCC of period p into its p cyclic classes.
 
-    Returns, for each class in cyclic order starting at the class of the
-    smallest vertex, the class vertex tuple and the class-transition digraph
-    (reindexed onto 1..|class|): edges are the length-p paths of T that stay
-    inside the SCC.  Each returned digraph is primitive.
+    The period is the gcd of level(u) + 1 - level(w) over the SCC's edges,
+    with levels from a BFS layering.  Returns, for each class in cyclic
+    order starting at the class of the smallest vertex, the class vertex
+    tuple and the class-transition digraph (reindexed onto 1..|class|):
+    edges are the length-p paths of T that stay inside the SCC.  Each
+    returned digraph is primitive.  Raises ValidationError when ``scc`` is
+    not one SCC or has no cycle.
     """
     comp = sorted(set(scc))
-    members = set(comp)
     level = _bfs_levels(t, comp)
-    p = _period_of(t, comp, level)
+    p = 0
+    for u in comp:
+        for w in t.succ[u - 1]:
+            if w in level:
+                p = gcd(p, level[u] + 1 - level[w])
+    if p == 0:
+        raise ValidationError("component contains no cycle; period undefined")
 
+    # comp is sorted, so each class is too
     classes: list[list[int]] = [[] for _ in range(p)]
     for v in comp:
         classes[level[v] % p].append(v)
-    for cls in classes:
-        cls.sort()
 
     # p-th boolean power restricted to the SCC, via local bitset rows.
     local = {v: k for k, v in enumerate(comp)}
     rows = [0] * len(comp)
     for v in comp:
         for w in t.succ[v - 1]:
-            if w in members:
+            if w in level:
                 rows[local[v]] |= 1 << local[w]
     power = rows
     for _ in range(p - 1):
         power = _bool_mul(rows, power)
 
+    # a class's local bits ascend with its vertices, so each successor tuple
+    # comes out strictly increasing
     out = []
     for cls in classes:
-        pos = {v: k for k, v in enumerate(cls)}
-        edges = []
-        for v in cls:
-            reach = power[local[v]]
-            for w in cls:
-                if reach >> local[w] & 1:
-                    edges.append((pos[v] + 1, pos[w] + 1))
-        out.append((tuple(cls), Digraph.from_edges(len(cls), edges)))
+        pos = {local[v]: k for k, v in enumerate(cls, start=1)}
+        mask = sum(1 << b for b in pos)
+        succ = tuple(tuple(pos[b] for b in bits_of(power[local[v]] & mask)) for v in cls)
+        out.append((tuple(cls), Digraph(len(cls), succ)))
     return out
 
 
@@ -212,18 +194,17 @@ def _check_search_size(n: int) -> None:
         raise SizeCapExceeded(f"primitivity search unavailable for n={n}")
 
 
-def primitivity_index(t: Digraph, cap: int | None = None) -> int:
+def primitivity_index(t: Digraph) -> int:
     """Least k with the k-th boolean power of the adjacency matrix all-positive.
 
-    Searches incrementally up to ``cap`` (default: the Wielandt bound
-    n^2 - 2n + 2) and raises NotPrimitiveError beyond it, which signals a
-    period > 1 or a non-irreducible input.  Each step is A^(k+1) = A * A^k,
-    one OR per edge of the graph.
+    Searches incrementally up to the Wielandt bound n^2 - 2n + 2 and raises
+    NotPrimitiveError beyond it, which signals a period > 1 or a
+    non-irreducible input.  Each step is A^(k+1) = A * A^k, one OR per edge
+    of the graph.
     """
     n = t.n
     _check_search_size(n)
-    if cap is None:
-        cap = wielandt_cap(n)
+    cap = wielandt_cap(n)
     full = (1 << n) - 1
     rows = list(t.rows)
     power = rows
@@ -233,18 +214,7 @@ def primitivity_index(t: Digraph, cap: int | None = None) -> int:
             return k
         power = _bool_mul(rows, power)
         k += 1
-    raise NotPrimitiveError(f"no all-positive power up to cap {cap}")
-
-
-def is_primitive(t: Digraph) -> bool:
-    """True iff t is strongly connected with period 1 (and has a cycle)."""
-    comps = scc_decompose(t)
-    if len(comps) != 1:
-        return False
-    comp = comps[0]
-    if len(comp) == 1 and comp[0] not in t.succ[comp[0] - 1]:
-        return False
-    return period(t, comp) == 1
+    raise NotPrimitiveError(f"no all-positive power up to the Wielandt bound {cap}")
 
 
 def higher_gamma(gamma: int, n: int, m: int) -> int:
@@ -263,7 +233,7 @@ class StructureReport:
     ``periods[k]`` is None for a singleton SCC without a self-loop (no
     recurrent dynamics); ``components[k]`` lists that SCC's cyclic classes
     with their class-transition digraphs, and ``gammas[k]`` the matching
-    primitivity indices (None where the search cap was hit).
+    primitivity indices (None where a class is too large for the search).
     """
 
     sccs: tuple[tuple[int, ...], ...]
@@ -313,9 +283,10 @@ def analyze_structure(t: Digraph) -> StructureReport:
         components.append(comps)
         row: list[int | None] = []
         for _, block in comps:
+            # a class's p-step digraph is primitive, so only its size can refuse it
             try:
                 row.append(primitivity_index(block))
-            except (NotPrimitiveError, SizeCapExceeded):
+            except SizeCapExceeded:
                 row.append(None)
         gammas.append(tuple(row))
     return StructureReport(sccs, tuple(periods), tuple(components), tuple(gammas))

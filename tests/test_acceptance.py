@@ -16,12 +16,10 @@ from tigraph import (
     Config,
     best_bound,
     higher_graph,
-    is_primitive,
     limit_sequence,
     max_independent_set,
     oracle_separated_count,
     perron_eigenvalue,
-    period,
     primitive_bound,
     primitivity_index,
     scc_decompose,
@@ -46,7 +44,7 @@ def _report(k: int, detail: str) -> None:
 def test_criterion_1_doubling_fixture(dbl):
     start = time.perf_counter()
     assert scc_decompose(dbl.t) == [(1, 2, 3, 4)]
-    assert period(dbl.t, (1, 2, 3, 4)) == 1
+    assert dbl.t.structure.periods == (1,)
     assert primitivity_index(dbl.t) == 2
     mis = max_independent_set(dbl.i)
     assert mis.size == 2 and mis.exact
@@ -150,7 +148,7 @@ def test_criterion_7_property_suite(dbl):
             assert max_independent_set(lift.lifted.i).size >= base_ind
 
         # primitivity-index shift law on primitive instances
-        if g.n >= 2 and is_primitive(g.t):
+        if g.n >= 2 and g.t.structure.primitive:
             gamma = primitivity_index(g.t)
             assert gamma <= wielandt_cap(g.n)
             for m in (2, 3, 4):

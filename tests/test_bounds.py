@@ -34,7 +34,6 @@ from tigraph import (
     higher_graph,
     independent_subshift_bound,
     induced_subgraph,
-    is_primitive,
     limit_sequence,
     max_independent_set,
     oracle_separated_count,
@@ -529,6 +528,30 @@ def test_running_supremum_is_monotone_in_m_max(dbl):
     assert values == sorted(values)
 
 
+def test_doubling_limit_script_prints_the_gamma_normalized_sequence():
+    # the lifted gammas m + 1 come from gamma(T) = 2 by the shift law
+    script = Path(__file__).resolve().parents[1] / "scripts" / "doubling_limit.py"
+    src = str(Path(tigraph.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, str(script), "--m-max", "4"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "  m      ind  gamma  ln(ind)/gamma    ln(ind)/m\n"
+        "  1        2      2    0.346573590  0.693147181\n"
+        "  2        4      3    0.462098120  0.693147181\n"
+        "  3        8      4    0.519860385  0.693147181\n"
+        "  4       16      5    0.554517744  0.693147181\n"
+        "\n"
+        "best certified bound: 0.554517744 at m=4 (target ln 2 = 0.693147181)\n"
+    )
+
+
 # --- oracle ------------------------------------------------------------------
 
 def test_oracle_dbl_counts(dbl):
@@ -936,7 +959,7 @@ def _reference_verify_class_bound(g, bound, tol=1e-9):
             return False
         if type(cert.get("gamma")) is not int:
             return False
-        if not is_primitive(g.t) or primitivity_index(g.t) != cert.get("gamma"):
+        if not analyze_structure(g.t).primitive or primitivity_index(g.t) != cert.get("gamma"):
             return False
         return abs(math.log(len(cert["independent_set"])) / cert["gamma"] - bound.value) <= tol
 
@@ -1014,34 +1037,29 @@ def test_verify_bound_matches_separate_checks_on_mutated_certificates(dbl, perio
     assert min(decisions.values()) > 100, decisions
 
 
-def test_best_bound_analyses_base_t_once(dbl, monkeypatch):
+def test_best_bound_analyses_base_t_once(dbl):
     import tigraph.structure
 
     # a fresh copy: the session fixture's T may already hold its analysis
     g = TIGraph(Digraph(dbl.n, dbl.t.succ), dbl.i)
-    lifts = []  # kept alive so that no later graph reuses a lifted T's id
-    calls = {"scc_decompose": 0, "primitivity_index": 0}
+    names = {
+        getattr(tigraph.structure, name).__code__: name
+        for name in ("scc_decompose", "primitivity_index")
+    }
+    calls = dict.fromkeys(names.values(), 0)
 
-    def lifting(*args, **kwargs):
-        lifts.append(higher_graph(*args, **kwargs))
-        return lifts[-1]
+    def count(frame, event, arg):
+        # keyed by code object: calls through any module's binding, on T or
+        # on any lift, are all counted
+        if event == "call" and frame.f_code in names:
+            calls[names[frame.f_code]] += 1
 
-    def counting(name):
-        original = getattr(tigraph.structure, name)
-
-        def wrapper(t, *args, **kwargs):
-            # the m=1 lift has T's edges too; its cross-check is not counted
-            if t == g.t and all(t is not lift.lifted.t for lift in lifts):
-                calls[name] += 1
-            return original(t, *args, **kwargs)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(tigraph.structure, name, counting(name))
-    monkeypatch.setattr(tigraph.bounds, "primitivity_index", tigraph.structure.primitivity_index)
-    monkeypatch.setattr(tigraph.bounds, "higher_graph", lifting)
-    best_bound(g, Config(m_max=3))
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        best_bound(g, Config(m_max=3))
+    finally:
+        sys.setprofile(previous)
     assert calls == {"scc_decompose": 1, "primitivity_index": 1}
 
 

@@ -19,7 +19,6 @@ from tigraph import (
     TIGraph,
     UGraph,
     higher_graph,
-    is_primitive,
     max_independent_set,
     oracle_separated_count,
     primitivity_index,
@@ -186,7 +185,7 @@ def test_gamma_formula_on_random_primitive_graphs():
     checked = 0
     while checked < 25:
         g = random_pruned_tigraph(rng, n_max=6)
-        if g.n < 2 or not is_primitive(g.t):
+        if g.n < 2 or not g.t.structure.primitive:
             continue
         gamma = primitivity_index(g.t)
         for m in (2, 3, 4):

@@ -1,5 +1,7 @@
 """SCC decomposition, periods, primitive components, primitivity index."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,6 @@ from tigraph import (
     NotPrimitiveError,
     ValidationError,
     analyze_structure,
-    is_primitive,
-    period,
     primitive_components,
     primitivity_index,
     scc_decompose,
@@ -43,22 +43,24 @@ def test_scc_two_components_one_singleton():
 
 def test_period_two_cycle():
     t = Digraph.from_edges(2, [(1, 2), (2, 1)])
-    assert period(t, (1, 2)) == 2
+    assert t.structure.periods == (2,)
 
 
 def test_period_dbl(dbl):
-    assert period(dbl.t, (1, 2, 3, 4)) == 1
+    assert dbl.t.structure.periods == (1,)
 
 
 def test_period_self_loop():
     t = Digraph.from_edges(1, [(1, 1)])
-    assert period(t, (1,)) == 1
+    assert t.structure.periods == (1,)
 
 
 def test_period_rejects_acyclic_singleton():
-    t = Digraph.from_edges(2, [(1, 2), (2, 1)])
-    with pytest.raises(ValidationError):
-        period(t, (1,))
+    t = Digraph.from_edges(2, [(1, 2), (2, 2)])
+    assert t.structure.periods == (None, 1)
+    for g in (t, Digraph.from_edges(2, [(1, 2), (2, 1)])):
+        with pytest.raises(ValidationError, match="no cycle"):
+            primitive_components(g, (1,))
 
 
 def test_primitive_components_four_cycle():
@@ -79,7 +81,7 @@ def test_primitive_components_trivial_when_aperiodic(dbl):
 
 def test_primitive_components_period_two(period2_fixture):
     t = period2_fixture.t
-    assert period(t, tuple(range(1, 9))) == 2
+    assert t.structure.periods == (2,)
     comps = primitive_components(t, range(1, 9))
     assert [cls for cls, _ in comps] == [(1, 2, 3, 4), (5, 6, 7, 8)]
     for _, block in comps:
@@ -114,11 +116,11 @@ def test_primitivity_index_rejects_periodic():
 
 
 def test_is_primitive(dbl, period2_fixture):
-    assert is_primitive(dbl.t)
-    assert not is_primitive(period2_fixture.t)
-    assert not is_primitive(Digraph.from_edges(2, [(1, 1), (1, 2), (2, 2)]))
-    assert is_primitive(Digraph.from_edges(1, [(1, 1)]))
-    assert not is_primitive(Digraph.from_edges(2, [(1, 2), (2, 1)]))
+    assert dbl.t.structure.primitive
+    assert not period2_fixture.t.structure.primitive
+    assert not Digraph.from_edges(2, [(1, 1), (1, 2), (2, 2)]).structure.primitive
+    assert Digraph.from_edges(1, [(1, 1)]).structure.primitive
+    assert not Digraph.from_edges(2, [(1, 2), (2, 1)]).structure.primitive
 
 
 def test_analyze_structure_skips_acyclic_singletons():
@@ -128,6 +130,19 @@ def test_analyze_structure_skips_acyclic_singletons():
     assert report.periods == (1, None, 1)
     assert report.components[1] is None
     assert report.gammas == ((1,), None, (1,))
+
+
+def test_analyze_structure_lets_a_class_gamma_failure_propagate(monkeypatch):
+    # a class's p-step digraph is primitive: NotPrimitiveError there is a bug,
+    # never a class without gamma
+    import tigraph.structure
+
+    def refuse(t):
+        raise NotPrimitiveError("class digraph is not primitive")
+
+    monkeypatch.setattr(tigraph.structure, "primitivity_index", refuse)
+    with pytest.raises(NotPrimitiveError):
+        analyze_structure(Digraph.from_edges(2, [(1, 2), (2, 1)]))
 
 
 @st.composite
@@ -158,14 +173,11 @@ def test_period_divides_every_cycle_length(t):
     import networkx as nx
 
     nxg = nx.DiGraph(t.edges())
-    a = adjacency_matrix(t)
-    for comp in scc_decompose(t):
-        if len(comp) == 1 and not a[comp[0] - 1, comp[0] - 1]:
-            continue
-        p = period(t, comp)
-        members = set(comp)
-        for cycle in nx.simple_cycles(nxg.subgraph(members)):
-            assert len(cycle) % p == 0
+    report = analyze_structure(t)
+    for comp, p in zip(report.sccs, report.periods):
+        lengths = [len(c) for c in nx.simple_cycles(nxg.subgraph(comp))]
+        # the period is the gcd of the cycle lengths; an acyclic singleton has none
+        assert p == (math.gcd(*lengths) if lengths else None)
 
 
 @given(pruned_digraphs(n_max=7))
@@ -206,10 +218,9 @@ def test_class_edges_rotate_between_classes(t):
 # --- boolean powers against the A^k * A order ----------------------------------
 
 
-def _reference_primitivity_index(t, cap=None):
+def _reference_primitivity_index(t):
     """Least all-positive power, stepping A^(k+1) = A^k * A."""
-    if cap is None:
-        cap = wielandt_cap(t.n)
+    cap = wielandt_cap(t.n)
     full = (1 << t.n) - 1
     rows = list(t.rows)
     power = rows
@@ -219,14 +230,13 @@ def _reference_primitivity_index(t, cap=None):
             return k
         power = _bool_mul(power, rows)
         k += 1
-    raise NotPrimitiveError(f"no all-positive power up to cap {cap}")
+    raise NotPrimitiveError(f"no all-positive power up to the Wielandt bound {cap}")
 
 
 def _reference_primitive_components(t, scc):
     """Cyclic classes and their p-step digraphs, with A^(k+1) = A^k * A."""
     comp = sorted(set(scc))
     members = set(comp)
-    p = period(t, comp)
     level = {comp[0]: 0}
     frontier = [comp[0]]
     while frontier:
@@ -237,6 +247,12 @@ def _reference_primitive_components(t, scc):
                     level[w] = level[u] + 1
                     nxt.append(w)
         frontier = nxt
+    # every cycle's length is a sum of level(u) + 1 - level(w) over its edges
+    p = 0
+    for u in comp:
+        for w in t.succ[u - 1]:
+            if w in members:
+                p = math.gcd(p, level[u] + 1 - level[w])
     classes = [sorted(v for v in comp if level[v] % p == r) for r in range(p)]
     local = {v: k for k, v in enumerate(comp)}
     rows = [0] * len(comp)
@@ -280,18 +296,18 @@ def shaped_digraphs(draw, n_max=12):
     return Digraph.from_edges(n, edges)
 
 
-def _gamma_or_error(fn, t, cap):
+def _gamma_or_error(fn, t):
     try:
-        return fn(t, cap)
+        return fn(t)
     except NotPrimitiveError as exc:
         return str(exc)
 
 
-@given(shaped_digraphs(), st.one_of(st.none(), st.integers(0, 30)))
+@given(shaped_digraphs())
 @settings(max_examples=200, deadline=None)
-def test_primitivity_index_matches_the_other_power_order(t, cap):
-    expect = _gamma_or_error(_reference_primitivity_index, t, cap)
-    assert _gamma_or_error(primitivity_index, t, cap) == expect
+def test_primitivity_index_matches_the_other_power_order(t):
+    expect = _gamma_or_error(_reference_primitivity_index, t)
+    assert _gamma_or_error(primitivity_index, t) == expect
 
 
 @given(shaped_digraphs())
@@ -302,4 +318,4 @@ def test_primitive_components_match_the_other_power_order(t):
         if comps is None:
             continue
         assert comps == tuple(_reference_primitive_components(t, comp))
-        assert p == period(t, comp)
+        assert p == len(comps)
