@@ -73,7 +73,7 @@ from .sofic import (
     right_resolve,
     sofic_entropy,
 )
-from .spectral import SpectralResult, perron_eigenvalue, perron_eigenvalues, sft_entropy
+from .spectral import SpectralResult, perron_eigenvalue, sft_entropy
 from .structure import (
     StructureReport,
     analyze_structure,

@@ -102,8 +102,9 @@ def _tarjan(n: int, succ: tuple[tuple[int, ...], ...]) -> list[list[int]]:
 def _bfs_levels(t: Digraph, comp: list[int]) -> dict[int, int]:
     """BFS depth of each vertex of ``comp`` from its smallest, inside ``comp``.
 
-    Raises ValidationError when some vertex is not reached, i.e. the set is
-    not one strongly connected component.
+    Raises ValidationError when some vertex does not reach, or is not reached
+    from, the smallest inside ``comp``, i.e. the set is not one strongly
+    connected component.
     """
     members = set(comp)
     root = comp[0]
@@ -117,7 +118,14 @@ def _bfs_levels(t: Digraph, comp: list[int]) -> dict[int, int]:
                     level[w] = level[u] + 1
                     nxt.append(w)
         frontier = nxt
-    if len(level) != len(members):
+    reaches_root = {root}
+    stack = [root]
+    while stack:
+        for u in t.pred[stack.pop() - 1]:
+            if u in members and u not in reaches_root:
+                reaches_root.add(u)
+                stack.append(u)
+    if len(level) != len(members) or len(reaches_root) != len(members):
         raise ValidationError("vertex set is not a single strongly connected component")
     return level
 

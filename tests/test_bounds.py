@@ -180,7 +180,7 @@ def test_independent_subshift_matches_one_solve_per_candidate(g):
 
 @pytest.mark.parametrize("rotation", [0, 55])
 def test_independent_subshift_matches_one_solve_per_candidate_on_wide_cover(rotation):
-    # 200 arcs under x -> 3x: 100 distinct candidates, several batches
+    # 200 arcs under x -> 3x: 100 distinct candidates
     arcs = [
         Arc.from_endpoints(Fraction(5 * i - 1, 1000), Fraction(5 * (i + 1) + 1, 1000))
         for i in range(200)
@@ -192,17 +192,16 @@ def test_independent_subshift_matches_one_solve_per_candidate_on_wide_cover(rota
 
 
 def _counting_perron(monkeypatch):
-    """Record the matrix count of every batch the subshift bound solves."""
-    batches = []
-    solve = tigraph.bounds.perron_eigenvalues
+    """Record every matrix the subshift bound solves."""
+    solved = []
+    solve = tigraph.bounds.perron_eigenvalue
 
-    def counting(mats, **kwargs):
-        mats = list(mats)
-        batches.append(len(mats))
-        return solve(mats, **kwargs)
+    def counting(a, **kwargs):
+        solved.append(a)
+        return solve(a, **kwargs)
 
-    monkeypatch.setattr(tigraph.bounds, "perron_eigenvalues", counting)
-    return batches
+    monkeypatch.setattr(tigraph.bounds, "perron_eigenvalue", counting)
+    return solved
 
 
 @pytest.mark.parametrize("rotation", [0, 55])
@@ -210,7 +209,7 @@ def test_independent_subshift_skips_candidates_that_cannot_win_on_wide_cover(
     rotation, monkeypatch
 ):
     # every candidate has lambda <= 2 by row and column sums, and the MIS
-    # witness already reaches log 2: only the first batch is solved
+    # witness already reaches log 2: only the MIS witness is solved
     arcs = [
         Arc.from_endpoints(Fraction(5 * i - 1, 1000), Fraction(5 * (i + 1) + 1, 1000))
         for i in range(200)
@@ -219,20 +218,20 @@ def test_independent_subshift_skips_candidates_that_cannot_win_on_wide_cover(
     cmap = CircleMap((AffinePiece(Fraction(0), Fraction(1), Fraction(3), Fraction(0)),))
     g, _ = prune_stranded(ti_from_circle(cmap, cover))
     expect = _reference_independent_subshift_bound(g)
-    batches = _counting_perron(monkeypatch)
+    solved = _counting_perron(monkeypatch)
     got = independent_subshift_bound(g)
-    assert sum(batches) <= tigraph.bounds.SUBSHIFT_BATCH
-    assert 0 not in batches
+    assert len(solved) == 1
     assert got == expect
     assert got.value.hex() == expect.value.hex()
 
 
-def test_independent_subshift_winner_in_a_later_batch_is_solved(monkeypatch):
+def test_independent_subshift_winner_after_skipped_candidates_is_solved(monkeypatch):
     # I pairs 2k-1 with 2k, and first fit from the even seed 2k swaps 2k-1
     # for 2k in the all-odd set.  Every vertex has a loop; 1 <-> 3 gives the
-    # first batch lambda 2, and {18, 19, 21} is a complete digraph, so only
-    # the seed-18 set, which comes after the first batch, reaches lambda 3.
-    # Its smallest row sum is 1, so a bound that took minima would skip it.
+    # earlier candidates lambda 2, and {18, 19, 21} is a complete digraph, so
+    # only the seed-18 set reaches lambda 3.  Some candidates before it are
+    # skipped; its smallest row sum is 1, so a bound that took minima would
+    # skip it too.
     n = 24
     triangle = [(a, b) for a in (18, 19, 21) for b in (18, 19, 21)]
     t = Digraph.from_edges(n, [(v, v) for v in range(1, n + 1)] + [(1, 3), (3, 1)] + triangle)
@@ -240,17 +239,18 @@ def test_independent_subshift_winner_in_a_later_batch_is_solved(monkeypatch):
     winner = sorted({*range(1, n, 2), 18} - {17})
     assert 18 not in max_independent_set(g.i).witness
     expect = _reference_independent_subshift_bound(g)
-    batches = _counting_perron(monkeypatch)
+    solved = _counting_perron(monkeypatch)
     got = independent_subshift_bound(g)
     assert got.certificate["independent_set"] == winner
     assert abs(got.value - math.log(3)) <= 1e-9
-    assert len(batches) >= 2 and 0 not in batches
+    # the all-odd set and the 12 even-seed sets are 13 distinct candidates
+    assert 0 < len(solved) < 13
     assert got == expect
 
 
 @st.composite
-def batched_tigraphs(draw):
-    """Pruned graphs on 9..40 vertices, so that later batches exist.
+def many_candidate_tigraphs(draw):
+    """Pruned graphs on 9..40 vertices, so that many distinct candidates exist.
 
     Complete T and disjoint complete blocks have u_S = lambda_S for every
     S, the tight case of the skip's margin; circulant T is regular.
@@ -278,7 +278,7 @@ def batched_tigraphs(draw):
     return _pruned_or_reject(n, t_edges, draw(st.sets(pairs, min_size=n, max_size=3 * n)))
 
 
-@given(batched_tigraphs(), st.sampled_from([1e-10, 1e-4, 0.5]))
+@given(many_candidate_tigraphs(), st.sampled_from([1e-10, 1e-4, 0.5]))
 @settings(max_examples=120, deadline=None)
 def test_independent_subshift_skip_never_changes_the_result(g, tol):
     got = independent_subshift_bound(g, tol=tol)

@@ -17,7 +17,6 @@ from tigraph import (
     SpectralResult,
     ValidationError,
     perron_eigenvalue,
-    perron_eigenvalues,
     sft_entropy,
 )
 from tigraph.spectral import _to_csr
@@ -233,7 +232,7 @@ def test_importing_the_cli_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-# --- batched iteration against the one-matrix loop ----------------------------
+# --- the iteration against an independent reference loop ---------------------
 
 
 def _reference_sccs(n, indptr, indices):
@@ -393,14 +392,11 @@ def _as_input(a, form):
 input_forms = st.sampled_from(["dense", "digraph", "scipy"])
 
 
-@given(st.lists(st.tuples(block_matrices(), input_forms), max_size=8))
-@settings(max_examples=120, deadline=None)
-def test_batched_results_are_bitwise_the_one_matrix_loop(mats):
-    mats = [_as_input(a, form) for a, form in mats]
-    expect = [_bits(_reference_perron(a)) for a in mats]
-    assert [_bits(r) for r in perron_eigenvalues(mats)] == expect
-    assert [_bits(perron_eigenvalue(a)) for a in mats] == expect
-    assert [_bits(r) for r in perron_eigenvalues(iter(mats))] == expect
+@given(block_matrices(), input_forms)
+@settings(max_examples=300, deadline=None)
+def test_results_are_bitwise_the_reference_loop(a, form):
+    a = _as_input(a, form)
+    assert _bits(perron_eigenvalue(a)) == _bits(_reference_perron(a))
 
 
 def _outcome(fn):
@@ -418,7 +414,7 @@ def _outcome(fn):
 def test_iteration_cap_raises_for_the_first_failing_matrix_and_block(mats, cap):
     mats = [_as_input(a, form) for a, form in mats]
     expect = _outcome(lambda: [_reference_perron(a, iteration_cap=cap) for a in mats])
-    assert _outcome(lambda: perron_eigenvalues(mats, iteration_cap=cap)) == expect
+    assert _outcome(lambda: [perron_eigenvalue(a, iteration_cap=cap) for a in mats]) == expect
 
 
 def test_iteration_cap_error_names_the_first_block():
@@ -432,18 +428,4 @@ def test_iteration_cap_error_names_the_first_block():
     a[3, 3] = 1
     expect = _outcome(lambda: [_reference_perron(a, iteration_cap=2)])
     assert expect[0] is NoConvergenceError and "block of size 3" in expect[1]
-    assert _outcome(lambda: perron_eigenvalues([a], iteration_cap=2)) == expect
-
-
-def test_invalid_matrix_after_a_failing_one_reports_the_earlier_failure():
-    slow = [[1, 1, 0], [0, 0, 1], [1, 0, 0]]
-    with pytest.raises(NoConvergenceError, match="block of size 3"):
-        perron_eigenvalues([slow, [[-1]]], iteration_cap=1)
-    with pytest.raises(ValidationError, match="nonnegative"):
-        perron_eigenvalues([[[1]], [[-1]], slow], iteration_cap=1)
-
-
-def test_perron_eigenvalues_of_no_matrices():
-    assert perron_eigenvalues([]) == []
-    with pytest.raises(ValidationError):
-        perron_eigenvalues([], tol=0)
+    assert _outcome(lambda: [perron_eigenvalue(a, iteration_cap=2)]) == expect

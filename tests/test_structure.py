@@ -63,6 +63,13 @@ def test_period_rejects_acyclic_singleton():
             primitive_components(g, (1,))
 
 
+def test_primitive_components_rejects_a_set_that_does_not_reach_its_smallest():
+    # 1 -> 2 and a loop at 2: both are reached from 1, but 2 never returns
+    t = Digraph.from_edges(2, [(1, 2), (2, 2)])
+    with pytest.raises(ValidationError, match="strongly connected"):
+        primitive_components(t, (1, 2))
+
+
 def test_primitive_components_four_cycle():
     t = Digraph.from_edges(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
     comps = primitive_components(t, (1, 2, 3, 4))
