@@ -7,24 +7,28 @@ arithmetic is exact (fractions built from the decimal literals of the
 input), so covering and intersection tests cannot suffer float ties.  The
 image of each arc is computed once in fractions (n computations); then
 every endpoint is written as an integer over one common denominator, and
-the n**2 pairwise tests are integer comparisons.  The common denominator
-grows with the input's denominators, which changes the cost of a
-comparison but never its outcome.  A comparison whose outcome would flip
-under a perturbation of at most 1e-12 raises DegenerateCoverError: the
-caller must move the offending endpoint.  Exact ties are allowed and
-resolved by the closed-arc reading (touching arcs intersect; a cover with
-zero slack satisfies margin 0).
+the pairwise tests are integer comparisons.  Only the pairs that can pass
+or tie are tested: the arcs are sorted once by start on the circle, and
+bisection finds the arcs that start inside an image run or near another
+arc, so the work grows with n log n and the number of pairs tested, not
+with n**2.  The common denominator grows with the input's denominators,
+which changes the cost of a comparison but never its outcome.  A
+comparison whose outcome would flip under a perturbation of at most 1e-12
+raises DegenerateCoverError: the caller must move the offending endpoint.
+Exact ties are allowed and resolved by the closed-arc reading (touching
+arcs intersect; a cover with zero slack satisfies margin 0).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateCoverError, ParseError, ValidationError
-from .graph import Digraph, TIGraph, UGraph
+from .graph import Digraph, TIGraph, UGraph, _check_vertex_count
 
 TIE_WIDTH = Fraction(1, 10**12)
 
@@ -169,17 +173,24 @@ def ti_from_circle(cmap: CircleMap, cover: IntervalCover, margin=0) -> TIGraph:
     interiors is realized by an actual orbit); I-edge {i, j} when the
     closed arcs N_i and N_j intersect.  The output is not pruned.
 
+    Raises SizeCapExceeded, before any image run is computed, when the
+    cover has more arcs than ``UGraph`` takes vertices.
+
     The n image-run computations use ``Fraction``.  Every endpoint is then
     scaled by one common denominator ``den`` (the lcm of all denominators
-    and 10**12) to an exact integer, so the n**2 covering and intersection
-    tests are integer comparisons.  ``den`` may grow with the input; the
-    results do not depend on its size, only the cost of each comparison does.
+    and 10**12) to an exact integer, so the covering and intersection tests
+    are integer comparisons.  The arcs are sorted once by start on the
+    circle; bisection then finds, for each image run and for each arc, the
+    only arcs whose slacks can pass or tie, and just those pairs are tested.
+    ``den`` may grow with the input; the results do not depend on its size,
+    only the cost of each comparison does.
     """
     margin = _frac(margin)
     if margin < 0:
         raise ValidationError("margin must be >= 0")
     arcs = cover.arcs
     n = len(arcs)
+    _check_vertex_count(n)
     runs = [_image_runs(cmap, arc) for arc in arcs]
     den = math.lcm(
         TIE_WIDTH.denominator,
@@ -192,58 +203,81 @@ def ti_from_circle(cmap: CircleMap, cover: IntervalCover, margin=0) -> TIGraph:
     def scaled(x: Fraction) -> int:
         return x.numerator * (den // x.denominator)
 
-    def decided(cases: list[list[list[int]]], what: tuple[str, ...], count: int) -> list[int]:
-        # The tests k < count that some case passes.  cases[c][s][k] is
-        # slack s (named what[s]) of case c in test k, in units of 1/den; a
-        # case passes when its slacks are all >= 0 (closed), checked in
-        # order up to the first that is not.  A slack with 0 < |d/den| <=
-        # 1e-12 is a near-tie (ambiguous input): the first test that no case
-        # passes raises the last tie among its cases, if any.
-        named = [list(zip(case, what)) for case in cases]
-        hits = []
-        for k in range(count):
-            tie = None
-            for case in named:
-                for slacks, name in case:
-                    d = slacks[k]
-                    if d == 0 or d > width:
-                        continue
-                    if d >= -width:
-                        tie = DegenerateCoverError(
-                            f"{name} decided by {float(Fraction(d, den)):+.2e}; perturb the input"
-                        )
-                    break
-                else:
-                    hits.append(k)
-                    break
+    def decided(cases: list[tuple[int, ...]], what: tuple[str, ...]) -> bool:
+        # Whether some case passes.  case[s] is slack s (named what[s]), in
+        # units of 1/den; a case passes when its slacks are all >= 0
+        # (closed), checked in order up to the first that is not.  A slack
+        # with 0 < |d/den| <= 1e-12 is a near-tie (ambiguous input): when no
+        # case passes, the last tie among the cases is raised, if any.
+        tie = None
+        for case in cases:
+            for d, name in zip(case, what):
+                if d == 0 or d > width:
+                    continue
+                if d >= -width:
+                    tie = DegenerateCoverError(
+                        f"{name} decided by {float(Fraction(d, den)):+.2e}; perturb the input"
+                    )
+                break
             else:
-                if tie is not None:
-                    raise tie
-        return hits
+                return True
+        if tie is not None:
+            raise tie
+        return False
 
     m = scaled(margin)
     starts = [scaled(arc.start) for arc in arcs]
     lengths = [scaled(arc.length) for arc in arcs]
+    # the arcs in order of their start on the circle, and those starts
+    order = sorted(range(n), key=lambda j: starts[j] % den)
+    keys = [starts[j] % den for j in order]
+
+    def window(a: int, w: int) -> list[int]:
+        # The arcs whose start lies in [a, a + w] on the circle.
+        if w >= den:
+            return order
+        a %= den
+        first = bisect_left(keys, a)
+        if a + w < den:
+            return order[first : bisect_right(keys, a + w)]
+        return order[first:] + order[: bisect_right(keys, a + w - den)]
+
     covering = ("covering (lower end)", "covering (upper end)")
+    shortest = min(lengths)
     t_edges = []
     for i, arc_runs in enumerate(runs, start=1):
-        cases = []
-        for ylo, yhi in arc_runs:
-            # the run shrunk by the margin is the window a target must fit
-            # in; lift each start to the first start + k*den >= lo
-            lo, room = scaled(ylo) + m, scaled(yhi) - scaled(ylo) - 2 * m
-            below = [(start - lo) % den for start in starts]
-            cases.append([below, [room - b - length for b, length in zip(below, lengths)]])
-        t_edges += [(i, j + 1) for j in decided(cases, covering, n)]
-    i_edges = []
+        # the run shrunk by the margin is the window a target must fit in;
+        # lift each start to the first start + k*den >= lo
+        shrunk = [(scaled(ylo) + m, scaled(yhi) - scaled(ylo) - 2 * m) for ylo, yhi in arc_runs]
+        # A case passes or ties only if its lower slack b is a tie (b <=
+        # width) or its upper slack room - b - length is >= -width, which
+        # needs b <= room + width - shortest.
+        candidates = set()
+        for lo, room in shrunk:
+            candidates.update(window(lo, max(width, room + width - shortest)))
+        for j in sorted(candidates):
+            cases = []
+            for lo, room in shrunk:
+                b = (starts[j] - lo) % den
+                cases.append((b, room - b - lengths[j]))
+            if decided(cases, covering):
+                t_edges.append((i, j + 1))
+    # Closed arcs i < j on the circle: lift j's start next to i's, at
+    # distance d, and compare on either side of it.  The inside slack
+    # length_i - d passes or ties only if j starts within length_i + width
+    # of i; for d > 0 the around slack d - den + length_j is length_j minus
+    # the distance from j's start to i's, so it passes or ties only if i
+    # starts within length_j + width of j.  Each arc's own window finds both.
+    pairs = set()
     for i in range(n):
-        # Closed arcs on the circle: lift each later start next to i's and
-        # compare, on either side of it.
-        d = [(start - starts[i]) % den for start in starts[i + 1 :]]
-        inside = [lengths[i] - dj for dj in d]
-        around = [dj - den + length for dj, length in zip(d, lengths[i + 1 :])]
-        hits = decided([[inside], [around]], ("arc intersection",), n - i - 1)
-        i_edges += [(i + 1, i + 2 + k) for k in hits]
+        for j in window(starts[i], lengths[i] + width):
+            if j != i:
+                pairs.add((min(i, j), max(i, j)))
+    i_edges = []
+    for i, j in sorted(pairs):
+        d = (starts[j] - starts[i]) % den
+        if decided([(lengths[i] - d,), (d - den + lengths[j],)], ("arc intersection",)):
+            i_edges.append((i + 1, j + 1))
     return TIGraph(Digraph.from_edges(n, t_edges), UGraph.from_edges(n, i_edges))
 
 

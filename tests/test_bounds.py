@@ -159,20 +159,25 @@ def _pruned_or_reject(n, t_edges, i_edges):
     return g
 
 
-def _i_edge_sets(n):
+def _i_edge_sets(n, min_size=0):
     vs = st.integers(1, n)
-    return st.sets(st.tuples(vs, vs).filter(lambda p: p[0] != p[1]), max_size=2 * n)
+    pairs = st.tuples(vs, vs).filter(lambda p: p[0] != p[1])
+    return st.sets(pairs, min_size=min_size, max_size=2 * n)
 
 
 @st.composite
-def pruned_tigraphs(draw, n_max=30):
+def pruned_tigraphs(draw, n_max=30, dense=False):
+    # dense draws at least n T-edges and min(n, n(n - 1)) ordered I-pairs,
+    # so that pruning keeps several vertices and the independent-subshift
+    # bound sees several distinct candidates
     n = draw(st.integers(1, n_max))
     vs = st.integers(1, n)
-    t_edges = draw(st.sets(st.tuples(vs, vs), min_size=1, max_size=3 * n))
-    return _pruned_or_reject(n, t_edges, draw(_i_edge_sets(n)))
+    t_edges = draw(st.sets(st.tuples(vs, vs), min_size=n if dense else 1, max_size=3 * n))
+    i_edges = draw(_i_edge_sets(n, min(n, n * (n - 1)) if dense else 0))
+    return _pruned_or_reject(n, t_edges, i_edges)
 
 
-@given(pruned_tigraphs())
+@given(pruned_tigraphs(dense=True))
 @settings(max_examples=150, deadline=None)
 def test_independent_subshift_matches_one_solve_per_candidate(g):
     _assert_subshift_matches_reference(g)

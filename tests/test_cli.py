@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import tigraph.graph
 from tigraph import serialize_tigraph
 from tigraph.cli import main
 
@@ -270,6 +271,16 @@ def test_ingest_identity_single_interval(tmp_path, capsys):
     code, out, _ = _run(capsys, ["ingest", str(p)])
     assert code == 0
     assert json.loads(out) == {"n": 1, "t_edges": [[1, 1]], "i_edges": []}
+
+
+def test_ingest_above_the_vertex_cap_exit_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tigraph.graph, "MAX_BITSET_VERTICES", 3)
+    p = tmp_path / "map.json"
+    p.write_text(DBL_MAP)
+    code, out, err = _run(capsys, ["ingest", str(p)])
+    assert code == 3
+    assert out == ""
+    assert err == "cap reached: bitset adjacency unavailable for n=4\n"
 
 
 def test_ingest_degenerate_tie_exit_2(tmp_path, capsys):

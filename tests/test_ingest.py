@@ -1,5 +1,6 @@
 """Circle-map ingest: covering relations, intersections, degeneracy guards."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -7,14 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tigraph.graph
+import tigraph.ingest
 from tigraph import (
     DegenerateCoverError,
     Digraph,
     EmptyGraphError,
+    SizeCapExceeded,
     TIGraph,
     UGraph,
     ValidationError,
     prune_stranded,
+    serialize_tigraph,
     ti_from_circle,
 )
 from tigraph.ingest import (
@@ -348,6 +353,15 @@ def test_near_ties_raise_like_reference(pairs, expected):
     assert _assert_matches_reference(IDENTITY, _near_cover(*pairs)) == expected
 
 
+def test_lower_end_tie_raises_when_no_arc_fits_the_run():
+    # margin 0.3 leaves the image of [0.2, 0.7] no room for any arc, yet the
+    # second arc starts 1e-13 past the shrunk image's lower end
+    cover = _near_cover(("0.2", "0.7"), (Fraction("0.5") + NEAR, "0.9"))
+    assert _assert_matches_reference(IDENTITY, cover, "0.3") == (
+        "DegenerateCoverError: covering (lower end) decided by +1.00e-13; perturb the input"
+    )
+
+
 def test_exact_touch_and_zero_slack_are_edges():
     cover = _near_cover(("0.2", "0.7"), ("0.2", "0.7"), ("0.7", "0.9"))
     g = _assert_matches_reference(IDENTITY, cover)
@@ -399,3 +413,83 @@ def test_wide_slope3_cover_matches_reference(rotation):
     cmap = CircleMap((AffinePiece(Fraction(0), Fraction(1), Fraction(3), Fraction(0)),))
     g = _assert_matches_reference(cmap, _slope3_cover(rotation))
     assert g.n == 200 and g.i.num_edges() == 200
+
+
+@st.composite
+def short_arc_covers(draw):
+    # Many short arcs, so each image run and each arc sees only part of the
+    # circle, and starts in [-1.5, 2.5] put windows across 0 in both lifts.
+    nudge = st.sampled_from([0, 0, 0, NEAR, -NEAR] if draw(st.booleans()) else [0])
+    arc_list = []
+    for _ in range(40 - draw(st.integers(0, 39))):
+        start = Fraction(draw(st.integers(-1500, 2500)), 1000) + draw(nudge)
+        length = Fraction(draw(st.integers(1, 50)), 1000) + draw(nudge)
+        arc_list.append(Arc(start, length))
+    return IntervalCover(tuple(arc_list))
+
+
+@given(
+    circle_maps(),
+    short_arc_covers(),
+    st.sampled_from(["0", "0.001", "0.01", "0.0000000000001"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_short_arc_ingest_matches_fraction_reference(cmap, cover, margin):
+    _assert_matches_reference(cmap, cover, margin)
+
+
+TRIPLING = CircleMap((AffinePiece(Fraction(0), Fraction(1), Fraction(3), Fraction(0)),))
+
+
+@pytest.mark.parametrize("cmap", [IDENTITY, TRIPLING, JUMP], ids=["identity", "tripling", "jump"])
+@pytest.mark.parametrize(
+    "arc_list",
+    [
+        # one start, written in several lifts
+        [Arc(Fraction(3, 10) + k, Fraction(k + 2, 100)) for k in (-1, 0, 1, 2)],
+        [Arc(0, "0.01"), Arc(1, "0.02"), Arc(-1, "0.5")],
+        # long arcs: under x -> 3x the image of the first takes every arc,
+        # and the second's intersection window is the whole circle
+        [Arc("0.1", "0.999")] + [Arc(Fraction(k, 7), "0.05") for k in range(7)],
+        [Arc("0.3", 1 - TIE_WIDTH / 2), Arc("0.5", "0.01"), Arc("0.2", "0.05")],
+        # starts below 0 and at or above 1
+        [
+            Arc("-0.001", "0.001"),
+            Arc(1, "0.01"),
+            Arc("-1.5", "0.03"),
+            Arc("1.99", "0.02"),
+            Arc("-0.01", "0.02"),
+        ],
+    ],
+    ids=["one-start", "one-start-at-0", "long-arc", "whole-circle-window", "starts-outside-0-1"],
+)
+def test_windows_at_the_edges_match_reference(cmap, arc_list):
+    _assert_matches_reference(cmap, IntervalCover(tuple(arc_list)))
+
+
+def test_cover_above_the_vertex_cap_is_refused_before_any_image_run(monkeypatch):
+    def no_image_runs(cmap, arc):
+        raise AssertionError("image run computed above the cap")
+
+    monkeypatch.setattr(tigraph.graph, "MAX_BITSET_VERTICES", 3)
+    monkeypatch.setattr(tigraph.ingest, "_image_runs", no_image_runs)
+    cover = _cover(("-0.1", "0.35"), ("0.15", "0.6"), ("0.4", "0.85"), ("0.65", "1.1"))
+    with pytest.raises(SizeCapExceeded, match="bitset adjacency unavailable for n=4"):
+        ti_from_circle(doubling_map(), cover)
+
+
+# sha256 of the serialized graph, as computed by the all-pairs ingest
+PIN_3000 = "8328b5bba6e29e371054eb43264235296b43ed6a8f92c2437838a26154a1f1d0"
+
+
+def test_3000_arc_tripling_cover_is_pinned():
+    # x -> 3x over arcs [(5i - 1)/15000, (5i + 6)/15000]: each image covers
+    # three arcs and each arc meets its two neighbours.  Too large for the
+    # Fraction reference in test time, so the bytes are pinned instead.
+    intervals = ", ".join(f'["{5 * i - 1}/15000", "{5 * i + 6}/15000"]' for i in range(3000))
+    spec = '{"pieces": [{"from": [0, 1], "slope": 3, "intercept": 0}], "intervals": [%s]}'
+    cmap, cover, margin = load_map_spec(spec % intervals)
+    g = ti_from_circle(cmap, cover, margin)
+    assert (g.t.num_edges(), g.i.num_edges()) == (9000, 3000)
+    digest = hashlib.sha256(serialize_tigraph(g).encode()).hexdigest()
+    assert digest == PIN_3000
