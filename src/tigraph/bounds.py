@@ -237,12 +237,13 @@ def _class_ind(g: TIGraph, cls: tuple[int, ...], mis_budget: int) -> tuple[float
 
 
 def complete_digraph_bound(g: TIGraph, mis_budget: int = DEFAULT_BUDGET) -> Bound:
-    """log(ind(I)) when T is the complete digraph (all n^2 edges); else 0.
+    """log(ind(I)) when T is the complete digraph (all n^2 edges).
 
-    The class bound on the all-vertex class with p = gamma = 1.
+    The class bound on the all-vertex class with p = gamma = 1.  Raises
+    ValidationError when T is not complete.
     """
     if g.t.num_edges() != g.n * g.n:
-        return Bound("complete_digraph", 0.0, True, False, {"applicable": False})
+        raise ValidationError("transition graph is not the complete digraph")
     log_ind, witness, exact = _class_ind(g, tuple(range(1, g.n + 1)), mis_budget)
     cert = {"applicable": True, "independent_set": witness, "mis_exact": exact}
     return Bound("complete_digraph", log_ind, True, False, cert)
@@ -560,9 +561,8 @@ def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
         return abs(math.log(max(lam, 1.0)) - bound.value) <= tol
 
     if method in ("complete_digraph", "primitive", "component"):
-        # each is log ind(I_C) / (p * gamma) on a cyclic class C of T
-        if method == "complete_digraph" and not cert.get("applicable"):
-            return bound.value == 0.0
+        # each is log ind(I_C) / (p * gamma) on a cyclic class C of T; only
+        # complete T has p = gamma = 1 on the all-vertex class
         if method == "component" and not cert:
             return bound.value == 0.0
         every = list(range(1, g.n + 1))

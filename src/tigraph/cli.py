@@ -16,15 +16,7 @@ from pathlib import Path
 
 from .bounds import BoundReport, best_bound, oracle_separated_count
 from .config import Config
-from .errors import (
-    DegenerateCoverError,
-    EmptyGraphError,
-    ParseError,
-    SizeCapExceeded,
-    StateCapExceeded,
-    TigraphError,
-    ValidationError,
-)
+from .errors import SizeCapExceeded, StateCapExceeded, TigraphError
 from .graph import TIGraph, export_dot, parse_tigraph, prune_stranded, serialize_tigraph
 from .higher import higher_graph
 from .ingest import load_map_spec, ti_from_circle
@@ -213,16 +205,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ValidationError, DegenerateCoverError, EmptyGraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except (SizeCapExceeded, StateCapExceeded) as exc:
         print(f"cap reached: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (OSError, UnicodeDecodeError) as exc:  # unreadable or non-UTF-8 input file
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except TigraphError as exc:
+    except (TigraphError, OSError, UnicodeDecodeError) as exc:  # invalid or unreadable input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -25,10 +25,6 @@ from .errors import EmptyGraphError, ParseError, SizeCapExceeded, ValidationErro
 
 Word = tuple[int, ...]
 
-# Cap applied when parsing base graphs.  Lifted (higher-shift) graphs are
-# bounded by their own vertex cap instead, so they bypass this.
-MAX_PARSE_VERTICES = 4096
-
 # Bit-packed neighbor rows get dense beyond this; algorithms that need them
 # refuse larger graphs rather than silently allocating gigabytes.
 MAX_BITSET_VERTICES = 262_144
@@ -227,14 +223,15 @@ def _as_pair_list(value, key: str) -> list[tuple[int, int]]:
     return out
 
 
-def parse_tigraph(data: str | bytes, fmt: str = "json", max_n: int = MAX_PARSE_VERTICES) -> TIGraph:
+def parse_tigraph(data: str | bytes, fmt: str = "json") -> TIGraph:
     """Parse a TI-graph from JSON or line-oriented text.
 
     JSON: ``{"n": int, "t_edges": [[i,j],...], "i_edges": [[i,j],...]}``.
     Text: first line ``n=<int>``, then ``T i j`` / ``I i j`` lines; ``#``
     starts a comment.  Raises ParseError for malformed input and
     ValidationError for invariant breaches (self-loops in I, out-of-range
-    indices, oversized n).
+    indices, n < 1).  Raises SizeCapExceeded, before any row is made, when
+    n exceeds ``MAX_BITSET_VERTICES``.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -248,8 +245,7 @@ def parse_tigraph(data: str | bytes, fmt: str = "json", max_n: int = MAX_PARSE_V
         raise ParseError("field 'n' must be an integer")
     if n < 1:
         raise ValidationError("n must be >= 1")
-    if n > max_n:
-        raise ValidationError(f"n={n} exceeds the vertex cap {max_n}")
+    _check_vertex_count(n)
     return TIGraph(Digraph.from_edges(n, t_edges), UGraph.from_edges(n, i_edges))
 
 

@@ -2,17 +2,17 @@
 
 A cover arc N_i gets a T-edge to N_j when some monotone continuous stretch
 of the image f(N_i) contains N_j with the requested slack on both ends;
-it gets an I-edge to N_j when the closed arcs intersect.  All endpoint
-arithmetic is exact (fractions built from the decimal literals of the
-input), so covering and intersection tests cannot suffer float ties.  The
-image of each arc is computed once in fractions (n computations); then
-every endpoint is written as an integer over one common denominator, and
-the pairwise tests are integer comparisons.  Only the pairs that can pass
-or tie are tested: the arcs are sorted once by start on the circle, and
-bisection finds the arcs that start inside an image run or near another
-arc, so the work grows with n log n and the number of pairs tested, not
-with n**2.  The common denominator grows with the input's denominators,
-which changes the cost of a comparison but never its outcome.  A
+it gets an I-edge to N_j when the closed arcs intersect.  The inputs are
+read exactly (fractions built from the decimal literals), and one common
+denominator is fixed from them alone; every piece, arc and the margin is
+scaled once to integers over it, and the images, the covering and the
+intersection tests are all integer arithmetic, so nothing can suffer a
+float tie.  Only the pairs that can pass or tie are tested: the arcs are
+sorted once by start on the circle, and bisection finds the arcs that
+start inside an image run or near another arc, so the work grows with
+n log n and the number of pairs tested, not with n**2.  The common
+denominator grows with the input's denominators, which changes the cost
+of a comparison but never its outcome.  A
 comparison whose outcome would flip under a perturbation of at most 1e-12
 raises DegenerateCoverError: the caller must move the offending endpoint.
 Exact ties are allowed and resolved by the closed-arc reading (touching
@@ -61,9 +61,6 @@ class AffinePiece:
     def __post_init__(self) -> None:
         for name in ("lo", "hi", "slope", "intercept"):
             object.__setattr__(self, name, _frac(getattr(self, name)))
-
-    def value(self, x: Fraction) -> Fraction:
-        return self.slope * x + self.intercept
 
 
 @dataclass(frozen=True)
@@ -119,47 +116,51 @@ class IntervalCover:
             raise ValidationError("cover needs at least one arc")
 
 
-def _image_runs(cmap: CircleMap, arc: Arc) -> list[tuple[Fraction, Fraction]]:
-    """Maximal monotone continuous stretches of f(arc), as lift intervals.
+def _image_runs(
+    pieces: list[tuple[int, int, int, int, int]], lo: int, hi: int, den: int
+) -> list[tuple[int, int]]:
+    """Maximal monotone continuous stretches of f([lo, hi]), as lift intervals.
 
+    Every number is an integer in units of 1/den: a piece is ``(lo, hi,
+    num, q, c)`` for y = (num / q) * x + c on [lo, hi), and each q divides
+    den, lo, hi and every piece bound, so each image is an exact integer.
     The arc is cut at every piece boundary; consecutive segment images are
     merged when the map is continuous across the junction (values agree
-    mod 1) and the slope keeps its sign, tracking one consistent lift.
+    mod 1, i.e. mod den) and the slope keeps its sign, tracking one
+    consistent lift.
     """
-    lo, hi = arc.start, arc.start + arc.length
-    segments: list[tuple[Fraction, Fraction, AffinePiece, int]] = []
-    k = math.floor(lo)
-    while Fraction(k) < hi:
-        for p in cmap.pieces:
-            u = max(lo, p.lo + k)
-            v = min(hi, p.hi + k)
+    segments: list[tuple[int, int, int, int, int, int]] = []
+    shift = lo // den * den
+    while shift < hi:
+        for p_lo, p_hi, num, q, c in pieces:
+            u = max(lo, p_lo + shift)
+            v = min(hi, p_hi + shift)
             if u < v:
-                segments.append((u, v, p, k))
-        k += 1
+                segments.append((u, v, num, q, c, shift))
+        shift += den
 
-    runs: list[tuple[Fraction, Fraction]] = []
+    runs: list[tuple[int, int]] = []
     cur_lo = cur_hi = None
     prev = None
-    offset = Fraction(0)
-    for u, v, p, k in segments:
-        y_u = p.value(u - k)
-        y_v = p.value(v - k)
+    offset = 0
+    for u, v, num, q, c, shift in segments:
+        y_u = num * (u - shift) // q + c
+        y_v = num * (v - shift) // q + c
         if prev is not None:
-            pv, pp, pk = prev
-            left_limit = pp.value(pv - pk) + offset
-            delta = left_limit - y_u
-            if pv == u and delta.denominator == 1 and (p.slope > 0) == (pp.slope > 0):
+            pv, p_num, left_limit = prev
+            delta = left_limit + offset - y_u
+            if pv == u and delta % den == 0 and (num > 0) == (p_num > 0):
                 offset = delta  # continuous junction: keep extending the lift
             else:
                 runs.append((cur_lo, cur_hi))
                 cur_lo = cur_hi = None
-                offset = Fraction(0)
+                offset = 0
         a, b = sorted((y_u + offset, y_v + offset))
         if cur_lo is None:
             cur_lo, cur_hi = a, b
         else:
             cur_lo, cur_hi = min(cur_lo, a), max(cur_hi, b)
-        prev = (v, p, k)
+        prev = (v, num, y_v)
     if cur_lo is not None:
         runs.append((cur_lo, cur_hi))
     return runs
@@ -176,10 +177,12 @@ def ti_from_circle(cmap: CircleMap, cover: IntervalCover, margin=0) -> TIGraph:
     Raises SizeCapExceeded, before any image run is computed, when the
     cover has more arcs than ``UGraph`` takes vertices.
 
-    The n image-run computations use ``Fraction``.  Every endpoint is then
-    scaled by one common denominator ``den`` (the lcm of all denominators
-    and 10**12) to an exact integer, so the covering and intersection tests
-    are integer comparisons.  The arcs are sorted once by start on the
+    One common denominator ``den`` is fixed from the inputs alone: the lcm
+    of the slope denominators times the lcm of the denominators of 10**-12,
+    the margin, the arc starts and lengths and the piece bounds and
+    intercepts.  Every input is scaled once to an integer in units of
+    1/den, and the image runs, the covering and the intersection tests are
+    all integer arithmetic.  The arcs are sorted once by start on the
     circle; bisection then finds, for each image run and for each arc, the
     only arcs whose slacks can pass or tie, and just those pairs are tested.
     ``den`` may grow with the input; the results do not depend on its size,
@@ -191,12 +194,11 @@ def ti_from_circle(cmap: CircleMap, cover: IntervalCover, margin=0) -> TIGraph:
     arcs = cover.arcs
     n = len(arcs)
     _check_vertex_count(n)
-    runs = [_image_runs(cmap, arc) for arc in arcs]
-    den = math.lcm(
+    den = math.lcm(*(p.slope.denominator for p in cmap.pieces)) * math.lcm(
         TIE_WIDTH.denominator,
         margin.denominator,
         *(x.denominator for arc in arcs for x in (arc.start, arc.length)),
-        *(y.denominator for arc_runs in runs for run in arc_runs for y in run),
+        *(x.denominator for p in cmap.pieces for x in (p.lo, p.hi, p.intercept)),
     )
     width = den // TIE_WIDTH.denominator  # TIE_WIDTH in units of 1/den
 
@@ -216,7 +218,7 @@ def ti_from_circle(cmap: CircleMap, cover: IntervalCover, margin=0) -> TIGraph:
                     continue
                 if d >= -width:
                     tie = DegenerateCoverError(
-                        f"{name} decided by {float(Fraction(d, den)):+.2e}; perturb the input"
+                        f"{name} decided by {d / den:+.2e}; perturb the input"
                     )
                 break
             else:
@@ -226,6 +228,10 @@ def ti_from_circle(cmap: CircleMap, cover: IntervalCover, margin=0) -> TIGraph:
         return False
 
     m = scaled(margin)
+    pieces = [
+        (scaled(p.lo), scaled(p.hi), p.slope.numerator, p.slope.denominator, scaled(p.intercept))
+        for p in cmap.pieces
+    ]
     starts = [scaled(arc.start) for arc in arcs]
     lengths = [scaled(arc.length) for arc in arcs]
     # the arcs in order of their start on the circle, and those starts
@@ -245,10 +251,11 @@ def ti_from_circle(cmap: CircleMap, cover: IntervalCover, margin=0) -> TIGraph:
     covering = ("covering (lower end)", "covering (upper end)")
     shortest = min(lengths)
     t_edges = []
-    for i, arc_runs in enumerate(runs, start=1):
+    for i, (start, length) in enumerate(zip(starts, lengths), start=1):
         # the run shrunk by the margin is the window a target must fit in;
         # lift each start to the first start + k*den >= lo
-        shrunk = [(scaled(ylo) + m, scaled(yhi) - scaled(ylo) - 2 * m) for ylo, yhi in arc_runs]
+        runs = _image_runs(pieces, start, start + length, den)
+        shrunk = [(ylo + m, yhi - ylo - 2 * m) for ylo, yhi in runs]
         # A case passes or ties only if its lower slack b is a tie (b <=
         # width) or its upper slack room - b - length is >= -width, which
         # needs b <= room + width - shortest.

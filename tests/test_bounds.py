@@ -306,10 +306,9 @@ def test_complete_digraph_bound_edgeless_i():
     assert abs(b.value - math.log(5)) <= 1e-9
 
 
-def test_complete_digraph_bound_not_applicable(dbl):
-    b = complete_digraph_bound(dbl)
-    assert b.value == 0.0
-    assert b.certificate == {"applicable": False}
+def test_complete_digraph_bound_rejects_incomplete_t(dbl):
+    with pytest.raises(ValidationError, match="not the complete digraph"):
+        complete_digraph_bound(dbl)
 
 
 # --- primitive_bound ---------------------------------------------------------
@@ -368,7 +367,7 @@ def test_component_bound_zero_when_classes_are_cliques():
 def _reference_complete_digraph_bound(g):
     n = g.n
     if g.t.num_edges() != n * n:
-        return tigraph.Bound("complete_digraph", 0.0, True, False, {"applicable": False})
+        raise ValidationError("transition graph is not the complete digraph")
     mis = max_independent_set(g.i)
     return tigraph.Bound(
         "complete_digraph",
@@ -444,14 +443,14 @@ def doubled_graphs(draw):
     return _pruned_or_reject(2 * k, t_edges, draw(_i_edge_sets(2 * k)))
 
 
-@given(st.one_of(pruned_tigraphs(n_max=12), complete_t_graphs(), doubled_graphs()))
+@given(st.one_of(pruned_tigraphs(n_max=12, dense=True), complete_t_graphs(), doubled_graphs()))
 @settings(max_examples=200, deadline=None)
 def test_class_bounds_match_separate_implementations(g):
     for fn, reference in _CLASS_BOUNDS:
         try:
             expect = reference(g)
-        except NotPrimitiveError:
-            with pytest.raises(NotPrimitiveError):
+        except (NotPrimitiveError, ValidationError) as exc:
+            with pytest.raises(type(exc)):
                 fn(g)
             continue
         got = fn(g)
@@ -949,8 +948,6 @@ def _reference_verify_class_bound(g, bound, tol=1e-9):
         return all(not (a in vs and b in vs) for a, b in g.i.edges)
 
     if method == "complete_digraph":
-        if not cert.get("applicable"):
-            return bound.value == 0.0
         if type(cert.get("mis_exact")) is not bool:
             return False
         if g.t.num_edges() != g.n * g.n or not independent(cert.get("independent_set")):

@@ -283,6 +283,31 @@ def test_ingest_above_the_vertex_cap_exit_3(tmp_path, capsys, monkeypatch):
     assert err == "cap reached: bitset adjacency unavailable for n=4\n"
 
 
+def test_cover_above_4096_arcs_ingests_and_reports(tmp_path, capsys):
+    # x -> 3x over arcs [(5i - 1)/25000, (5i + 6)/25000]: ingest and report
+    # refuse graphs above one vertex cap, so what ingest writes report reads
+    intervals = ", ".join(f'["{5 * i - 1}/25000", "{5 * i + 6}/25000"]' for i in range(5000))
+    spec = tmp_path / "map.json"
+    spec.write_text(
+        '{"pieces": [{"from": [0, 1], "slope": 3, "intercept": 0}], "intervals": [%s]}' % intervals
+    )
+    code, out, _ = _run(capsys, ["ingest", str(spec)])
+    assert code == 0
+    graph = tmp_path / "cover.json"
+    graph.write_text(out)
+    code, out, err = _run(capsys, ["report", str(graph), "--m-max", "1"])
+    assert (code, err) == (0, "")
+    assert "pruned vertices: none" in out
+
+
+def test_parse_above_the_vertex_cap_exit_3(dbl_path, capsys, monkeypatch):
+    monkeypatch.setattr(tigraph.graph, "MAX_BITSET_VERTICES", 3)
+    code, out, err = _run(capsys, ["report", dbl_path])
+    assert code == 3
+    assert out == ""
+    assert err == "cap reached: bitset adjacency unavailable for n=4\n"
+
+
 def test_ingest_degenerate_tie_exit_2(tmp_path, capsys):
     p = tmp_path / "map.json"
     p.write_text(

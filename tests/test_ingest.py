@@ -29,7 +29,6 @@ from tigraph.ingest import (
     CircleMap,
     IntervalCover,
     _frac,
-    _image_runs,
     doubling_map,
     load_map_spec,
 )
@@ -181,6 +180,47 @@ def test_wrapping_image_covers_across_zero():
 # --- reference: the covering and intersection tests in Fraction arithmetic ---
 
 
+def _ref_value(p: AffinePiece, x: Fraction) -> Fraction:
+    return p.slope * x + p.intercept
+
+
+def _ref_image_runs(cmap: CircleMap, arc: Arc) -> list[tuple[Fraction, Fraction]]:
+    # Maximal monotone continuous stretches of f(arc), as lift intervals: the
+    # arc is cut at every piece boundary, and consecutive segment images are
+    # merged when the values agree mod 1 and the slope keeps its sign.
+    lo, hi = arc.start, arc.start + arc.length
+    segments = []
+    k = math.floor(lo)
+    while k < hi:
+        for p in cmap.pieces:
+            u = max(lo, p.lo + k)
+            v = min(hi, p.hi + k)
+            if u < v:
+                segments.append((u, v, p, k))
+        k += 1
+    runs = []
+    cur = None
+    prev = None
+    offset = Fraction(0)
+    for u, v, p, k in segments:
+        y_u = _ref_value(p, u - k)
+        y_v = _ref_value(p, v - k)
+        if prev is not None:
+            pv, pp, pk = prev
+            delta = _ref_value(pp, pv - pk) + offset - y_u
+            if pv == u and delta.denominator == 1 and (p.slope > 0) == (pp.slope > 0):
+                offset = delta
+            else:
+                runs.append(cur)
+                cur = None
+                offset = Fraction(0)
+        a, b = sorted((y_u + offset, y_v + offset))
+        cur = (a, b) if cur is None else (min(cur[0], a), max(cur[1], b))
+        prev = (v, p, k)
+    runs.append(cur)
+    return runs
+
+
 def _ref_guarded_ge(x: Fraction, y: Fraction, what: str) -> bool:
     d = x - y
     if d == 0:
@@ -222,7 +262,7 @@ def _ref_ti_from_circle(cmap: CircleMap, cover: IntervalCover, margin=0) -> TIGr
     n = len(arcs)
     t_edges = []
     for i, src in enumerate(arcs, start=1):
-        runs = _image_runs(cmap, src)
+        runs = _ref_image_runs(cmap, src)
         for j, dst in enumerate(arcs, start=1):
             covered = False
             tie = None
@@ -277,7 +317,7 @@ def circle_maps(draw):
         slope = draw(slopes)
         if pieces and draw(st.booleans()):
             # continuous junction: start where the previous piece ends, mod 1
-            intercept = pieces[-1].value(lo) - slope * lo + draw(st.integers(-1, 1))
+            intercept = _ref_value(pieces[-1], lo) - slope * lo + draw(st.integers(-1, 1))
         else:
             intercept = Fraction(draw(st.integers(-1000, 1000)), 1000)
         pieces.append(AffinePiece(lo, hi, slope, intercept))
@@ -468,7 +508,7 @@ def test_windows_at_the_edges_match_reference(cmap, arc_list):
 
 
 def test_cover_above_the_vertex_cap_is_refused_before_any_image_run(monkeypatch):
-    def no_image_runs(cmap, arc):
+    def no_image_runs(pieces, lo, hi, den):
         raise AssertionError("image run computed above the cap")
 
     monkeypatch.setattr(tigraph.graph, "MAX_BITSET_VERTICES", 3)
