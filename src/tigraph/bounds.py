@@ -59,7 +59,8 @@ from .graph import (
 )
 from .higher import (
     DEFAULT_SIZE_CAP,
-    _capped_words,
+    _capped_counts,
+    _enumerate_words,
     higher_graph,
     words_indistinguishable,
 )
@@ -408,7 +409,8 @@ def oracle_separated_count(
     _prune_checked(g)
     if n < 1:
         raise ValidationError("word length must be >= 1")
-    words = _capped_words(g.t, n, size_cap)
+    _capped_counts(g.t, n, size_cap)
+    words = _enumerate_words(g.t, n)
 
     compat = np.eye(g.n + 1, dtype=bool)  # [a, b]: a = b or a ~ b in I
     for a, b in g.i.edges:

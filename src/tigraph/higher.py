@@ -6,22 +6,26 @@ the first by one step (overlap in m-1 symbols), and in the lifted I when the
 words are indistinguishable: at every position the symbols are equal or
 I-adjacent.  Lifted vertices are ordered lexicographically by their words.
 
-The lifted T is built as successor tuples straight from the word index.
-The lifted I is built as bitset rows: one mask per (position, symbol) of
-the words whose symbol there is I-compatible with it, and each word's row
-is the AND of its m masks, so a lift costs O(words * m) ANDs of words-bit
-integers.  The lifted ``UGraph`` stores these rows and nothing else, as
-every ``UGraph`` does; its ``edges`` tuple is derived only if something
-reads it, which the report path does not.  A lift is refused with
-``SizeCapExceeded`` above ``size_cap`` or ``MAX_BITSET_VERTICES`` words,
-whichever is smaller, before any word is made.
+Both lifted graphs come from one walk down the tree of word prefixes, level
+j holding the length-j prefixes as flat int lists, and only two levels held
+at a time.  The words under a node form one contiguous index range, as long
+as the paths of the remaining length from its last symbol, which the cap
+check counts anyway.  The successors of a word are the children of its
+suffix node, an index range, and each node finds its suffix node by offset
+arithmetic from its parent's, so the lifted T needs no word lookup.  The
+lifted I is built as bitset rows: a node's row is its parent's ANDed with
+the words whose symbol at the node's level is equal or I-adjacent to its
+own, one AND of words-bit integers per tree node.  The lifted ``UGraph``
+stores these rows and nothing else, as every ``UGraph`` does; its ``edges``
+tuple is derived only if something reads it, which the report path does
+not.  A lift is refused with ``SizeCapExceeded`` above ``size_cap`` or
+``MAX_BITSET_VERTICES`` words, whichever is smaller, before any word or
+tree level is made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 from typing import Iterator
 
 from .errors import LengthMismatchError, SizeCapExceeded, ValidationError
@@ -49,22 +53,22 @@ def words_indistinguishable(g: TIGraph, a: Word, b: Word) -> bool:
     return all(x == y or adj[x - 1] >> (y - 1) & 1 for x, y in zip(a, b))
 
 
-def _path_totals(t: Digraph, m: int) -> Iterator[int]:
-    """Number of vertex paths of T of length k, for k = 1..m in turn."""
+def _path_counts(t: Digraph, m: int) -> Iterator[list[int]]:
+    """Per-vertex counts of the vertex paths of T of length k that start there, k = 1..m."""
     counts = [1] * t.n
-    yield t.n
+    yield counts
     for _ in range(m - 1):
         counts = [sum(counts[j - 1] for j in row) for row in t.succ]
-        yield sum(counts)
+        yield counts
 
 
 def count_paths(t: Digraph, m: int) -> int:
     """Number of vertex paths of length m (m vertices, m-1 edge steps)."""
     if m < 1:
         raise ValidationError("m must be >= 1")
-    for total in _path_totals(t, m):
+    for counts in _path_counts(t, m):
         pass
-    return total
+    return sum(counts)
 
 
 def _enumerate_words(t: Digraph, m: int) -> list[Word]:
@@ -87,23 +91,30 @@ def _enumerate_words(t: Digraph, m: int) -> list[Word]:
     return words
 
 
-def _capped_words(t: Digraph, m: int, size_cap: int) -> list[Word]:
-    """The length-m words of T in lexicographic order, counted before made.
+def _capped_counts(t: Digraph, m: int, size_cap: int) -> list[list[int]]:
+    """Per-vertex path counts at lengths 1..m, checked against the cap before any word is made.
 
+    ``counts[k][v-1]`` is the number of paths of k+1 vertices from v.
     Raises SizeCapExceeded when there are more than ``size_cap`` or
-    ``MAX_BITSET_VERTICES`` of them, whichever is smaller.  When every
-    vertex has a successor each path extends, so the count never falls as
-    the length grows, and counting stops once it passes the cap.  With a
-    sink the count runs to length m.
+    ``MAX_BITSET_VERTICES`` words of length m, whichever is smaller.  When
+    every vertex has a successor each path extends, so the count never falls
+    as the length grows, and counting stops once it passes the cap.  With a
+    sink the count runs to length m, and a count above the cap is kept as
+    cap + 1: no prefix of a word has more words under it than there are.
     """
     cap = min(size_cap, MAX_BITSET_VERTICES)
     growing = all(t.succ)
-    for total in _path_totals(t, m):
-        if growing and total > cap:
-            break
+    kept = []
+    for counts in _path_counts(t, m):
+        total = sum(counts)
+        if total > cap:
+            if growing:
+                break
+            counts = [min(c, cap + 1) for c in counts]
+        kept.append(counts)
     if total > cap:
         raise SizeCapExceeded(f"more than {cap} words of length {m}")
-    return _enumerate_words(t, m)
+    return kept
 
 
 def higher_graph(g: TIGraph, m: int, size_cap: int = DEFAULT_SIZE_CAP) -> HigherGraph:
@@ -115,35 +126,90 @@ def higher_graph(g: TIGraph, m: int, size_cap: int = DEFAULT_SIZE_CAP) -> Higher
     """
     if m < 1:
         raise ValidationError("m must be >= 1")
-    words = _capped_words(g.t, m, size_cap)  # already lexicographic
-    index = {w: k for k, w in enumerate(words)}
-    succ_base = g.t.succ
-    # the words are lexicographic and succ_base rows increase, so each
-    # successor tuple comes out strictly increasing, as Digraph requires
-    t_graph = Digraph(
-        len(words),
-        tuple(tuple(index[w[1:] + (s,)] + 1 for s in succ_base[w[-1] - 1]) for w in words),
-    )
-    i_graph = UGraph.from_rows(_i_rows(g, words))
-    return HigherGraph(m, TIGraph(t_graph, i_graph), tuple(words))
+    counts = _capped_counts(g.t, m, size_cap)
+    succ, rows = _lift(g, counts)
+    words = _enumerate_words(g.t, m)  # already lexicographic
+    return HigherGraph(m, TIGraph(Digraph(len(words), succ), UGraph.from_rows(rows)), tuple(words))
 
 
-def _i_rows(g: TIGraph, words: list[Word]) -> list[int]:
-    """Lifted I as bitset rows; bit j of row k marks words[j] ~ words[k], j != k."""
-    m = len(words[0])
-    at = [[0] * (g.n + 1) for _ in range(m)]  # at[pos][s]: words with symbol s at pos
-    for k, w in enumerate(words):
-        bit = 1 << k
-        for pos, s in enumerate(w):
-            at[pos][s] |= bit
-    # closed[s]: symbol s and its I-neighbours, bit t-1 for symbol t
-    closed = [0] + [a | 1 << s for s, a in enumerate(g.i.adj)]
-    masks = [[reduce(or_, (col[t + 1] for t in bits_of(c)), 0) for c in closed] for col in at]
-    rows = []
-    for k, w in enumerate(words):
-        row = masks[0][w[0]]
-        for pos in range(1, m):
-            row &= masks[pos][w[pos]]
-        rows.append(row ^ (1 << k))
-    return rows
+def _lift(g: TIGraph, counts: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """Lifted T successor tuples and lifted I rows, level by level down the prefix tree.
 
+    Level j lists, in lexicographic order, the length-j prefixes that extend
+    to length m: each node's last symbol ``last`` and its suffix node ``sfx``
+    (the level j-1 index of the prefix without its first symbol, -1 where
+    that prefix does not extend to length m); ``start`` marks where each
+    node's children begin one level down.  Row k of level j has bit i set
+    for every word i that is indistinguishable from node k in the first j
+    positions, so at level m it is word k's lifted I row plus bit k.
+    """
+    m = len(counts)
+    succ = g.t.succ
+    # near[s]: the symbols equal or I-adjacent to s
+    near = [()] + [tuple(bits_of(a << 1 | 2 << s)) for s, a in enumerate(g.i.adj)]
+    # a level-j node ending in v has the span[v-1] = counts[m-j][v-1] words
+    # of one contiguous range under it
+    span = counts[m - 1]
+    alive = tuple(map(bool, span))
+    last = [v for v in range(1, g.n + 1) if span[v - 1]]
+    masks = _level_masks(last, span, near)
+    rows = [masks[v] for v in last]
+    # every length-1 prefix has the empty prefix (the root) for suffix, and
+    # the root's children are all of level 1
+    sfx = [0] * len(last)
+    start = [0]
+    rank = {v: k for k, v in enumerate(last)}
+    # kids[v]: the children of a node ending in v, each with its offset among
+    # the children of the node's suffix node, -1 if not among them.  That
+    # suffix node ends in v too, except at level 2, where it is the root, so
+    # a table depends only on that and on which symbols extend far enough at
+    # this level and the one above: it is made once, not once per level.
+    tables: dict[tuple, list[tuple[tuple[int, int], ...]]] = {}
+    for j in range(2, m + 1):
+        span = counts[m - j]
+        key = (j == 2, alive, tuple(map(bool, span)))
+        alive = key[2]
+        if key not in tables:
+            pos = [rank] * len(near) if j == 2 else [{s: k for k, (s, _) in enumerate(r)} for r in kids]
+            tables[key] = [()] + [
+                tuple([(s, pos[v].get(s, -1)) for s in row if alive[s - 1]])
+                for v, row in enumerate(succ, start=1)
+            ]
+        kids = tables[key]
+        above = start
+        nxt_last, nxt_sfx, start = [], [], []
+        for p, v in enumerate(last):
+            start.append(len(nxt_last))
+            q = sfx[p]
+            base = above[q] if q >= 0 else -1
+            for s, k in kids[v]:
+                nxt_last.append(s)
+                nxt_sfx.append(base + k if base >= 0 and k >= 0 else -1)
+        start.append(len(nxt_last))
+        masks = _level_masks(nxt_last, span, near)
+        nxt_rows = []
+        for p, v in enumerate(last):
+            row = rows[p]
+            rows[p] = None  # freed as its children's rows are made
+            for s, _ in kids[v]:
+                nxt_rows.append(row & masks[s])
+        rows, last, sfx = nxt_rows, nxt_last, nxt_sfx
+    for k in range(len(rows)):
+        rows[k] ^= 1 << k
+    if m == 1:
+        return succ, rows
+    # a word's successors are the children of its suffix node; -1 picks ()
+    ranges = [tuple(range(a + 1, b + 1)) for a, b in zip(start, start[1:])] + [()]
+    return tuple(ranges[q] for q in sfx), rows
+
+
+def _level_masks(last: list[int], span: list[int], near: list[tuple[int, ...]]) -> list[int]:
+    """masks[s]: the words under the level's nodes whose symbol is equal or I-adjacent to s."""
+    col = [0] * len(near)  # col[s]: the words under the level's nodes ending in s
+    lo = 0
+    for s in last:
+        size = span[s - 1]
+        col[s] |= ((1 << size) - 1) << lo
+        lo += size
+    # the columns are disjoint, so their sum is their union
+    return [sum(map(col.__getitem__, ts)) for ts in near]

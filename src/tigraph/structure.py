@@ -163,9 +163,7 @@ def primitive_components(t: Digraph, scc: Iterable[int]) -> list[tuple[tuple[int
         for w in t.succ[v - 1]:
             if w in level:
                 rows[local[v]] |= 1 << local[w]
-    power = rows
-    for _ in range(p - 1):
-        power = _bool_mul(rows, power)
+    power = _bool_power(rows, p)
 
     # a class's local bits ascend with its vertices, so each successor tuple
     # comes out strictly increasing
@@ -181,9 +179,9 @@ def primitive_components(t: Digraph, scc: Iterable[int]) -> list[tuple[tuple[int
 def _bool_mul(a: list[int] | tuple[int, ...], b: list[int] | tuple[int, ...]) -> list[int]:
     """Boolean matrix product on bit-packed rows: out[i] = OR of b[j] for j in a[i].
 
-    The cost is one OR per set bit of ``a``, so the powers below are stepped
-    as A^(k+1) = A * A^k with the sparse adjacency rows on the left: one OR
-    per edge, where A^k * A would walk every bit of an already dense power.
+    The cost is one OR per set bit of ``a``, so a power is stepped as
+    A^(k+1) = A * A^k with the sparse adjacency rows on the left: one OR per
+    edge, where A^k * A would walk every bit of an already dense power.
     """
     out = []
     for ra in a:
@@ -195,6 +193,30 @@ def _bool_mul(a: list[int] | tuple[int, ...], b: list[int] | tuple[int, ...]) ->
             m ^= low
         out.append(acc)
     return out
+
+
+def _bool_power(rows: list[int], p: int) -> list[int]:
+    """The p-th boolean power of the bit-packed adjacency rows, for p >= 1.
+
+    Walks the bits of p from the top: each bit doubles the exponent k, and a
+    set bit then steps it once.  Doubling by squaring costs one OR per set
+    bit of A^k, doubling by k steps A * A^j costs k ORs per edge, and the
+    cheaper is taken: a sparse power such as a long cycle's is squared, a
+    dense one of a small period is stepped.
+    """
+    edges = sum(r.bit_count() for r in rows)
+    power, k = rows, 1
+    for bit in bin(p)[3:]:
+        if sum(r.bit_count() for r in power) < k * edges:
+            power = _bool_mul(power, power)
+        else:
+            for _ in range(k):
+                power = _bool_mul(rows, power)
+        k *= 2
+        if bit == "1":
+            power = _bool_mul(rows, power)
+            k += 1
+    return power
 
 
 def _check_search_size(n: int) -> None:

@@ -14,10 +14,12 @@ import tigraph.higher
 from tigraph import (
     Digraph,
     EmptyGraphError,
+    HigherGraph,
     LengthMismatchError,
     SizeCapExceeded,
     TIGraph,
     UGraph,
+    ValidationError,
     higher_graph,
     max_independent_set,
     oracle_separated_count,
@@ -27,6 +29,7 @@ from tigraph import (
     words_indistinguishable,
 )
 from tigraph.cli import main
+from tigraph.graph import bits_of
 from tigraph.higher import _enumerate_words
 
 from conftest import adjacency_matrix, random_pruned_tigraph
@@ -119,6 +122,20 @@ def test_size_cap_stops_counting_once_passed(dbl):
         higher_graph(dbl, 100_000, size_cap=100)
     with pytest.raises(SizeCapExceeded):
         oracle_separated_count(dbl, 100_000, size_cap=100)
+
+
+def test_size_cap_fires_before_any_word_or_level(monkeypatch, dbl):
+    # 64 words at m = 5: one over the cap is refused before the words or the
+    # prefix tree are made, and the cap itself is allowed
+    def refuse(*args):
+        raise AssertionError("built past the size cap")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tigraph.higher, "_enumerate_words", refuse)
+        patch.setattr(tigraph.higher, "_lift", refuse)
+        with pytest.raises(SizeCapExceeded, match="more than 63 words of length 5"):
+            higher_graph(dbl, 5, size_cap=63)
+    assert higher_graph(dbl, 5, size_cap=64).lifted.n == 64
 
 
 def test_size_cap_counts_to_m_with_a_sink():
@@ -295,6 +312,68 @@ def test_enumerate_words_is_linear_in_m():
     assert [w[:4] for w in words] == [(1, 2, 3, 1), (2, 3, 1, 2), (3, 1, 2, 3)]
     assert all(len(w) == 20_000 for w in words)
     assert elapsed < 0.5
+
+
+def test_higher_graph_is_linear_in_m():
+    # 3 words at every length; a tuple per prefix, or a scan of the word per
+    # level, would make this quadratic in m
+    g = TIGraph(Digraph.from_edges(3, [(1, 2), (2, 3), (3, 1)]), UGraph.from_edges(3, [(1, 2)]))
+    start = time.perf_counter()
+    lift = higher_graph(g, 20_000)
+    elapsed = time.perf_counter() - start
+    assert [w[:4] for w in lift.vertex_words] == [(1, 2, 3, 1), (2, 3, 1, 2), (3, 1, 2, 3)]
+    assert lift.lifted.t.succ == ((2,), (3,), (1,))
+    assert lift.lifted.i.adj == (0, 0, 0)
+    assert elapsed < 0.5
+
+
+def _ref_higher_graph(g, m):
+    """The lift built word by word, independently of the prefix tree.
+
+    Lifted T through a dict from each word to its index, one slice and one
+    lookup per edge; lifted I as one mask per (position, symbol) of the words
+    with an equal or I-adjacent symbol there, and m ANDs per word.
+    """
+    words = _reference_enumerate_words(g.t, m)
+    index = {w: k for k, w in enumerate(words)}
+    lifted_t = Digraph(
+        len(words),
+        tuple(tuple(index[w[1:] + (s,)] + 1 for s in g.t.succ[w[-1] - 1]) for w in words),
+    )
+    at = [[0] * (g.n + 1) for _ in range(m)]  # at[pos][s]: the words with s at pos
+    for k, w in enumerate(words):
+        for pos, s in enumerate(w):
+            at[pos][s] |= 1 << k
+    closed = [0] + [a | 1 << s for s, a in enumerate(g.i.adj)]
+    masks = [[sum(col[t + 1] for t in bits_of(c)) for c in closed] for col in at]
+    rows = []
+    for k, w in enumerate(words):
+        row = masks[0][w[0]]
+        for pos in range(1, m):
+            row &= masks[pos][w[pos]]
+        rows.append(row ^ 1 << k)
+    return HigherGraph(m, TIGraph(lifted_t, UGraph.from_rows(rows)), tuple(words))
+
+
+@st.composite
+def any_tigraphs(draw, n_max=6):
+    """A TI-graph on any digraph, sinks and sources included, with any I."""
+    t = draw(digraphs(n_max))
+    vs = st.integers(1, t.n)
+    pairs = st.tuples(vs, vs).filter(lambda p: p[0] != p[1])
+    return TIGraph(t, UGraph.from_edges(t.n, draw(st.sets(pairs, max_size=2 * t.n))))
+
+
+@given(any_tigraphs(), st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_higher_graph_matches_reference(g, m):
+    try:
+        expect = _ref_higher_graph(g, m)
+    except ValidationError:  # no path of length m: a lift needs a vertex
+        with pytest.raises(ValidationError):
+            higher_graph(g, m)
+        return
+    assert higher_graph(g, m) == expect
 
 
 def test_lift_above_bitset_cap_ends_in_exit_3(tmp_path, capsys, monkeypatch, dbl):
