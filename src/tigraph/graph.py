@@ -252,7 +252,7 @@ def parse_tigraph(data: str | bytes, fmt: str = "json") -> TIGraph:
 def _parse_json(data: str):
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # malformed, nested too deep or int too long
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")

@@ -6,15 +6,16 @@ then exclude it), prune with greedy clique-cover upper bounds, and apply
 degree-0/degree-1/domination reductions.  All tie-breaking is by lowest
 vertex index, so witnesses are reproducible.
 
-The bound has two stages.  The first is the first-fit clique cover in index
-order, built one class at a time on bitsets (the greedy colouring of San
-Segundo et al., BBMC, applied to cliques of the graph): one AND per vertex.
-Only when it cannot prune is the same cover built in ascending order of
-degree within the candidates (Tomita & Kameda's colouring order), which is
-usually smaller.  A node's bound is never above the first stage's alone, and
-the incumbent changes only on a strict improvement, so the search visits a
-subset of the nodes the first stage alone would, in the same order, and
-returns the same witness.
+The bound is one routine, the first-fit clique cover built one class at a
+time on bitsets (the greedy colouring of San Segundo et al., BBMC, applied
+to cliques of the graph), run over a list of level masks in turn.  It runs
+first with p as the only level, which is index order: one AND per vertex.
+Only when that cannot prune does it run again with the levels of degree
+within the candidates in ascending order (Tomita & Kameda's colouring
+order), which is usually smaller.  A node's bound is never above the first
+order's alone, and the incumbent changes only on a strict improvement, so
+the search visits a subset of the nodes the first order alone would, in the
+same order, and returns the same witness.
 
 Domination pruning runs once per component and resumes its scan at the
 lowest neighbour of each dropped vertex instead of restarting: the vertices
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .graph import UGraph, bits_of
 
@@ -63,58 +63,38 @@ class _Solver:
         self.best_size = 0
         self.best_mask = 0
 
-    def _cover_bound(self, p: int) -> int:
-        # Greedy clique cover of p in index order: each class is a clique, so
-        # an independent set meets it at most once.  Built one class at a
-        # time, this is exactly first-fit in index order: the lowest
-        # uncovered vertex opens a class, which then takes the lowest
-        # uncovered vertex adjacent to all its members.
+    def _cover_bound(self, p: int, levels: list[int]) -> int:
+        # Greedy clique cover of p: each class is a clique, so an independent
+        # set meets it at most once.  Vertices are placed level by level, in
+        # index order within a level.  Built one class at a time, this is
+        # exactly first-fit: the first uncovered vertex opens a class, which
+        # then takes the first uncovered vertex adjacent to all its members.
+        # The levels are only read (p holds the uncovered vertices), and
+        # candidates left after the other levels lie in the last one.
         adj = self.adj
         bound = 0
-        while p:
-            low = p & -p
-            p ^= low
-            cand = adj[low.bit_length() - 1] & p
-            while cand:
-                low = cand & -cand
-                p ^= low
-                cand &= adj[low.bit_length() - 1]
-            bound += 1
-        return bound
-
-    def _degree_cover_bound(self, p: int, degrees: list[tuple[int, int]]) -> int:
-        # The same greedy cover, placing vertices by ascending (degree,
-        # index) instead (Tomita & Kameda's colouring order on the
-        # complement).  Vertices of one degree form one level mask, so the
-        # next vertex of a class is the lowest bit of the first level that
-        # meets its candidates.
-        adj = self.adj
-        by_degree: dict[int, int] = {}
-        for d, v in degrees:
-            by_degree[d] = by_degree.get(d, 0) | (1 << v)
-        levels = [by_degree[d] for d in sorted(by_degree)]
-        top = len(levels)
-        bound = 0
-        for i in range(top):
-            rest = levels[i]
+        last = len(levels) - 1
+        for i, level in enumerate(levels):
+            masked = levels[i:last]
+            rest = level & p
             while rest:
                 low = rest & -rest
-                levels[i] ^= low
                 p ^= low
                 cand = adj[low.bit_length() - 1] & p
-                for j in range(i, top):
-                    hit = cand & levels[j]
+                for mask in masked:
+                    hit = cand & mask
                     while hit:
                         low = hit & -hit
-                        levels[j] ^= low
                         p ^= low
                         a = adj[low.bit_length() - 1]
                         cand &= a
                         hit &= a
-                    if not cand:
-                        break
+                while cand:
+                    low = cand & -cand
+                    p ^= low
+                    cand &= adj[low.bit_length() - 1]
                 bound += 1
-                rest = levels[i]
+                rest = level & p
         return bound
 
     def _greedy(self, p: int) -> int:
@@ -169,15 +149,15 @@ class _Solver:
                     j += 1
         return chosen
 
-    def _reduce(self, p: int, chosen: int) -> tuple[int, int, list[tuple[int, int]]]:
+    def _reduce(self, p: int, chosen: int) -> tuple[int, int, dict[int, int]]:
         # Degree-0/1 reductions to a fixed point.  The final sweep changes
-        # nothing, so the (degree within p, vertex) pairs it records, in
-        # index order, hold for the returned p.
+        # nothing, so the levels it records (degree within p -> mask of the
+        # vertices of that degree) partition the returned p.
         adj = self.adj
         changed = True
         while changed:
             changed = False
-            degrees = []
+            levels: dict[int, int] = {}
             m = p
             while m:
                 low = m & -m
@@ -196,14 +176,15 @@ class _Solver:
                     p &= ~(nb | low)
                     changed = True
                 elif not changed:
-                    degrees.append((nb.bit_count(), v))
-        return p, chosen, degrees
+                    d = nb.bit_count()
+                    levels[d] = levels.get(d, 0) | low
+        return p, chosen, levels
 
     def solve(self, p: int, chosen: int) -> None:
         self.nodes += 1
         if self.nodes > self.budget:
             raise _BudgetExhausted
-        p, chosen, degrees = self._reduce(p, chosen)
+        p, chosen, levels = self._reduce(p, chosen)
         size = chosen.bit_count()
         if size > self.best_size:
             self.best_size = size
@@ -211,10 +192,14 @@ class _Solver:
         if not p:
             return
         room = self.best_size - size
-        if self._cover_bound(p) <= room or self._degree_cover_bound(p, degrees) <= room:
+        if self._cover_bound(p, [p]) <= room:
+            return
+        by_degree = [levels[d] for d in sorted(levels)]
+        if self._cover_bound(p, by_degree) <= room:
             return
         # branch vertex: maximum degree within p, lowest index on ties
-        v = max(degrees, key=itemgetter(0))[1]
+        top = by_degree[-1]
+        v = (top & -top).bit_length() - 1
         self.solve(p & ~self.closed[v], chosen | (1 << v))
         self.solve(p & ~(1 << v), chosen)
 

@@ -44,7 +44,7 @@ def _frac(x) -> Fraction:
     if isinstance(x, str):
         try:
             return Fraction(x)
-        except ValueError:  # an unparseable string, nan or infinity
+        except (ValueError, ZeroDivisionError):  # unparseable, nan, infinity or p/0
             pass
     raise ParseError(f"cannot interpret {x!r} as an exact number")
 
@@ -300,7 +300,7 @@ def load_map_spec(data: str | bytes) -> tuple[CircleMap, IntervalCover, Fraction
         data = data.decode("utf-8")
     try:
         obj = json.loads(data, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # malformed, nested too deep or int too long
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "pieces" not in obj or "intervals" not in obj:
         raise ParseError("expected an object with 'pieces' and 'intervals'")

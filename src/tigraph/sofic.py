@@ -85,10 +85,10 @@ def right_resolve(lg: LabeledGraph, state_cap: int = DEFAULT_STATE_CAP) -> Right
     All reachable states are retained.  The presentation generates the same
     label-sequence language as the input.
     """
-    n = lg.t.n
     r = lg.num_labels
+    label_of = lg.labels
     label_mask = [0] * (r + 1)
-    for v, lab in enumerate(lg.labels, start=1):
+    for v, lab in enumerate(label_of, start=1):
         label_mask[lab] |= 1 << (v - 1)
     succ_mask = lg.t.rows
 
@@ -109,10 +109,16 @@ def right_resolve(lg: LabeledGraph, state_cap: int = DEFAULT_STATE_CAP) -> Right
             low = m & -m
             out |= succ_mask[low.bit_length() - 1]
             m ^= low
-        for lab in range(1, r + 1):
+        # only the labels present in out: the lowest vertex left names the
+        # next one; successors are then made in ascending label order
+        found = []
+        while out:
+            lab = label_of[(out & -out).bit_length() - 1]
             nxt = out & label_mask[lab]
-            if not nxt:
-                continue
+            out ^= nxt
+            found.append((lab, nxt))
+        found.sort()  # labels are distinct, so only they are compared
+        for lab, nxt in found:
             if nxt not in state_id:
                 if len(states) >= state_cap:
                     raise StateCapExceeded(f"more than {state_cap} subset states")

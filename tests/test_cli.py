@@ -161,6 +161,42 @@ def test_ingest_malformed_spec_exit_2(tmp_path, capsys, spec):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"pieces": [{"from": [0, 1], "slope": "1/0", "intercept": 0}], "intervals": [[0.2, 0.7]]}',
+        '{"pieces": [%s], "intervals": [["1/0", 0.7]]}' % _PIECE,
+        '{"pieces": [{"from": [0, "1/0"], "slope": 2, "intercept": 0}], "intervals": [[0.2, 0.7]]}',
+        '{"pieces": [%s], "intervals": [[0.2, 0.7]], "margin": "3/0"}' % _PIECE,
+    ],
+    ids=["slope", "arc_endpoint", "piece_from", "margin"],
+)
+def test_ingest_zero_denominator_exit_2(tmp_path, capsys, spec):
+    p = tmp_path / "spec.json"
+    p.write_text(spec)
+    code, out, err = _run(capsys, ["ingest", str(p)])
+    assert code == 2
+    assert out == ""
+    assert "cannot interpret" in err
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["[" * 200_000 + "]" * 200_000, "1" * 5000],
+    ids=["nested_200000_deep", "int_of_5000_digits"],
+)
+@pytest.mark.parametrize("command", ["report", "ingest"])
+def test_json_beyond_the_decoder_limits_exit_2(tmp_path, capsys, command, value):
+    # json.loads raises RecursionError long before 200,000 levels, and
+    # ValueError on an int literal above Python's 4,300-digit limit
+    p = tmp_path / "deep.json"
+    p.write_text('{"n": %s, "margin": %s}' % (value, value))
+    code, out, err = _run(capsys, [command, str(p)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid JSON: ")
+
+
 @pytest.mark.parametrize("case", ["not_utf8", "directory"])
 def test_report_unreadable_graph_file_exit_2(tmp_path, capsys, case):
     p = tmp_path / "latin1.txt"

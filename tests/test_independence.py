@@ -395,11 +395,34 @@ def test_cover_bounds_match_first_fit(g, data):
     adj = g.adj
     solver = _Solver(adj, 1)
     index_order = [v for v in range(g.n) if p >> v & 1]
-    assert solver._cover_bound(p) == _reference_first_fit(adj, index_order)
-    assert solver._cover_bound(p) == _ReferenceSolver(adj, 1)._cover_bound(p)
+    assert solver._cover_bound(p, [p]) == _reference_first_fit(adj, index_order)
+    assert solver._cover_bound(p, [p]) == _ReferenceSolver(adj, 1)._cover_bound(p)
     degrees = [((adj[v] & p).bit_count(), v) for v in index_order]
     by_degree = [v for _, v in sorted(degrees)]
-    assert solver._degree_cover_bound(p, degrees) == _reference_first_fit(adj, by_degree)
+    levels = {}
+    for d, v in degrees:
+        levels[d] = levels.get(d, 0) | (1 << v)
+    ascending = [levels[d] for d in sorted(levels)]
+    assert solver._cover_bound(p, ascending) == _reference_first_fit(adj, by_degree)
+
+
+@given(random_ugraphs(n_max=40), st.data())
+@settings(max_examples=150, deadline=None)
+def test_reduce_leaves_degree_two_and_levels_partition_by_degree(g, data):
+    # the second cover and the branch rule read the levels as the degree
+    # table of the returned p
+    full = (1 << g.n) - 1
+    p = data.draw(st.one_of(st.just(full), st.integers(0, full)))
+    p, chosen, levels = _Solver(g.adj, 1)._reduce(p, 0)
+    assert chosen & p == 0
+    union = 0
+    for d, level in levels.items():
+        assert level and not union & level
+        union |= level
+        for v in range(g.n):
+            if level >> v & 1:
+                assert (g.adj[v] & p).bit_count() == d >= 2
+    assert union == p
 
 
 @given(random_ugraphs(n_max=40), st.data())

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from tigraph import (
     Digraph,
+    LabeledGraph,
     StateCapExceeded,
     TIGraph,
     UGraph,
@@ -20,6 +22,8 @@ from tigraph import (
     sft_entropy,
     sofic_entropy,
 )
+
+from tigraph.sofic import DEFAULT_STATE_CAP
 
 from conftest import label_words_anywhere, random_pruned_tigraph
 
@@ -67,6 +71,77 @@ def test_right_resolve_distinct_labels_is_isomorphic():
 def test_right_resolve_state_cap(gm):
     with pytest.raises(StateCapExceeded):
         right_resolve(component_labeling(gm), state_cap=1)
+
+
+def _reference_right_resolve(lg, state_cap=DEFAULT_STATE_CAP):
+    """The subset construction trying every label from every state: states x labels ANDs."""
+    r = lg.num_labels
+    label_mask = [0] * (r + 1)
+    for v, lab in enumerate(lg.labels, start=1):
+        label_mask[lab] |= 1 << (v - 1)
+    state_id, states, edges = {}, [], []
+    for lab in range(1, r + 1):
+        if label_mask[lab] not in state_id:
+            state_id[label_mask[lab]] = len(states)
+            states.append((label_mask[lab], lab))
+    head = 0
+    while head < len(states):
+        out = 0
+        for v in range(lg.t.n):
+            if states[head][0] >> v & 1:
+                out |= lg.t.rows[v]
+        for lab in range(1, r + 1):
+            nxt = out & label_mask[lab]
+            if not nxt:
+                continue
+            if nxt not in state_id:
+                if len(states) >= state_cap:
+                    raise StateCapExceeded(f"more than {state_cap} subset states")
+                state_id[nxt] = len(states)
+                states.append((nxt, lab))
+            edges.append((head + 1, state_id[nxt] + 1))
+        head += 1
+    state_sets = tuple(tuple(v + 1 for v in range(lg.t.n) if mask >> v & 1) for mask, _ in states)
+    return Digraph.from_edges(len(states), edges), tuple(lab for _, lab in states), state_sets
+
+
+@st.composite
+def labeled_graphs(draw, n_max=12):
+    """Any T with any surjective labeling, not only I-component ones."""
+    n = draw(st.integers(1, n_max))
+    vertex = st.integers(1, n)
+    t_edges = draw(st.sets(st.tuples(vertex, vertex)))
+    raw = draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+    rank = {x: k for k, x in enumerate(sorted(set(raw)), start=1)}
+    return LabeledGraph(Digraph.from_edges(n, sorted(t_edges)), tuple(rank[x] for x in raw))
+
+
+@given(labeled_graphs(), st.one_of(st.just(DEFAULT_STATE_CAP), st.integers(1, 30)))
+@settings(max_examples=200, deadline=None)
+def test_right_resolve_matches_all_labels_reference(lg, state_cap):
+    try:
+        ref = _reference_right_resolve(lg, state_cap)
+    except StateCapExceeded:
+        with pytest.raises(StateCapExceeded):
+            right_resolve(lg, state_cap)
+        return
+    pres = right_resolve(lg, state_cap)
+    assert (pres.t, pres.labels, pres.state_sets) == ref
+
+
+def test_right_resolve_many_labels_visits_only_present_ones():
+    # directed 4,100-cycle, I a perfect matching: 2,050 labels, 6,150 subset
+    # states each with one successor label, so trying every label from every
+    # state would be 12.6 million ANDs
+    n = 4100
+    t = Digraph.from_edges(n, [(v, v % n + 1) for v in range(1, n + 1)])
+    g = TIGraph(t, UGraph.from_edges(n, [(v, v + 1) for v in range(1, n, 2)]))
+    lg = component_labeling(g)
+    start = time.perf_counter()
+    pres = right_resolve(lg)
+    elapsed = time.perf_counter() - start
+    assert pres.t.n == 6150
+    assert elapsed < 0.6
 
 
 def test_sofic_entropy_gm(gm):
