@@ -200,7 +200,9 @@ def _lift(g: TIGraph, counts: list[list[int]]) -> tuple[tuple[tuple[int, ...], .
         return succ, rows
     # a word's successors are the children of its suffix node; -1 picks ()
     ranges = [tuple(range(a + 1, b + 1)) for a, b in zip(start, start[1:])] + [()]
-    return tuple(ranges[q] for q in sfx), rows
+    # tuple() of a list: one of a generator resizes a guessed size, which
+    # grows CPython's free lists of small tuples with every lift
+    return tuple([ranges[q] for q in sfx]), rows
 
 
 def _level_masks(last: list[int], span: list[int], near: list[tuple[int, ...]]) -> list[int]:

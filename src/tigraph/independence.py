@@ -10,16 +10,22 @@ The bound is one routine, the first-fit clique cover built one class at a
 time on bitsets (the greedy colouring of San Segundo et al., BBMC, applied
 to cliques of the graph), run over a list of level masks in turn.  It runs
 first with p as the only level, which is index order: one AND per vertex.
-Only when that cannot prune does it run again with the levels of degree
-within the candidates in ascending order (Tomita & Kameda's colouring
-order), which is usually smaller.  A node's bound is never above the first
-order's alone, and the incumbent changes only on a strict improvement, so
-the search visits a subset of the nodes the first order alone would, in the
-same order, and returns the same witness.
+Only when that cannot prune is the degree table of the node built, and the
+routine runs again with its levels in ascending degree (Tomita & Kameda's
+colouring order), which is usually smaller; the same table gives the branch
+vertex.  A node's bound is never above the first order's alone, and the
+incumbent changes only on a strict improvement, so the search visits a
+subset of the nodes the first order alone would, in the same order, and
+returns the same witness.
 
-Domination pruning runs once per component and resumes its scan at the
-lowest neighbour of each dropped vertex instead of restarting: the vertices
-below it cannot have gained a dominated neighbour.
+Both reductions revisit only what a removal touched (the worklist discipline
+of Akiba & Iwata, TCS 609, 2016), with the decisions of full rescans.
+Domination pruning runs once per component; after dropping v it rescans the
+unscanned vertices and v's neighbours, the only vertices whose closed
+neighbourhood or containments changed.  Degree-0/1 peeling sweeps all of p
+once; after that, a sweep visits only the vertices whose degree a take
+lowered, in ascending order: the neighbours of the taken vertex's neighbour,
+in this sweep when above the taken vertex and in the next otherwise.
 
 The connected components are ``UGraph.components``, solved one at a time.
 Each component starts from a minimum-degree greedy incumbent whose degrees
@@ -57,7 +63,10 @@ class _BudgetExhausted(Exception):
 class _Solver:
     def __init__(self, adj: tuple[int, ...], budget: int):
         self.adj = adj
-        self.closed = tuple(a | (1 << v) for v, a in enumerate(adj))
+        # tuple() of a list, not of a generator: that one starts from a guessed
+        # size and resizes, and CPython's per-size free lists of small tuples
+        # then grow with every solve until they hold 2,000 tuples each
+        self.closed = tuple([a | (1 << v) for v, a in enumerate(adj)])
         self.budget = budget
         self.nodes = 0
         self.best_size = 0
@@ -109,14 +118,7 @@ class _Solver:
         # order does not matter: CPython's bitwise operations on negative
         # ints cost several times more.
         adj = self.adj
-        levels: dict[int, int] = {}  # degree -> vertices of that degree
-        m = p
-        while m:
-            v = m.bit_length() - 1
-            low = 1 << v
-            m ^= low
-            d = (adj[v] & p).bit_count()
-            levels[d] = levels.get(d, 0) | low
+        levels = self._levels(p)
         zeros = [p] * max(levels, default=0).bit_length()
         for d, level in levels.items():
             j = 0
@@ -149,42 +151,60 @@ class _Solver:
                     j += 1
         return chosen
 
-    def _reduce(self, p: int, chosen: int) -> tuple[int, int, dict[int, int]]:
-        # Degree-0/1 reductions to a fixed point.  The final sweep changes
-        # nothing, so the levels it records (degree within p -> mask of the
-        # vertices of that degree) partition the returned p.
+    def _levels(self, p: int) -> dict[int, int]:
+        # degree within p -> mask of the vertices of that degree, in ascending
+        # degree; vertices are taken from the top bit down, where order does
+        # not matter
         adj = self.adj
-        changed = True
-        while changed:
-            changed = False
-            levels: dict[int, int] = {}
-            m = p
+        levels: dict[int, int] = {}
+        m = p
+        while m:
+            v = m.bit_length() - 1
+            low = 1 << v
+            m ^= low
+            d = (adj[v] & p).bit_count()
+            levels[d] = levels.get(d, 0) | low
+        return dict(sorted(levels.items()))
+
+    def _reduce(self, p: int, chosen: int) -> tuple[int, int]:
+        # Degree-0/1 reductions to a fixed point, by ascending sweeps.  Only
+        # a removal changes a degree: taking v with its single neighbour w
+        # lowers the degree of w's other neighbours, so those are the only
+        # vertices a later look can find at degree <= 1.  The first sweep
+        # visits all of p; a touched vertex above v joins this sweep, one
+        # below v the next.  Every vertex left out still has the degree >= 2
+        # it was last seen with, so the takes are those of repeated full
+        # sweeps, in the same order.
+        adj = self.adj
+        m = p
+        while m:
+            later = 0
             while m:
                 low = m & -m
-                v = low.bit_length() - 1
                 m ^= low
                 if not p & low:  # removed earlier in this sweep
                     continue
+                v = low.bit_length() - 1
                 nb = adj[v] & p
                 if nb == 0:
                     chosen |= low
                     p ^= low
-                    changed = True
                 elif nb & (nb - 1) == 0:
                     # single neighbor: taking v is never worse
                     chosen |= low
-                    p &= ~(nb | low)
-                    changed = True
-                elif not changed:
-                    d = nb.bit_count()
-                    levels[d] = levels.get(d, 0) | low
-        return p, chosen, levels
+                    p ^= nb | low
+                    touched = adj[nb.bit_length() - 1] & p
+                    above = touched >> v << v
+                    m |= above
+                    later |= touched ^ above
+            m = later & p
+        return p, chosen
 
     def solve(self, p: int, chosen: int) -> None:
         self.nodes += 1
         if self.nodes > self.budget:
             raise _BudgetExhausted
-        p, chosen, levels = self._reduce(p, chosen)
+        p, chosen = self._reduce(p, chosen)
         size = chosen.bit_count()
         if size > self.best_size:
             self.best_size = size
@@ -194,11 +214,11 @@ class _Solver:
         room = self.best_size - size
         if self._cover_bound(p, [p]) <= room:
             return
-        by_degree = [levels[d] for d in sorted(levels)]
-        if self._cover_bound(p, by_degree) <= room:
+        levels = list(self._levels(p).values())
+        if self._cover_bound(p, levels) <= room:
             return
         # branch vertex: maximum degree within p, lowest index on ties
-        top = by_degree[-1]
+        top = levels[-1]
         v = (top & -top).bit_length() - 1
         self.solve(p & ~self.closed[v], chosen | (1 << v))
         self.solve(p & ~(1 << v), chosen)
@@ -207,9 +227,11 @@ class _Solver:
 def _dominated_pruned(adj: tuple[int, ...], closed: tuple[int, ...], p: int) -> int:
     # If u, v are adjacent and N[u] subset of N[v], some maximum independent
     # set avoids v; drop the higher-indexed vertex on exact ties.  Each step
-    # drops the lowest v dominated by the lowest u that dominates any.  A
-    # drop can only give a dominated neighbour to a neighbour of v, so the
-    # scan resumes at v's lowest remaining neighbour instead of vertex 0.
+    # drops the lowest v dominated by the lowest u that dominates any.  The
+    # scan is a worklist in ascending order: a vertex leaves it when it
+    # dominates nothing.  A vertex not adjacent to v keeps its closed
+    # neighbourhood and every containment it was in, so a drop can only give
+    # a dominated neighbour to a neighbour of v; those (u among them) rejoin.
     # u's lowest dominated neighbour is found by witness elimination: a
     # w in N[u] outside N[v] rules out v and every other candidate not
     # adjacent to w.
@@ -229,9 +251,7 @@ def _dominated_pruned(adj: tuple[int, ...], closed: tuple[int, ...], p: int) -> 
                 cand &= closed[(miss & -miss).bit_length() - 1]
             elif u < v or cu != cv & p:
                 p ^= vlow
-                nb = adj[v] & p  # holds u
-                r = (nb & -nb).bit_length() - 1
-                m = p >> r << r
+                m = (m | adj[v]) & p  # adj[v] holds u
                 break
             else:
                 cand ^= vlow
@@ -269,7 +289,7 @@ def max_independent_set(g: UGraph, budget: int = DEFAULT_BUDGET) -> Independence
                 exact = False
         chosen_total |= solver.best_mask
 
-    witness = tuple(v + 1 for v in bits_of(chosen_total))
+    witness = tuple([v + 1 for v in bits_of(chosen_total)])  # from a list, as closed is
     if any(adj[v - 1] & chosen_total for v in witness):
         raise AssertionError("witness is not independent")
     return IndependenceResult(len(witness), witness, exact)

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +33,7 @@ from .errors import DegenerateCoverError, ParseError, ValidationError
 from .graph import Digraph, TIGraph, UGraph, _check_vertex_count
 
 TIE_WIDTH = Fraction(1, 10**12)
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")  # a decimal literal's exponent
 
 
 def _frac(x) -> Fraction:
@@ -42,8 +45,14 @@ def _frac(x) -> Fraction:
         # decimal reading of the literal, not the binary float
         x = repr(x)
     if isinstance(x, str):
+        # Fraction("1e-30000000") builds 10**30000000 first, which takes
+        # minutes; an exponent is refused where Python refuses an int literal
+        # of that many digits (no cap when that limit is switched off)
+        exponent = _EXPONENT.search(x)
+        limit = sys.get_int_max_str_digits()
         try:
-            return Fraction(x)
+            if not (exponent and limit and abs(int(exponent[1])) > limit):
+                return Fraction(x)
         except (ValueError, ZeroDivisionError):  # unparseable, nan, infinity or p/0
             pass
     raise ParseError(f"cannot interpret {x!r} as an exact number")
@@ -299,7 +308,7 @@ def load_map_spec(data: str | bytes) -> tuple[CircleMap, IntervalCover, Fraction
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
-        obj = json.loads(data, parse_float=Fraction)
+        obj = json.loads(data, parse_float=_frac)
     except (ValueError, RecursionError) as exc:  # malformed, nested too deep or int too long
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "pieces" not in obj or "intervals" not in obj:

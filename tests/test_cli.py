@@ -1,6 +1,9 @@
 """CLI commands, exit codes, output determinism, schema conformance."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -178,6 +181,33 @@ def test_ingest_zero_denominator_exit_2(tmp_path, capsys, spec):
     assert code == 2
     assert out == ""
     assert "cannot interpret" in err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"pieces": [%s], "intervals": [[0.2, 0.7]], "margin": 1e-30000000}' % _PIECE,
+        '{"pieces": [{"from": [0, 1], "slope": "2E+30000000", "intercept": 0}],'
+        ' "intervals": [[0.2, 0.7]]}',
+        '{"pieces": [%s], "intervals": [[0.2, "7e-3_0000_000"]]}' % _PIECE,
+    ],
+    ids=["margin_literal", "slope_string", "arc_endpoint_string_underscores"],
+)
+def test_ingest_huge_decimal_exponent_exit_2(tmp_path, spec):
+    # Fraction would build 10**30000000 before anything else ran, which
+    # took over a minute; the spec is refused before any Fraction is built
+    p = tmp_path / "spec.json"
+    p.write_text(spec)
+    src = str(Path(tigraph.graph.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = "import sys; from tigraph.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "ingest", str(p)],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "cannot interpret" in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ import os
 import random
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
 
@@ -15,6 +17,7 @@ import tigraph
 import tigraph.independence as ind
 from tigraph import UGraph, higher_graph, max_independent_set
 from tigraph.independence import _BudgetExhausted, _dominated_pruned, _Solver
+from tigraph.ingest import AffinePiece, Arc, CircleMap, IntervalCover, ti_from_circle
 
 from conftest import brute_force_mis
 
@@ -406,22 +409,49 @@ def test_cover_bounds_match_first_fit(g, data):
     assert solver._cover_bound(p, ascending) == _reference_first_fit(adj, by_degree)
 
 
+def _assert_reduce_matches_reference(g, p):
+    got = _Solver(g.adj, 1)._reduce(p, 0)
+    assert got == _ReferenceSolver(g.adj, 1)._reduce(p, 0)
+    rest, chosen = got
+    assert chosen & rest == 0
+    assert all((g.adj[v] & rest).bit_count() >= 2 for v in range(g.n) if rest >> v & 1)
+
+
 @given(random_ugraphs(n_max=40), st.data())
 @settings(max_examples=150, deadline=None)
-def test_reduce_leaves_degree_two_and_levels_partition_by_degree(g, data):
-    # the second cover and the branch rule read the levels as the degree
-    # table of the returned p
+def test_reduce_matches_reference_sweeps(g, data):
+    full = (1 << g.n) - 1
+    _assert_reduce_matches_reference(g, data.draw(st.one_of(st.just(full), st.integers(0, full))))
+
+
+@given(st.integers(2, 90), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_reduce_matches_reference_on_relabelled_paths_and_cycles(n, closed, data):
+    # peeling a path or an opened cycle takes one vertex per step along it,
+    # so under a random labelling the full sweeps repeat many times
+    label = data.draw(st.permutations(range(1, n + 1)))
+    pairs = [(label[i], label[i + 1]) for i in range(n - 1)]
+    if closed and n > 2:
+        pairs.append((label[-1], label[0]))
+    g = UGraph.from_edges(n, pairs)
+    full = (1 << g.n) - 1
+    _assert_reduce_matches_reference(g, data.draw(st.one_of(st.just(full), st.integers(0, full))))
+
+
+@given(random_ugraphs(n_max=40), st.data())
+@settings(max_examples=150, deadline=None)
+def test_levels_partition_p_by_degree_in_ascending_order(g, data):
+    # the second cover reads the levels in this order, and the branch rule
+    # takes the lowest vertex of the last one
     full = (1 << g.n) - 1
     p = data.draw(st.one_of(st.just(full), st.integers(0, full)))
-    p, chosen, levels = _Solver(g.adj, 1)._reduce(p, 0)
-    assert chosen & p == 0
+    levels = _Solver(g.adj, 1)._levels(p)
+    assert list(levels) == sorted(levels)
     union = 0
     for d, level in levels.items():
         assert level and not union & level
         union |= level
-        for v in range(g.n):
-            if level >> v & 1:
-                assert (g.adj[v] & p).bit_count() == d >= 2
+        assert all((g.adj[v] & p).bit_count() == d for v in range(g.n) if level >> v & 1)
     assert union == p
 
 
@@ -484,6 +514,25 @@ def test_doubling_lift_m11_closes_at_root(dbl):
     assert res.size == 2048
     chosen = set(res.witness)
     assert not any(a in chosen and b in chosen for a, b in g.edges)
+
+
+def test_wide_cover_m5_lift_is_solved_exactly_in_under_two_seconds():
+    # 16,200 words under x -> 3x on 200 arcs, a 2-regular lifted I: the root
+    # branches once and degree-1 peeling empties each child, so a full
+    # sweep after every take made this take seconds
+    arcs = [
+        Arc.from_endpoints(Fraction(5 * i - 1, 1000), Fraction(5 * (i + 1) + 1, 1000))
+        for i in range(200)
+    ]
+    cmap = CircleMap((AffinePiece(Fraction(0), Fraction(1), Fraction(3), Fraction(0)),))
+    g = higher_graph(ti_from_circle(cmap, IntervalCover(tuple(arcs))), 5).lifted.i
+    assert g.n == 16_200
+    start = time.perf_counter()
+    res = max_independent_set(g)
+    elapsed = time.perf_counter() - start
+    assert res.exact
+    assert res.size == 8_100
+    assert elapsed < 2
 
 
 _BAD_WITNESS = {

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from tigraph import (
     DegenerateCoverError,
     Digraph,
     EmptyGraphError,
+    ParseError,
     SizeCapExceeded,
     TIGraph,
     UGraph,
@@ -169,6 +171,15 @@ def test_load_map_spec_reads_decimals_exactly():
     assert cover.arcs[0].length == Fraction(45, 100)
     assert margin == Fraction(1, 100)
     assert cmap.pieces[0].slope == 2
+
+
+def test_exponent_is_capped_at_the_int_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert _frac(f"1e-{limit}") == Fraction(1, 10**limit)
+    assert _frac(f" 3E+{limit} ") == 3 * 10**limit
+    for text in (f"1e-{limit + 1}", f"1e{limit + 1}", "1e" + "9" * 5000):
+        with pytest.raises(ParseError, match="cannot interpret"):
+            _frac(text)
 
 
 def test_wrapping_image_covers_across_zero():
