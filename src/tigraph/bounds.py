@@ -39,12 +39,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
 from .config import Config
-from .errors import EmptyGraphError, SizeCapExceeded, TigraphError, ValidationError
+from .errors import SizeCapExceeded, TigraphError, ValidationError
 from .graph import (
     Digraph,
     TIGraph,
@@ -54,7 +53,7 @@ from .graph import (
     induced_digraph,
     induced_subgraph,
     is_vertex_path,
-    prune_digraph,
+    require_pruned,
     serialize_tigraph,
 )
 from .higher import (
@@ -128,19 +127,8 @@ class LimitSequence:
         return value, m
 
 
-def _prune_checked(g: TIGraph) -> TIGraph:
-    if not g.t.is_pruned():
-        raise ValidationError("graph must be pruned first (use prune_stranded)")
-    return g
-
-
 def graph_digest(g: TIGraph) -> str:
     return hashlib.sha256(serialize_tigraph(g).encode()).hexdigest()[:16]
-
-
-def _restricted(t: Digraph, vertices: Iterable[int]) -> Digraph:
-    """T restricted to ``vertices`` and pruned; EmptyGraphError if nothing recurs."""
-    return prune_digraph(induced_digraph(t, vertices)[0])[0]
 
 
 def _sum_bound(t: Digraph, vertices: tuple[int, ...]) -> int:
@@ -161,13 +149,16 @@ def independent_subshift_bound(
     The largest independent set need not induce the most entropy, so after
     the exact search a deterministic family of maximal independent sets
     (one greedily grown from each seed vertex) is also scored, one Perron
-    solve per candidate.  A candidate whose row- and column-sum bound shows
-    it cannot beat the best so far is never restricted or solved, so it
-    cannot raise NoConvergenceError either; the result is the one scoring
-    every candidate gives.  Returns a zero bound with an empty certificate
-    when no candidate induces a recurrent subgraph.
+    solve per candidate on T restricted to it, unpruned: the cyclic blocks
+    are those of the pruned restriction, in the same order, and every other
+    vertex is a block of value 0, so the value is the pruned one bit for
+    bit, and 0.0 exactly when the candidate holds no cycle.  A candidate
+    whose row- and column-sum bound shows it cannot beat the best so far is
+    never restricted or solved, so it cannot raise NoConvergenceError
+    either; the result is the one scoring every candidate gives.  Returns a
+    zero bound with an empty certificate when no candidate holds a cycle.
     """
-    _prune_checked(g)
+    require_pruned(g.t)
     candidates: list[tuple[int, ...]] = []
     mis = max_independent_set(g.i, budget=mis_budget)
     candidates.append(mis.witness)
@@ -190,8 +181,8 @@ def independent_subshift_bound(
     best_lambda = 0.0
     for cand in dict.fromkeys(candidates):
         # Skip S when it cannot beat the best so far.  lambda_S <= u =
-        # _sum_bound(S) (Frobenius; pruning and the block split only drop
-        # entries).  A solve returns a diagonal entry (<= u) or
+        # _sum_bound(S) (Frobenius; the block split only drops entries).
+        # A solve returns a diagonal entry (<= u) or
         # fl(fl(lo + hi) / 2 - 1) for Collatz-Wielandt ratio bounds lo <= hi
         # of a block of A + Id with fl(hi - lo) <= 2 tol.  The exact smallest
         # ratio is <= u + 1, and a computed ratio rounds at most n + 1 times
@@ -208,18 +199,16 @@ def independent_subshift_bound(
         ceiling = u + tol + (u + 1 + tol) * (g.n + 3) * 2.0**-52
         if math.log(max(ceiling, 1.0)) <= best_value + tol:
             continue
-        try:
-            sub = _restricted(g.t, cand)
-        except EmptyGraphError:
+        lam = perron_eigenvalue(induced_digraph(g.t, cand)[0], tol=tol).value
+        if lam == 0.0:  # S holds no cycle
             continue
-        lam = perron_eigenvalue(sub, tol=tol).value
         value = math.log(max(lam, 1.0))
         if value > best_value + tol:
             best_value = value
             best_set = cand
             best_lambda = lam
     if not best_set:
-        # no candidate induces any recurrent dynamics
+        # no candidate holds a cycle
         return Bound("independent_subshift", 0.0, True, False, {})
     exact = g.i.num_edges() == 0  # no overlaps at all: this IS the entropy
     cert = {"independent_set": list(best_set), "lambda": best_lambda, "mis_exact": mis.exact}
@@ -256,7 +245,7 @@ def primitive_bound(g: TIGraph, mis_budget: int = DEFAULT_BUDGET) -> Bound:
     The class bound on the all-vertex class with p = 1.  Raises
     NotPrimitiveError when T is not primitive.
     """
-    _prune_checked(g)
+    require_pruned(g.t)
     gamma = g.t.structure.gamma()
     log_ind, witness, exact = _class_ind(g, tuple(range(1, g.n + 1)), mis_budget)
     cert = {"independent_set": witness, "gamma": gamma, "mis_exact": exact}
@@ -272,7 +261,7 @@ def component_bound(g: TIGraph, mis_budget: int = DEFAULT_BUDGET) -> Bound:
     I-edge, a positive bound exists; if no class does, the answer is 0.
     The first class in SCC order wins ties.
     """
-    _prune_checked(g)
+    require_pruned(g.t)
     report = g.t.structure
     adj = g.i.adj
     masks = [sum(1 << (v - 1) for v in cls) for _, _, cls, _ in report.classes()]
@@ -302,7 +291,7 @@ def sofic_bound(
     g: TIGraph, tol: float = DEFAULT_TOL, state_cap: int = DEFAULT_STATE_CAP
 ) -> Bound:
     """Entropy of the I-component shift; exact when all I-components are cliques."""
-    _prune_checked(g)
+    require_pruned(g.t)
     value, presentation = sofic_entropy(g, tol=tol, state_cap=state_cap)
     cliques = clique_components_check(g)
     return Bound(
@@ -333,7 +322,7 @@ def limit_sequence(
     estimate.  The sequence is truncated (with a flag) when the word count
     passes ``size_cap``.  Raw values need not be monotone in m.
     """
-    _prune_checked(g)
+    require_pruned(g.t)
     primitive = g.t.structure.primitive
     gamma_base = g.t.structure.gamma() if primitive else None
 
@@ -406,7 +395,7 @@ def oracle_separated_count(
     Independent of the higher-shift construction; used to cross-check it.
     Words are counted and capped as ``higher_graph`` counts them.
     """
-    _prune_checked(g)
+    require_pruned(g.t)
     if n < 1:
         raise ValidationError("word length must be >= 1")
     _capped_counts(g.t, n, size_cap)
@@ -469,7 +458,7 @@ def best_bound(g: TIGraph, config: Config | None = None) -> BoundReport:
     fixed order and ``best`` is the first index attaining the maximum.
     """
     cfg = config or Config()
-    _prune_checked(g)
+    require_pruned(g.t)
     bounds: list[Bound] = []
 
     def run(method: str, fn):
@@ -553,9 +542,8 @@ def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
             return bound.value == 0.0
         if not independent(cert.get("independent_set")) or type(cert.get("mis_exact")) is not bool:
             return False
-        try:
-            lam = perron_eigenvalue(_restricted(g.t, cert["independent_set"])).value
-        except EmptyGraphError:
+        lam = perron_eigenvalue(induced_digraph(g.t, cert["independent_set"])[0]).value
+        if lam == 0.0:  # the set holds no cycle
             return bound.value == 0.0
         claimed = cert.get("lambda")
         if not isinstance(claimed, float) or abs(claimed - lam) > tol:

@@ -179,8 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("higher", help="dump the m-th higher vertex graph")
     p.add_argument("path")
     p.add_argument("-m", type=int, required=True, help="block length")
-    p.add_argument("--stats", action="store_true", help="print counts instead of the graph")
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
+    form = p.add_mutually_exclusive_group()
+    form.add_argument("--stats", action="store_true", help="print counts instead of the graph")
+    form.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
     _add_config_flags(p, "size_cap")
     p.set_defaults(fn=cmd_higher)
 

@@ -341,6 +341,12 @@ def prune_stranded(g: TIGraph) -> tuple[TIGraph, dict[int, int]]:
     return induced_subgraph(g, prune_digraph(g.t)[1])
 
 
+def require_pruned(t: Digraph) -> None:
+    """Refuse a T with a vertex that has no successor or no predecessor."""
+    if not t.is_pruned():
+        raise ValidationError("graph must be pruned first (use prune_stranded)")
+
+
 def induced_digraph(t: Digraph, vertices: Iterable[int]) -> tuple[Digraph, dict[int, int]]:
     """Restrict T to ``vertices`` and reindex them in ascending order.
 

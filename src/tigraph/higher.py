@@ -6,6 +6,10 @@ the first by one step (overlap in m-1 symbols), and in the lifted I when the
 words are indistinguishable: at every position the symbols are equal or
 I-adjacent.  Lifted vertices are ordered lexicographically by their words.
 
+T must be pruned, as for every bound; ``higher_graph`` refuses any other T
+rather than prune it.  So every prefix extends to a word, and the children
+of a prefix ending in v are the successors of v.
+
 Both lifted graphs come from one walk down the tree of word prefixes, level
 j holding the length-j prefixes as flat int lists, and only two levels held
 at a time.  The words under a node form one contiguous index range, as long
@@ -26,10 +30,11 @@ tree level is made.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Iterator
 
 from .errors import LengthMismatchError, SizeCapExceeded, ValidationError
-from .graph import MAX_BITSET_VERTICES, Digraph, TIGraph, UGraph, Word, bits_of
+from .graph import MAX_BITSET_VERTICES, Digraph, TIGraph, UGraph, Word, bits_of, require_pruned
 
 DEFAULT_SIZE_CAP = 2_000_000
 
@@ -45,10 +50,13 @@ def words_indistinguishable(g: TIGraph, a: Word, b: Word) -> bool:
     """True iff at every position the symbols are equal or I-adjacent.
 
     Equal symbols count as indistinguishable (a symbol always overlaps
-    itself), so every word is indistinguishable from itself.
+    itself), so every word is indistinguishable from itself.  Raises
+    ValidationError for a symbol outside 1..n.
     """
     if len(a) != len(b):
         raise LengthMismatchError(f"word lengths differ: {len(a)} vs {len(b)}")
+    if not all(0 < x <= g.n for x in (*a, *b)):
+        raise ValidationError(f"word symbol out of range 1..{g.n}")
     adj = g.i.adj
     return all(x == y or adj[x - 1] >> (y - 1) & 1 for x, y in zip(a, b))
 
@@ -96,34 +104,27 @@ def _capped_counts(t: Digraph, m: int, size_cap: int) -> list[list[int]]:
 
     ``counts[k][v-1]`` is the number of paths of k+1 vertices from v.
     Raises SizeCapExceeded when there are more than ``size_cap`` or
-    ``MAX_BITSET_VERTICES`` words of length m, whichever is smaller.  When
-    every vertex has a successor each path extends, so the count never falls
-    as the length grows, and counting stops once it passes the cap.  With a
-    sink the count runs to length m, and a count above the cap is kept as
-    cap + 1: no prefix of a word has more words under it than there are.
+    ``MAX_BITSET_VERTICES`` words of length m, whichever is smaller.  T is
+    pruned, so every path extends and the count never falls as the length
+    grows: counting stops once it passes the cap.
     """
     cap = min(size_cap, MAX_BITSET_VERTICES)
-    growing = all(t.succ)
     kept = []
     for counts in _path_counts(t, m):
-        total = sum(counts)
-        if total > cap:
-            if growing:
-                break
-            counts = [min(c, cap + 1) for c in counts]
+        if sum(counts) > cap:
+            raise SizeCapExceeded(f"more than {cap} words of length {m}")
         kept.append(counts)
-    if total > cap:
-        raise SizeCapExceeded(f"more than {cap} words of length {m}")
     return kept
 
 
 def higher_graph(g: TIGraph, m: int, size_cap: int = DEFAULT_SIZE_CAP) -> HigherGraph:
-    """Build the m-th higher vertex graph of g.
+    """Build the m-th higher vertex graph of g, whose T must be pruned.
 
-    Raises SizeCapExceeded before enumeration when the path count at length
-    m exceeds ``size_cap`` or ``MAX_BITSET_VERTICES``.  For m = 1 the lift
-    is an isomorphic copy of g.
+    Raises ValidationError for an unpruned T, and SizeCapExceeded before
+    enumeration when more than ``size_cap`` or ``MAX_BITSET_VERTICES`` words
+    have length m.  The lift is pruned too; for m = 1 it is a copy of g.
     """
+    require_pruned(g.t)
     if m < 1:
         raise ValidationError("m must be >= 1")
     counts = _capped_counts(g.t, m, size_cap)
@@ -135,71 +136,48 @@ def higher_graph(g: TIGraph, m: int, size_cap: int = DEFAULT_SIZE_CAP) -> Higher
 def _lift(g: TIGraph, counts: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     """Lifted T successor tuples and lifted I rows, level by level down the prefix tree.
 
-    Level j lists, in lexicographic order, the length-j prefixes that extend
-    to length m: each node's last symbol ``last`` and its suffix node ``sfx``
-    (the level j-1 index of the prefix without its first symbol, -1 where
-    that prefix does not extend to length m); ``start`` marks where each
-    node's children begin one level down.  Row k of level j has bit i set
-    for every word i that is indistinguishable from node k in the first j
-    positions, so at level m it is word k's lifted I row plus bit k.
+    Level j lists, in lexicographic order, the length-j prefixes: each
+    node's last symbol ``last`` and its suffix node ``sfx`` (the level j-1
+    index of the prefix without its first symbol); ``start`` marks where
+    each node's children begin one level down.  T is pruned, so the children
+    of a node ending in v are ``succ[v-1]``, in order.  Row k of level j has
+    bit i set for every word i that is indistinguishable from node k in the
+    first j positions, so at level m it is word k's lifted I row plus bit k.
     """
     m = len(counts)
     succ = g.t.succ
     # near[s]: the symbols equal or I-adjacent to s
     near = [()] + [tuple(bits_of(a << 1 | 2 << s)) for s, a in enumerate(g.i.adj)]
-    # a level-j node ending in v has the span[v-1] = counts[m-j][v-1] words
-    # of one contiguous range under it
-    span = counts[m - 1]
-    alive = tuple(map(bool, span))
-    last = [v for v in range(1, g.n + 1) if span[v - 1]]
-    masks = _level_masks(last, span, near)
+    # a level-j node ending in v has the counts[m-j][v-1] words of one
+    # contiguous range under it
+    last = list(range(1, g.n + 1))
+    masks = _level_masks(last, counts[m - 1], near)
     rows = [masks[v] for v in last]
-    # every length-1 prefix has the empty prefix (the root) for suffix, and
-    # the root's children are all of level 1
-    sfx = [0] * len(last)
-    start = [0]
-    rank = {v: k for k, v in enumerate(last)}
-    # kids[v]: the children of a node ending in v, each with its offset among
-    # the children of the node's suffix node, -1 if not among them.  That
-    # suffix node ends in v too, except at level 2, where it is the root, so
-    # a table depends only on that and on which symbols extend far enough at
-    # this level and the one above: it is made once, not once per level.
-    tables: dict[tuple, list[tuple[tuple[int, int], ...]]] = {}
     for j in range(2, m + 1):
-        span = counts[m - j]
-        key = (j == 2, alive, tuple(map(bool, span)))
-        alive = key[2]
-        if key not in tables:
-            pos = [rank] * len(near) if j == 2 else [{s: k for k, (s, _) in enumerate(r)} for r in kids]
-            tables[key] = [()] + [
-                tuple([(s, pos[v].get(s, -1)) for s in row if alive[s - 1]])
-                for v, row in enumerate(succ, start=1)
-            ]
-        kids = tables[key]
-        above = start
-        nxt_last, nxt_sfx, start = [], [], []
-        for p, v in enumerate(last):
-            start.append(len(nxt_last))
-            q = sfx[p]
-            base = above[q] if q >= 0 else -1
-            for s, k in kids[v]:
-                nxt_last.append(s)
-                nxt_sfx.append(base + k if base >= 0 and k >= 0 else -1)
-        start.append(len(nxt_last))
-        masks = _level_masks(nxt_last, span, near)
+        kids = [succ[v - 1] for v in last]
+        last = list(chain.from_iterable(kids))
+        # the suffix node q of a node ending in v ends in v too, so the
+        # node's child k has q's child k for suffix node; at level 2 q is
+        # the root, whose child s is level 1's node s - 1
+        if j == 2:
+            sfx = [s - 1 for s in last]
+        else:
+            spans = list(map(range, start, start[1:]))
+            sfx = [k for q in sfx for k in spans[q]]
+        start = list(accumulate(map(len, kids), initial=0))
+        masks = _level_masks(last, counts[m - j], near)
         nxt_rows = []
-        for p, v in enumerate(last):
-            row = rows[p]
+        for p, row in enumerate(rows):
             rows[p] = None  # freed as its children's rows are made
-            for s, _ in kids[v]:
+            for s in kids[p]:
                 nxt_rows.append(row & masks[s])
-        rows, last, sfx = nxt_rows, nxt_last, nxt_sfx
+        rows = nxt_rows
     for k in range(len(rows)):
         rows[k] ^= 1 << k
     if m == 1:
         return succ, rows
-    # a word's successors are the children of its suffix node; -1 picks ()
-    ranges = [tuple(range(a + 1, b + 1)) for a, b in zip(start, start[1:])] + [()]
+    # a word's successors are the children of its suffix node
+    ranges = [tuple(range(a + 1, b + 1)) for a, b in zip(start, start[1:])]
     # tuple() of a list: one of a generator resizes a guessed size, which
     # grows CPython's free lists of small tuples with every lift
     return tuple([ranges[q] for q in sfx]), rows

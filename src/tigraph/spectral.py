@@ -29,7 +29,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import NoConvergenceError, ValidationError
-from .graph import Digraph
+from .graph import Digraph, require_pruned
 from .structure import _tarjan
 
 DEFAULT_TOL = 1e-10
@@ -83,10 +83,10 @@ def _to_csr(a) -> tuple[tuple, list[int], list[int], np.ndarray]:
         data = dense[rows, cols]
         indptr = np.searchsorted(rows, np.arange(shape[0] + 1)).tolist()
         indices = cols.tolist()
-    if shape[0] != shape[1]:
-        raise ValidationError("matrix must be square")
-    if data.size and data.min() < 0:
-        raise ValidationError("matrix must be nonnegative")
+    if shape[0] != shape[1] or not shape[0]:
+        raise ValidationError("matrix must be square and nonempty")
+    if not (np.isfinite(data) & (data >= 0)).all():
+        raise ValidationError("matrix entries must be finite and nonnegative")
     succ = tuple([j + 1 for j in indices[indptr[i] : indptr[i + 1]]] for i in range(shape[0]))
     return succ, indptr, indices, data
 
@@ -95,9 +95,11 @@ def perron_eigenvalue(a, tol: float = DEFAULT_TOL, iteration_cap: int | None = N
     """Perron eigenvalue of a square nonnegative matrix, certified to ``tol``.
 
     Accepts a dense array-like, a scipy sparse matrix, or a Digraph.  Raises
-    NoConvergenceError if some block's certified interval does not shrink
-    below ``tol`` within the iteration cap (default 100 n^2 + 1000 per block);
-    the error names the first such block in Tarjan order.
+    ValidationError for an empty or non-square matrix or one with a
+    negative, NaN or infinite entry.  Raises NoConvergenceError if some
+    block's certified interval does not shrink below ``tol`` within the
+    iteration cap (default 100 n^2 + 1000 per block); the error names the
+    first such block in Tarjan order.
     """
     if not 0 < tol < math.inf:  # also false for nan
         raise ValidationError("tol must be positive and finite")
@@ -171,7 +173,6 @@ def sft_entropy(t: Digraph, tol: float = DEFAULT_TOL) -> float:
     Requires the degree invariant (every vertex has an incoming and an
     outgoing edge), which guarantees the eigenvalue is at least 1.
     """
-    if not t.is_pruned():
-        raise ValidationError("transition graph must be pruned (no stranded vertices)")
+    require_pruned(t)
     res = perron_eigenvalue(t, tol=tol)
     return float(np.log(max(res.value, 1.0)))

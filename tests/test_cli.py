@@ -299,6 +299,15 @@ def test_higher_stats(dbl_path, capsys):
     assert out.strip() == "m=2 vertices=8 t_edges=16 i_edges=12 gamma=3"
 
 
+def test_higher_stats_and_dot_exclude_each_other(dbl_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["higher", dbl_path, "-m", "2", "--stats", "--dot"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument --stats" in captured.err
+
+
 def test_higher_m1_echoes_graph(dbl_path, capsys, dbl):
     code, out, _ = _run(capsys, ["higher", dbl_path, "-m", "1"])
     payload = json.loads(out)

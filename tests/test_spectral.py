@@ -69,6 +69,11 @@ def test_invalid_inputs():
         perron_eigenvalue([[1, 2, 3]])
     with pytest.raises(ValidationError):
         perron_eigenvalue([[-1]])
+    with pytest.raises(ValidationError, match="nonempty"):
+        perron_eigenvalue(np.zeros((0, 0)))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValidationError, match="finite"):
+            perron_eigenvalue([[1, bad], [1, 1]])
     for tol in (0, float("nan"), float("inf")):
         with pytest.raises(ValidationError):
             perron_eigenvalue([[1]], tol=tol)
