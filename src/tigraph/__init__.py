@@ -69,7 +69,6 @@ from .sofic import (
     RightResolvingPresentation,
     clique_components_check,
     component_labeling,
-    export_presentation_dot,
     right_resolve,
     sofic_entropy,
 )
@@ -77,7 +76,6 @@ from .spectral import SpectralResult, perron_eigenvalue, sft_entropy
 from .structure import (
     StructureReport,
     analyze_structure,
-    primitive_components,
     primitivity_index,
     scc_decompose,
     wielandt_cap,

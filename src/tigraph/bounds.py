@@ -264,12 +264,12 @@ def component_bound(g: TIGraph, mis_budget: int = DEFAULT_BUDGET) -> Bound:
     require_pruned(g.t)
     report = g.t.structure
     adj = g.i.adj
-    masks = [sum(1 << (v - 1) for v in cls) for _, _, cls, _ in report.classes()]
+    masks = [sum(1 << (v - 1) for v in cls) for _, _, cls, _ in report.classes]
     if all(c & (adj[v] | 1 << v) == c for c in masks for v in bits_of(c)):
         return Bound("component", 0.0, True, False, {})
 
     best = None
-    for k, p, cls, gamma in report.classes():
+    for k, p, cls, gamma in report.classes:
         if gamma is None:
             continue
         log_ind, witness, exact = _class_ind(g, cls, mis_budget)
@@ -566,7 +566,7 @@ def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
             return False
         if type(p) is not int or type(gamma) is not int or type(cert.get("mis_exact")) is not bool:
             return False
-        for _, q, c, gs in g.t.structure.classes():
+        for _, q, c, gs in g.t.structure.classes:
             if gs is not None and set(c) == set(cls) and q == p and gs == gamma:
                 return abs(math.log(len(chosen)) / (q * gs) - bound.value) <= tol
         return False

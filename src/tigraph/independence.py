@@ -271,23 +271,27 @@ def max_independent_set(g: UGraph, budget: int = DEFAULT_BUDGET) -> Independence
     included, so no per-edge ``edges`` tuple is made here.
     """
     adj = g.adj
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * g.n + 100))
     solver = _Solver(adj, budget)
 
     # independent components are solved separately, in order of their lowest vertex
     chosen_total = 0
     exact = True
-    for comp in g.components:
-        comp = _dominated_pruned(adj, solver.closed, comp)
-        greedy_mask = solver._greedy(comp)
-        solver.best_size = greedy_mask.bit_count()
-        solver.best_mask = greedy_mask
-        if exact:  # once the budget is gone, a component keeps this incumbent
-            try:
-                solver.solve(comp, 0)
-            except _BudgetExhausted:
-                exact = False
-        chosen_total |= solver.best_mask
+    limit = sys.getrecursionlimit()  # the caller's, restored below
+    sys.setrecursionlimit(max(limit, 2 * g.n + 100))
+    try:
+        for comp in g.components:
+            comp = _dominated_pruned(adj, solver.closed, comp)
+            greedy_mask = solver._greedy(comp)
+            solver.best_size = greedy_mask.bit_count()
+            solver.best_mask = greedy_mask
+            if exact:  # once the budget is gone, a component keeps this incumbent
+                try:
+                    solver.solve(comp, 0)
+                except _BudgetExhausted:
+                    exact = False
+            chosen_total |= solver.best_mask
+    finally:
+        sys.setrecursionlimit(limit)
 
     witness = tuple([v + 1 for v in bits_of(chosen_total)])  # from a list, as closed is
     if any(adj[v - 1] & chosen_total for v in witness):

@@ -16,9 +16,8 @@ subset construction and the clique check work on bitset rows: T's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import StateCapExceeded
 from .graph import Digraph, TIGraph, bits_of, prune_digraph
@@ -157,7 +156,7 @@ def sofic_entropy(
     presentation = right_resolve(component_labeling(g), state_cap=state_cap)
     essential = _prune_presentation(presentation)
     res = perron_eigenvalue(essential.t, tol=tol)
-    return float(np.log(max(res.value, 1.0))), essential
+    return math.log(max(res.value, 1.0)), essential
 
 
 def clique_components_check(g: TIGraph) -> bool:
@@ -169,14 +168,3 @@ def clique_components_check(g: TIGraph) -> bool:
     adj = g.i.adj
     return all(adj[v] | 1 << v == comp for comp in g.i.components for v in bits_of(comp))
 
-
-def export_presentation_dot(p: RightResolvingPresentation) -> str:
-    """DOT rendering with states annotated by label and merged vertex set."""
-    lines = ["digraph presentation {"]
-    for s in range(1, p.t.n + 1):
-        vset = ",".join(str(v) for v in p.state_sets[s - 1])
-        lines.append(f'  {s} [label="L{p.labels[s - 1]}:{{{vset}}}"];')
-    for i, j in p.t.edges():
-        lines.append(f"  {i} -> {j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -175,4 +175,4 @@ def sft_entropy(t: Digraph, tol: float = DEFAULT_TOL) -> float:
     """
     require_pruned(t)
     res = perron_eigenvalue(t, tol=tol)
-    return float(np.log(max(res.value, 1.0)))
+    return math.log(max(res.value, 1.0))

@@ -1,13 +1,20 @@
-"""Irreducible decomposition, periods, primitive components, primitivity index and its lift."""
+"""Irreducible decomposition, periods, cyclic classes, primitivity index and its lift.
+
+``analyze_structure`` splits each SCC of period p into its p cyclic classes
+and keeps one flat table, ``StructureReport.classes``, of (SCC index,
+period, class vertices, gamma).  A class's gamma is read off the SCC's p-th
+boolean power restricted to the class.  One routine, ``_gamma``, searches
+for the least all-positive power of bit-packed rows; it serves both the
+classes and ``primitivity_index``.
+"""
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator
 
-from .errors import NotPrimitiveError, SizeCapExceeded, ValidationError
+from .errors import NotPrimitiveError, SizeCapExceeded
 from .graph import Digraph, bits_of
 
 # Direct primitivity search needs n^2-bit scratch matrices; refuse beyond this.
@@ -99,12 +106,15 @@ def _tarjan(n: int, succ: tuple[tuple[int, ...], ...]) -> list[list[int]]:
     return comps
 
 
-def _bfs_levels(t: Digraph, comp: list[int]) -> dict[int, int]:
-    """BFS depth of each vertex of ``comp`` from its smallest, inside ``comp``.
+def _cyclic_classes(t: Digraph, comp: tuple[int, ...]) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Split an SCC of T that holds a cycle into its p cyclic classes.
 
-    Raises ValidationError when some vertex does not reach, or is not reached
-    from, the smallest inside ``comp``, i.e. the set is not one strongly
-    connected component.
+    ``comp`` is an ascending SCC from ``scc_decompose``.  The period is the
+    gcd of level(u) + 1 - level(w) over the SCC's edges, with levels from a
+    BFS from its smallest vertex.  Returns, for each class in cyclic order
+    starting at the class of the smallest vertex, the class vertex tuple and
+    its p-step rows: the length-p paths of T that stay inside the SCC,
+    bit-packed onto the class's own vertices in ascending order.
     """
     members = set(comp)
     root = comp[0]
@@ -118,38 +128,11 @@ def _bfs_levels(t: Digraph, comp: list[int]) -> dict[int, int]:
                     level[w] = level[u] + 1
                     nxt.append(w)
         frontier = nxt
-    reaches_root = {root}
-    stack = [root]
-    while stack:
-        for u in t.pred[stack.pop() - 1]:
-            if u in members and u not in reaches_root:
-                reaches_root.add(u)
-                stack.append(u)
-    if len(level) != len(members) or len(reaches_root) != len(members):
-        raise ValidationError("vertex set is not a single strongly connected component")
-    return level
-
-
-def primitive_components(t: Digraph, scc: Iterable[int]) -> list[tuple[tuple[int, ...], Digraph]]:
-    """Split one SCC of period p into its p cyclic classes.
-
-    The period is the gcd of level(u) + 1 - level(w) over the SCC's edges,
-    with levels from a BFS layering.  Returns, for each class in cyclic
-    order starting at the class of the smallest vertex, the class vertex
-    tuple and the class-transition digraph (reindexed onto 1..|class|):
-    edges are the length-p paths of T that stay inside the SCC.  Each
-    returned digraph is primitive.  Raises ValidationError when ``scc`` is
-    not one SCC or has no cycle.
-    """
-    comp = sorted(set(scc))
-    level = _bfs_levels(t, comp)
     p = 0
     for u in comp:
         for w in t.succ[u - 1]:
-            if w in level:
+            if w in members:
                 p = gcd(p, level[u] + 1 - level[w])
-    if p == 0:
-        raise ValidationError("component contains no cycle; period undefined")
 
     # comp is sorted, so each class is too
     classes: list[list[int]] = [[] for _ in range(p)]
@@ -161,18 +144,16 @@ def primitive_components(t: Digraph, scc: Iterable[int]) -> list[tuple[tuple[int
     rows = [0] * len(comp)
     for v in comp:
         for w in t.succ[v - 1]:
-            if w in level:
+            if w in members:
                 rows[local[v]] |= 1 << local[w]
     power = _bool_power(rows, p)
 
-    # a class's local bits ascend with its vertices, so each successor tuple
-    # comes out strictly increasing
     out = []
     for cls in classes:
-        pos = {local[v]: k for k, v in enumerate(cls, start=1)}
+        pos = {local[v]: k for k, v in enumerate(cls)}
         mask = sum(1 << b for b in pos)
-        succ = tuple(tuple(pos[b] for b in bits_of(power[local[v]] & mask)) for v in cls)
-        out.append((tuple(cls), Digraph(len(cls), succ)))
+        block = [sum(1 << pos[b] for b in bits_of(power[local[v]] & mask)) for v in cls]
+        out.append((tuple(cls), block))
     return out
 
 
@@ -224,19 +205,18 @@ def _check_search_size(n: int) -> None:
         raise SizeCapExceeded(f"primitivity search unavailable for n={n}")
 
 
-def primitivity_index(t: Digraph) -> int:
-    """Least k with the k-th boolean power of the adjacency matrix all-positive.
+def _gamma(rows: list[int]) -> int:
+    """Least k with the k-th boolean power of the bit-packed rows all-positive.
 
     Searches incrementally up to the Wielandt bound n^2 - 2n + 2 and raises
     NotPrimitiveError beyond it, which signals a period > 1 or a
     non-irreducible input.  Each step is A^(k+1) = A * A^k, one OR per edge
     of the graph.
     """
-    n = t.n
+    n = len(rows)
     _check_search_size(n)
     cap = wielandt_cap(n)
     full = (1 << n) - 1
-    rows = list(t.rows)
     power = rows
     k = 1
     while k <= cap:
@@ -245,6 +225,14 @@ def primitivity_index(t: Digraph) -> int:
         power = _bool_mul(rows, power)
         k += 1
     raise NotPrimitiveError(f"no all-positive power up to the Wielandt bound {cap}")
+
+
+def primitivity_index(t: Digraph) -> int:
+    """Least k with the k-th boolean power of the adjacency matrix all-positive.
+
+    Raises NotPrimitiveError when T is not primitive.
+    """
+    return _gamma(list(t.rows))
 
 
 def higher_gamma(gamma: int, n: int, m: int) -> int:
@@ -258,24 +246,18 @@ def higher_gamma(gamma: int, n: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Per-SCC decomposition data.
+    """Per-SCC decomposition data and one table of cyclic classes.
 
     ``periods[k]`` is None for a singleton SCC without a self-loop (no
-    recurrent dynamics); ``components[k]`` lists that SCC's cyclic classes
-    with their class-transition digraphs, and ``gammas[k]`` the matching
-    primitivity indices (None where a class is too large for the search).
+    recurrent dynamics).  ``classes`` holds (SCC index, period, class
+    vertices, gamma) for every cyclic class of the other SCCs, in SCC order
+    and then in cyclic order; gamma is the primitivity index of the class's
+    p-step graph, None where the class is too large for the search.
     """
 
     sccs: tuple[tuple[int, ...], ...]
     periods: tuple[int | None, ...]
-    components: tuple[tuple[tuple[tuple[int, ...], Digraph], ...] | None, ...]
-    gammas: tuple[tuple[int | None, ...] | None, ...]
-
-    def classes(self) -> Iterator[tuple[int, int, tuple[int, ...], int | None]]:
-        """(SCC index, period, class vertices, class gamma) of every cyclic class."""
-        for k, comps in enumerate(self.components):
-            for c, (cls, _) in enumerate(comps or ()):
-                yield k, self.periods[k], cls, self.gammas[k][c]
+    classes: tuple[tuple[int, int, tuple[int, ...], int | None], ...]
 
     @property
     def primitive(self) -> bool:
@@ -290,7 +272,7 @@ class StructureReport:
         """
         if not self.primitive:
             raise NotPrimitiveError("transition graph is not primitive")
-        gamma = self.gammas[0][0]
+        gamma = self.classes[0][3]
         if gamma is None:  # a primitive graph is refused only for its size
             _check_search_size(len(self.sccs[0]))
         return gamma
@@ -300,23 +282,19 @@ def analyze_structure(t: Digraph) -> StructureReport:
     """SCCs, periods, cyclic classes and their gammas; ``Digraph.structure`` caches it."""
     sccs = tuple(scc_decompose(t))
     periods: list[int | None] = []
-    components: list[tuple[tuple[tuple[int, ...], Digraph], ...] | None] = []
-    gammas: list[tuple[int | None, ...] | None] = []
-    for comp in sccs:
+    classes: list[tuple[int, int, tuple[int, ...], int | None]] = []
+    for k, comp in enumerate(sccs):
         if len(comp) == 1 and comp[0] not in t.succ[comp[0] - 1]:
             periods.append(None)
-            components.append(None)
-            gammas.append(None)
             continue
-        comps = tuple(primitive_components(t, comp))
-        periods.append(len(comps))  # one cyclic class per residue of the period
-        components.append(comps)
-        row: list[int | None] = []
-        for _, block in comps:
-            # a class's p-step digraph is primitive, so only its size can refuse it
+        split = _cyclic_classes(t, comp)
+        p = len(split)  # one cyclic class per residue of the period
+        periods.append(p)
+        for cls, rows in split:
+            # a class's p-step graph is primitive, so only its size can refuse it
             try:
-                row.append(primitivity_index(block))
+                gamma = _gamma(rows)
             except SizeCapExceeded:
-                row.append(None)
-        gammas.append(tuple(row))
-    return StructureReport(sccs, tuple(periods), tuple(components), tuple(gammas))
+                gamma = None
+            classes.append((k, p, cls, gamma))
+    return StructureReport(sccs, tuple(periods), tuple(classes))

@@ -394,11 +394,11 @@ def _reference_primitive_bound(g):
 def _reference_component_bound(g):
     report = g.t.structure
     adj = g.i.adj
-    masks = [sum(1 << (v - 1) for v in cls) for _, _, cls, _ in report.classes()]
+    masks = [sum(1 << (v - 1) for v in cls) for _, _, cls, _ in report.classes]
     if all(c & (adj[v] | 1 << v) == c for c in masks for v in bits_of(c)):
         return tigraph.Bound("component", 0.0, True, False, {})
     best = None
-    for k, p, cls, gamma in report.classes():
+    for k, p, cls, gamma in report.classes:
         if gamma is None:
             continue
         sub, idx_map = induced_subgraph(g, cls)
@@ -975,7 +975,7 @@ def _reference_verify_class_bound(g, bound, tol=1e-9):
         return False
     if not set(cert["independent_set"]) <= set(cls):
         return False
-    comps = {frozenset(c): (p, gs) for _, p, c, gs in analyze_structure(g.t).classes()}
+    comps = {frozenset(c): (p, gs) for _, p, c, gs in analyze_structure(g.t).classes}
     key = frozenset(cls)
     if key not in comps:
         return False
@@ -997,11 +997,11 @@ def _certificate_pool(g):
         [1], [2], [1, 2], [1, 3], [2, 4], [5, 6, 7, 8], [1, 1], [2],
         list(range(1, g.n + 1)), list(range(1, g.n + 2)), list(range(g.n, 0, -1)),
     ]
-    pool += [list(c) for _, _, c, _ in report.classes()]
-    pool += [list(c) + list(c) for _, _, c, _ in report.classes()]
+    pool += [list(c) for _, _, c, _ in report.classes]
+    pool += [list(c) + list(c) for _, _, c, _ in report.classes]
     pool += [list(scc) for scc in report.sccs]
-    pool += [q + d for _, q, _, _ in report.classes() for d in (-1, 1)]
-    pool += [gs + d for _, _, _, gs in report.classes() if gs for d in (-1, 1)]
+    pool += [q + d for _, q, _, _ in report.classes for d in (-1, 1)]
+    pool += [gs + d for _, _, _, gs in report.classes if gs for d in (-1, 1)]
     return pool
 
 
@@ -1039,6 +1039,18 @@ def test_verify_bound_matches_separate_checks_on_mutated_certificates(dbl, perio
     assert min(decisions.values()) > 100, decisions
 
 
+def test_sofic_and_independent_subshift_share_one_log():
+    # both are exact and equal h(T); np.log put sofic one ulp higher, so it
+    # was best by rounding alone
+    t = Digraph.from_edges(
+        5, [(1, 2), (1, 4), (2, 3), (2, 5), (3, 4), (4, 3), (4, 5), (5, 1), (5, 3)]
+    )
+    report = best_bound(TIGraph(t, UGraph.from_rows([0] * 5)))
+    values = {b.method: b.value for b in report.bounds}
+    assert values["sofic"].hex() == values["independent_subshift"].hex()
+    assert report.best == 0
+
+
 def test_best_bound_analyses_base_t_once(dbl):
     import tigraph.structure
 
@@ -1046,7 +1058,7 @@ def test_best_bound_analyses_base_t_once(dbl):
     g = TIGraph(Digraph(dbl.n, dbl.t.succ), dbl.i)
     names = {
         getattr(tigraph.structure, name).__code__: name
-        for name in ("scc_decompose", "primitivity_index")
+        for name in ("scc_decompose", "_gamma")
     }
     calls = dict.fromkeys(names.values(), 0)
 
@@ -1062,7 +1074,7 @@ def test_best_bound_analyses_base_t_once(dbl):
         best_bound(g, Config(m_max=3))
     finally:
         sys.setprofile(previous)
-    assert calls == {"scc_decompose": 1, "primitivity_index": 1}
+    assert calls == {"scc_decompose": 1, "_gamma": 1}
 
 
 _BROKEN_INVARIANT = {

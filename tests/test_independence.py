@@ -560,3 +560,25 @@ def test_bad_witness_raises_under_python_O(name):
     )
     assert proc.returncode != 0
     assert "AssertionError: witness is not independent" in proc.stderr
+
+
+def test_max_independent_set_restores_the_recursion_limit():
+    # a raised limit left behind let deeply nested JSON overflow the C stack
+    # (SIGSEGV) instead of raising ParseError
+    script = (
+        "import sys\n"
+        "from tigraph import ParseError, UGraph, max_independent_set, parse_tigraph\n"
+        "limit = sys.getrecursionlimit()\n"
+        "max_independent_set(UGraph.from_rows([0] * 60000))\n"
+        "print('limit kept:', sys.getrecursionlimit() == limit, flush=True)\n"
+        "try:\n"
+        "    parse_tigraph('[' * 200000)\n"
+        "except ParseError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(tigraph.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "limit kept: True" in proc.stdout
+    assert "invalid JSON" in proc.stdout

@@ -16,7 +16,6 @@ from tigraph import (
     UGraph,
     clique_components_check,
     component_labeling,
-    export_presentation_dot,
     oracle_separated_count,
     right_resolve,
     sft_entropy,
@@ -211,13 +210,6 @@ def test_separated_count_equals_label_words_when_cliques(gm):
     for m in range(1, 7):
         count = sum(1 for w in words if len(w) == m)
         assert oracle_separated_count(gm, m).count == count
-
-
-def test_presentation_dot_export(gm):
-    _, pres = sofic_entropy(gm)
-    dot = export_presentation_dot(pres)
-    assert dot.startswith("digraph presentation {")
-    assert dot.count("label=") == pres.t.n
 
 
 def _reference_component_labeling(g):

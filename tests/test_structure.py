@@ -1,19 +1,18 @@
-"""SCC decomposition, periods, primitive components, primitivity index."""
+"""SCC decomposition, periods, cyclic classes, primitivity index."""
 
+import dataclasses
 import math
-import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tigraph.structure
 from tigraph import (
     Digraph,
     NotPrimitiveError,
-    ValidationError,
     analyze_structure,
-    primitive_components,
     primitivity_index,
     scc_decompose,
     wielandt_cap,
@@ -59,41 +58,48 @@ def test_period_self_loop():
 def test_period_rejects_acyclic_singleton():
     t = Digraph.from_edges(2, [(1, 2), (2, 2)])
     assert t.structure.periods == (None, 1)
-    for g in (t, Digraph.from_edges(2, [(1, 2), (2, 1)])):
-        with pytest.raises(ValidationError, match="no cycle"):
-            primitive_components(g, (1,))
-
-
-def test_primitive_components_rejects_a_set_that_does_not_reach_its_smallest():
-    # 1 -> 2 and a loop at 2: both are reached from 1, but 2 never returns
-    t = Digraph.from_edges(2, [(1, 2), (2, 2)])
-    with pytest.raises(ValidationError, match="strongly connected"):
-        primitive_components(t, (1, 2))
+    assert t.structure.classes == ((1, 1, (2,), 1),)
 
 
 def test_primitive_components_four_cycle():
     t = Digraph.from_edges(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
-    comps = primitive_components(t, (1, 2, 3, 4))
-    assert [cls for cls, _ in comps] == [(1,), (2,), (3,), (4,)]
-    for _, block in comps:
-        assert block.edges() == [(1, 1)]
+    assert t.structure.classes == tuple((0, 4, (v,), 1) for v in (1, 2, 3, 4))
 
 
 def test_primitive_components_trivial_when_aperiodic(dbl):
-    comps = primitive_components(dbl.t, (1, 2, 3, 4))
-    assert len(comps) == 1
-    cls, block = comps[0]
-    assert cls == (1, 2, 3, 4)
-    assert block.edges() == dbl.t.edges()
+    assert dbl.t.structure.classes == ((0, 1, (1, 2, 3, 4), 2),)
 
 
 def test_primitive_components_period_two(period2_fixture):
-    t = period2_fixture.t
-    assert t.structure.periods == (2,)
-    comps = primitive_components(t, range(1, 9))
-    assert [cls for cls, _ in comps] == [(1, 2, 3, 4), (5, 6, 7, 8)]
-    for _, block in comps:
-        assert primitivity_index(block) == 4
+    report = period2_fixture.t.structure
+    assert report.periods == (2,)
+    assert report.classes == ((0, 2, (1, 2, 3, 4), 4), (0, 2, (5, 6, 7, 8), 4))
+
+
+def test_structure_report_holds_sccs_periods_and_classes_only():
+    assert [f.name for f in dataclasses.fields(tigraph.StructureReport)] == [
+        "sccs",
+        "periods",
+        "classes",
+    ]
+    assert "primitive_components" not in tigraph.__all__
+
+
+def test_analyze_structure_builds_no_digraph(monkeypatch):
+    # a period-3 SCC: 1 -> 2 -> 3 -> {1, 4}, 4 -> 5 -> 6 -> 1
+    t = Digraph.from_edges(6, [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 6), (6, 1)])
+    built = []
+    post_init = Digraph.__post_init__
+
+    def counting(self):
+        built.append(self.n)
+        post_init(self)
+
+    monkeypatch.setattr(Digraph, "__post_init__", counting)
+    report = analyze_structure(t)
+    assert report.periods == (3,)
+    assert [cls for _, _, cls, _ in report.classes] == [(1, 4), (2, 5), (3, 6)]
+    assert built == []
 
 
 def test_primitivity_index_dbl(dbl):
@@ -136,19 +142,16 @@ def test_analyze_structure_skips_acyclic_singletons():
     report = analyze_structure(t)
     assert report.sccs == ((1,), (2,), (3,))
     assert report.periods == (1, None, 1)
-    assert report.components[1] is None
-    assert report.gammas == ((1,), None, (1,))
+    assert report.classes == ((0, 1, (1,), 1), (2, 1, (3,), 1))
 
 
 def test_analyze_structure_lets_a_class_gamma_failure_propagate(monkeypatch):
     # a class's p-step digraph is primitive: NotPrimitiveError there is a bug,
     # never a class without gamma
-    import tigraph.structure
+    def refuse(rows):
+        raise NotPrimitiveError("class p-step graph is not primitive")
 
-    def refuse(t):
-        raise NotPrimitiveError("class digraph is not primitive")
-
-    monkeypatch.setattr(tigraph.structure, "primitivity_index", refuse)
+    monkeypatch.setattr(tigraph.structure, "_gamma", refuse)
     with pytest.raises(NotPrimitiveError):
         analyze_structure(Digraph.from_edges(2, [(1, 2), (2, 1)]))
 
@@ -188,34 +191,46 @@ def test_period_divides_every_cycle_length(t):
         assert p == (math.gcd(*lengths) if lengths else None)
 
 
+def _bool_matrix_power(a, k):
+    """k-th boolean power of a 0/1 matrix, kept 0/1 after every product."""
+    power = np.eye(len(a), dtype=a.dtype)
+    for _ in range(k):
+        power = np.minimum(power @ a, 1)
+    return power
+
+
+def _class_step_matrix(t, scc, p, cls):
+    """0/1 matrix of the length-p paths of T inside ``scc`` between vertices of ``cls``."""
+    inside = [v - 1 for v in scc]
+    step = _bool_matrix_power(adjacency_matrix(t)[np.ix_(inside, inside)], p)
+    at = [scc.index(v) for v in cls]
+    return step[np.ix_(at, at)]
+
+
 @given(pruned_digraphs(n_max=7))
 @settings(max_examples=60, deadline=None)
 def test_primitive_component_blocks_are_primitive(t):
     report = analyze_structure(t)
-    for comps, gammas in zip(report.components, report.gammas):
-        if comps is None:
-            continue
-        for (cls, block), gamma in zip(comps, gammas):
-            assert gamma is not None
-            assert gamma <= wielandt_cap(len(cls))
-            # gamma is minimal: power gamma-1 is not all-positive
-            a = adjacency_matrix(block)
-            assert (np.linalg.matrix_power(a, gamma) > 0).all()
-            if gamma > 1:
-                assert not (np.linalg.matrix_power(a, gamma - 1) > 0).all()
+    for k, p, cls, gamma in report.classes:
+        assert gamma is not None
+        assert gamma <= wielandt_cap(len(cls))
+        # gamma is minimal: power gamma-1 is not all-positive
+        block = _class_step_matrix(t, report.sccs[k], p, cls)
+        assert _bool_matrix_power(block, gamma).all()
+        if gamma > 1:
+            assert not _bool_matrix_power(block, gamma - 1).all()
 
 
 @given(pruned_digraphs(n_max=7))
 @settings(max_examples=60, deadline=None)
 def test_class_edges_rotate_between_classes(t):
     report = analyze_structure(t)
-    for scc, p, comps in zip(report.sccs, report.periods, report.components):
-        if comps is None or p == 1:
+    for k, (scc, p) in enumerate(zip(report.sccs, report.periods)):
+        if p is None or p == 1:
             continue
-        position = {}
-        for k, (cls, _) in enumerate(comps):
-            for v in cls:
-                position[v] = k
+        classes = [cls for j, _, cls, _ in report.classes if j == k]
+        assert len(classes) == p
+        position = {v: c for c, cls in enumerate(classes) for v in cls}
         members = set(scc)
         for u in scc:
             for w in t.succ[u - 1]:
@@ -322,11 +337,19 @@ def test_primitivity_index_matches_the_other_power_order(t):
 @settings(max_examples=150, deadline=None)
 def test_primitive_components_match_the_other_power_order(t):
     report = analyze_structure(t)
-    for comp, p, comps in zip(report.sccs, report.periods, report.components):
-        if comps is None:
+    assert [k for k, _, _, _ in report.classes] == sorted(k for k, _, _, _ in report.classes)
+    for k, (comp, p) in enumerate(zip(report.sccs, report.periods)):
+        rows = [(q, cls, gamma) for j, q, cls, gamma in report.classes if j == k]
+        if p is None:
+            assert rows == []
             continue
-        assert comps == tuple(_reference_primitive_components(t, comp))
-        assert p == len(comps)
+        expect = _reference_primitive_components(t, comp)
+        assert p == len(expect)
+        assert [q for q, _, _ in rows] == [p] * p
+        assert [cls for _, cls, _ in rows] == [cls for cls, _ in expect]
+        assert [gamma for _, _, gamma in rows] == [
+            _reference_primitivity_index(block) for _, block in expect
+        ]
 
 
 @st.composite
@@ -352,13 +375,20 @@ def test_bool_power_matches_stepping(t, k):
         assert _bool_power(rows, e) == stepped
 
 
-def test_analyze_structure_of_a_long_cycle_is_fast():
-    # period 2,000: one product per step of the power took 1.8 s on a 2-vCPU Xeon
+def test_analyze_structure_of_a_long_cycle_is_fast(monkeypatch):
+    # period 2,000: stepping the power takes 1,999 products (1.8 s on a 2-vCPU
+    # Xeon), squaring at most two per bit of the period
     n = 2000
     t = Digraph(n, tuple((v % n + 1,) for v in range(1, n + 1)))
-    start = time.perf_counter()
+    products = []
+    bool_mul = tigraph.structure._bool_mul
+
+    def counting(a, b):
+        products.append(len(a))
+        return bool_mul(a, b)
+
+    monkeypatch.setattr(tigraph.structure, "_bool_mul", counting)
     report = analyze_structure(t)
-    elapsed = time.perf_counter() - start
     assert report.periods == (n,)
-    assert report.gammas == ((1,) * n,)
-    assert elapsed < 0.25
+    assert report.classes == tuple((0, n, (v,), 1) for v in range(1, n + 1))
+    assert len(products) <= 2 * n.bit_length()
