@@ -159,15 +159,13 @@ def independent_subshift_bound(
     zero bound with an empty certificate when no candidate holds a cycle.
     """
     require_pruned(g.t)
-    candidates: list[tuple[int, ...]] = []
     mis = max_independent_set(g.i, budget=mis_budget)
-    candidates.append(mis.witness)
+    candidates = [mis.witness]
 
     # first fit from each seed: repeatedly take the lowest vertex not yet
     # in or next to the set, as an index-order scan would
     adj = g.i.adj
-    seeds = range(g.n) if g.n <= 128 else range(0, g.n, max(1, g.n // 128))
-    for seed in seeds:
+    for seed in range(0, g.n, max(1, g.n // 128)):
         chosen = [seed + 1]
         free = ((1 << g.n) - 1) & ~(adj[seed] | 1 << seed)
         while free:
@@ -510,9 +508,16 @@ def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
     pairwise distinguishable vertex paths of one length, ``exact`` other
     than on ``independent_subshift`` with edgeless I (at h(T)) or on
     ``sofic`` with clique I-components, or ``certified`` on ``higher_limit``
-    for non-primitive T.  A malformed certificate fails the check; it never
-    raises.
+    for non-primitive T.  A malformed certificate, or a re-check that hits a
+    cap or a solve that does not converge, fails the check; it never raises.
     """
+    try:
+        return _recheck(g, bound, tol)
+    except TigraphError:
+        return False
+
+
+def _recheck(g: TIGraph, bound: Bound, tol: float) -> bool:
     cert = bound.certificate
     method = bound.method
     if bound.exact:

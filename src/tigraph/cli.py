@@ -113,12 +113,14 @@ def cmd_higher(args: argparse.Namespace) -> int:
     if args.stats:
         gamma = ""
         structure = pruned.t.structure
-        if structure.primitive:
-            gamma = f" gamma={higher_gamma(structure.gamma(), pruned.n, args.m)}"
-        sys.stdout.write(
-            f"m={args.m} vertices={lift.lifted.n} t_edges={lift.lifted.t.num_edges()}"
-            f" i_edges={lift.lifted.i.num_edges()}{gamma}\n"
-        )
+        try:  # a T too large for the gamma search keeps its counts; main then exits 3
+            if structure.primitive:
+                gamma = f" gamma={higher_gamma(structure.gamma(), pruned.n, args.m)}"
+        finally:
+            sys.stdout.write(
+                f"m={args.m} vertices={lift.lifted.n} t_edges={lift.lifted.t.num_edges()}"
+                f" i_edges={lift.lifted.i.num_edges()}{gamma}\n"
+            )
         return EXIT_OK
     if args.dot:
         labels = {

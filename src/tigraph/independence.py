@@ -3,8 +3,9 @@
 The exact solver is branch-and-bound on bit-packed candidate masks: branch
 on a maximum-degree vertex (include it and delete its closed neighborhood,
 then exclude it), prune with greedy clique-cover upper bounds, and apply
-degree-0/degree-1/domination reductions.  All tie-breaking is by lowest
-vertex index, so witnesses are reproducible.
+degree-0/degree-1/domination reductions.  The search runs depth first on an
+explicit stack, so it needs no recursion limit.  All tie-breaking is by
+lowest vertex index, so witnesses are reproducible.
 
 The bound is one routine, the first-fit clique cover built one class at a
 time on bitsets (the greedy colouring of San Segundo et al., BBMC, applied
@@ -41,7 +42,6 @@ graph above ``MAX_BITSET_VERTICES``: ``UGraph`` refuses to build one.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 from .graph import UGraph, bits_of
@@ -54,10 +54,6 @@ class IndependenceResult:
     size: int
     witness: tuple[int, ...]
     exact: bool
-
-
-class _BudgetExhausted(Exception):
-    pass
 
 
 class _Solver:
@@ -200,28 +196,33 @@ class _Solver:
             m = later & p
         return p, chosen
 
-    def solve(self, p: int, chosen: int) -> None:
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise _BudgetExhausted
-        p, chosen = self._reduce(p, chosen)
-        size = chosen.bit_count()
-        if size > self.best_size:
-            self.best_size = size
-            self.best_mask = chosen
-        if not p:
-            return
-        room = self.best_size - size
-        if self._cover_bound(p, [p]) <= room:
-            return
-        levels = list(self._levels(p).values())
-        if self._cover_bound(p, levels) <= room:
-            return
-        # branch vertex: maximum degree within p, lowest index on ties
-        top = levels[-1]
-        v = (top & -top).bit_length() - 1
-        self.solve(p & ~self.closed[v], chosen | (1 << v))
-        self.solve(p & ~(1 << v), chosen)
+    def solve(self, p: int, chosen: int) -> bool:
+        # the include child is pushed last, so nodes pop in preorder
+        stack = [(p, chosen)]
+        while stack:
+            p, chosen = stack.pop()
+            self.nodes += 1
+            if self.nodes > self.budget:
+                return False
+            p, chosen = self._reduce(p, chosen)
+            size = chosen.bit_count()
+            if size > self.best_size:
+                self.best_size = size
+                self.best_mask = chosen
+            if not p:
+                continue
+            room = self.best_size - size
+            if self._cover_bound(p, [p]) <= room:
+                continue
+            levels = list(self._levels(p).values())
+            if self._cover_bound(p, levels) <= room:
+                continue
+            # branch vertex: maximum degree within p, lowest index on ties
+            top = levels[-1]
+            v = (top & -top).bit_length() - 1
+            stack.append((p & ~(1 << v), chosen))
+            stack.append((p & ~self.closed[v], chosen | (1 << v)))
+        return True
 
 
 def _dominated_pruned(adj: tuple[int, ...], closed: tuple[int, ...], p: int) -> int:
@@ -261,11 +262,12 @@ def _dominated_pruned(adj: tuple[int, ...], closed: tuple[int, ...], p: int) -> 
 def max_independent_set(g: UGraph, budget: int = DEFAULT_BUDGET) -> IndependenceResult:
     """Maximum independent set with witness; exact unless the budget runs out.
 
-    Budget counts branch-and-bound node expansions.  On exhaustion the best
-    set found so far is returned with ``exact=False`` (still a valid
-    independent set, hence still usable as a certificate); each component
-    not yet searched contributes the greedy incumbent its search would have
-    started from, on its dominance-pruned vertices.
+    Budget counts branch-and-bound node expansions; the search returns, rather
+    than raises, when it is spent, and leaves the recursion limit alone.  On
+    exhaustion the best set found so far is returned with ``exact=False``
+    (still a valid independent set, hence still usable as a certificate); each
+    component not yet searched contributes the greedy incumbent its search
+    would have started from, on its dominance-pruned vertices.
 
     Works on the bitset rows ``g.adj`` only, the final independence check
     included, so no per-edge ``edges`` tuple is made here.
@@ -276,22 +278,13 @@ def max_independent_set(g: UGraph, budget: int = DEFAULT_BUDGET) -> Independence
     # independent components are solved separately, in order of their lowest vertex
     chosen_total = 0
     exact = True
-    limit = sys.getrecursionlimit()  # the caller's, restored below
-    sys.setrecursionlimit(max(limit, 2 * g.n + 100))
-    try:
-        for comp in g.components:
-            comp = _dominated_pruned(adj, solver.closed, comp)
-            greedy_mask = solver._greedy(comp)
-            solver.best_size = greedy_mask.bit_count()
-            solver.best_mask = greedy_mask
-            if exact:  # once the budget is gone, a component keeps this incumbent
-                try:
-                    solver.solve(comp, 0)
-                except _BudgetExhausted:
-                    exact = False
-            chosen_total |= solver.best_mask
-    finally:
-        sys.setrecursionlimit(limit)
+    for comp in g.components:
+        comp = _dominated_pruned(adj, solver.closed, comp)
+        solver.best_mask = solver._greedy(comp)
+        solver.best_size = solver.best_mask.bit_count()
+        if exact:  # once the budget is gone, a component keeps this incumbent
+            exact = solver.solve(comp, 0)
+        chosen_total |= solver.best_mask
 
     witness = tuple([v + 1 for v in bits_of(chosen_total)])  # from a list, as closed is
     if any(adj[v - 1] & chosen_total for v in witness):

@@ -77,6 +77,18 @@ def period2_fixture() -> TIGraph:
     return TIGraph(Digraph.from_edges(8, t_edges), UGraph.from_edges(8, i_edges))
 
 
+@pytest.fixture(scope="session")
+def too_large_for_gamma() -> TIGraph:
+    """The 16,385-cycle with a loop at vertex 1, and edgeless I.
+
+    T is primitive, one vertex above ``MAX_PRIMITIVITY_VERTICES``, so its
+    gamma search is refused for size.
+    """
+    n = 16_385
+    t = Digraph.from_edges(n, [(1, 1)] + [(v, v % n + 1) for v in range(1, n + 1)])
+    return TIGraph(t, UGraph.from_edges(n, []))
+
+
 def random_pruned_tigraph(rng: random.Random, n_max: int = 6) -> TIGraph:
     """Random TI-graph that survives pruning; deterministic for a given rng."""
     while True:

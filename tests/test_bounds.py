@@ -22,6 +22,7 @@ from tigraph import (
     EmptyGraphError,
     NotPrimitiveError,
     SizeCapExceeded,
+    StateCapExceeded,
     TIGraph,
     UGraph,
     ValidationError,
@@ -906,6 +907,22 @@ def test_verify_bound_accepts_provable_exact_claims(dbl, gm):
     partial = tigraph.Bound("independent_subshift", 0.0, True, True, cert)
     assert verify_bound(g, dataclasses.replace(partial, exact=False))
     assert verify_bound(g, partial) is False
+
+
+def test_verify_bound_is_false_where_a_recheck_hits_a_cap(dbl, too_large_for_gamma, monkeypatch):
+    # T is primitive but too large for the gamma search, so this certified
+    # family cannot be re-checked
+    forged = tigraph.Bound("higher_limit", 0.1, True, False, {"witness_words": [[1], [2]]})
+    assert too_large_for_gamma.t.structure.primitive
+    assert verify_bound(too_large_for_gamma, forged) is False
+    b = next(b for b in best_bound(dbl, Config(m_max=2)).bounds if b.method == "sofic")
+    assert verify_bound(dbl, b)
+
+    def capped(g):
+        raise StateCapExceeded("state cap reached")
+
+    monkeypatch.setattr("tigraph.bounds.sofic_entropy", capped)
+    assert verify_bound(dbl, b) is False
 
 
 def test_forged_flags_verify_only_where_provable():

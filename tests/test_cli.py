@@ -299,6 +299,17 @@ def test_higher_stats(dbl_path, capsys):
     assert out.strip() == "m=2 vertices=8 t_edges=16 i_edges=12 gamma=3"
 
 
+def test_higher_stats_without_gamma_exits_3(tmp_path, too_large_for_gamma, capsys):
+    # T is primitive but too large for the gamma search: the counts are
+    # still printed, without gamma
+    path = tmp_path / "big.json"
+    path.write_text(serialize_tigraph(too_large_for_gamma))
+    code, out, err = _run(capsys, ["higher", str(path), "-m", "1", "--stats"])
+    assert code == 3
+    assert out == "m=1 vertices=16385 t_edges=16386 i_edges=0\n"
+    assert err == "cap reached: primitivity search unavailable for n=16385\n"
+
+
 def test_higher_stats_and_dot_exclude_each_other(dbl_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["higher", dbl_path, "-m", "2", "--stats", "--dot"])

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import tigraph
 import tigraph.independence as ind
 from tigraph import UGraph, higher_graph, max_independent_set
-from tigraph.independence import _BudgetExhausted, _dominated_pruned, _Solver
+from tigraph.independence import _dominated_pruned, _Solver
 from tigraph.ingest import AffinePiece, Arc, CircleMap, IntervalCover, ti_from_circle
 
 from conftest import brute_force_mis
@@ -47,12 +47,17 @@ def _reference_greedy(adj, p):
     return chosen
 
 
+class _BudgetExhausted(Exception):
+    pass
+
+
 class _ReferenceSolver(_Solver):
     """The branch and bound as it was before the bitset kernels.
 
-    First-fit clique cover scanning every open class per vertex, a separate
-    scan for the branch vertex, and no second bound.  ``_greedy`` is shared:
-    it has its own reference above.
+    Recursive, where the solver runs on an explicit stack; a first-fit
+    clique cover scanning every open class per vertex, a separate scan for
+    the branch vertex, and no second bound.  ``_greedy`` is shared: it has
+    its own reference above.
     """
 
     def _cover_bound(self, p):
@@ -97,6 +102,13 @@ class _ReferenceSolver(_Solver):
         return p, chosen
 
     def solve(self, p, chosen):
+        try:
+            self._solve(p, chosen)
+        except _BudgetExhausted:
+            return False
+        return True
+
+    def _solve(self, p, chosen):
         self.nodes += 1
         if self.nodes > self.budget:
             raise _BudgetExhausted
@@ -121,8 +133,8 @@ class _ReferenceSolver(_Solver):
             if d > best_d:
                 best_d = d
                 best_v = v
-        self.solve(p & ~self.closed[best_v], chosen | (1 << best_v))
-        self.solve(p & ~(1 << best_v), chosen)
+        self._solve(p & ~self.closed[best_v], chosen | (1 << best_v))
+        self._solve(p & ~(1 << best_v), chosen)
 
 
 def _reference_dominated_pruned(adj, closed, p):
@@ -470,14 +482,19 @@ def test_dominated_pruned_keeps_one_vertex_of_a_clique():
     assert _dominated_pruned(g.adj, closed, (1 << n) - 1) == 1
 
 
+def _g60():
+    """G(60, 0.15) at seed 108: a search of 139 nodes."""
+    rng = random.Random(108)
+    n = 60
+    return UGraph.from_edges(
+        n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.15]
+    )
+
+
 def test_second_cover_cuts_the_search_with_the_same_witness(dbl):
     # G(60, 0.15): the degree-ordered cover prunes where the index-ordered
     # one cannot (139 nodes against 245); the doubling lift closes at once
-    rng = random.Random(108)
-    n = 60
-    g = UGraph.from_edges(
-        n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.15]
-    )
+    g = _g60()
     res, nodes = _solve_counting(g, ind.DEFAULT_BUDGET)
     ref, ref_nodes = _solve_reference(g, ind.DEFAULT_BUDGET)
     assert res == ref
@@ -582,3 +599,15 @@ def test_max_independent_set_restores_the_recursion_limit():
     assert proc.returncode == 0, proc.stderr
     assert "limit kept: True" in proc.stdout
     assert "invalid JSON" in proc.stdout
+
+
+def test_a_branching_solve_never_sets_the_recursion_limit(monkeypatch):
+    # the search runs on an explicit stack, so it changes no process-wide
+    # state and two threads may solve at once
+    def refuse(limit):
+        raise AssertionError(f"recursion limit set to {limit}")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    (size, _, exact), nodes = _solve_counting(_g60(), ind.DEFAULT_BUDGET)
+    assert (size, exact) == (19, True)
+    assert nodes == 139
