@@ -36,11 +36,15 @@ of the gamma-normalized values is.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+try:  # CPython's own SHA-256: hashlib loads OpenSSL, about 3.5 MB resident, for one digest a report
+    from _sha256 import sha256
+except ImportError:  # not built, or named _sha2 (Python 3.12 on)
+    from hashlib import sha256
 
 from .config import Config
 from .errors import SizeCapExceeded, TigraphError, ValidationError
@@ -128,7 +132,7 @@ class LimitSequence:
 
 
 def graph_digest(g: TIGraph) -> str:
-    return hashlib.sha256(serialize_tigraph(g).encode()).hexdigest()[:16]
+    return sha256(serialize_tigraph(g).encode()).hexdigest()[:16]
 
 
 def _sum_bound(t: Digraph, vertices: tuple[int, ...]) -> int:

@@ -19,6 +19,20 @@ incumbent changes only on a strict improvement, so the search visits a
 subset of the nodes the first order alone would, in the same order, and
 returns the same witness.
 
+Where both orders leave more classes than the incumbent can afford, the
+degree-order classes are refined by disjoint inconsistent subsets, the
+MaxSAT-style bound of Li & Quan (AAAI 2010): sets of classes that no
+independent set meets in every class, so each one lowers the bound by one.
+Unit propagation on bitsets finds them: a one-vertex class forces its vertex
+in and deletes that vertex's neighbours from the other classes, and a class
+left empty, with the classes whose forced vertices emptied it, is one such
+set.  When propagation finds none, each two-vertex class is tested for a
+failed literal: if both its vertices propagate to a conflict, the class and
+both conflicts form one.  The refined bound is still an upper bound on the
+independence number, and it only runs where both covers failed to prune, so
+again the search visits a subset of the nodes, in the same order, with the
+same incumbents and the same witness.
+
 Both reductions revisit only what a removal touched (the worklist discipline
 of Akiba & Iwata, TCS 609, 2016), with the decisions of full rescans.
 Domination pruning runs once per component; after dropping v it rescans the
@@ -44,6 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ValidationError
 from .graph import UGraph, bits_of
 
 DEFAULT_BUDGET = 10_000_000
@@ -68,14 +83,15 @@ class _Solver:
         self.best_size = 0
         self.best_mask = 0
 
-    def _cover_bound(self, p: int, levels: list[int]) -> int:
+    def _cover_bound(self, p: int, levels: list[int], classes: list[int] | None = None) -> int:
         # Greedy clique cover of p: each class is a clique, so an independent
         # set meets it at most once.  Vertices are placed level by level, in
         # index order within a level.  Built one class at a time, this is
         # exactly first-fit: the first uncovered vertex opens a class, which
         # then takes the first uncovered vertex adjacent to all its members.
         # The levels are only read (p holds the uncovered vertices), and
-        # candidates left after the other levels lie in the last one.
+        # candidates left after the other levels lie in the last one.  Each
+        # class is p before it minus p after it, appended to classes if given.
         adj = self.adj
         bound = 0
         last = len(levels) - 1
@@ -83,6 +99,7 @@ class _Solver:
             masked = levels[i:last]
             rest = level & p
             while rest:
+                start = p
                 low = rest & -rest
                 p ^= low
                 cand = adj[low.bit_length() - 1] & p
@@ -99,6 +116,8 @@ class _Solver:
                     p ^= low
                     cand &= adj[low.bit_length() - 1]
                 bound += 1
+                if classes is not None:
+                    classes.append(start ^ p)
                 rest = level & p
         return bound
 
@@ -196,6 +215,82 @@ class _Solver:
             m = later & p
         return p, chosen
 
+    def _conflicts(self, classes: list[int], need: int) -> bool:
+        # True when `need` pairwise disjoint inconsistent subsets of the
+        # clique classes turn up: sets of classes that no independent set
+        # meets in every class.  A subset is a bit mask of class indices;
+        # each one found is dropped (its classes emptied) and the search
+        # starts again on the rest.  owner[v] is the class of v, and live
+        # the union of the classes not dropped.
+        adj = self.adj
+        owner = [0] * len(adj)
+        live = 0
+        for j, c in enumerate(classes):
+            live |= c
+            while c:
+                v = c.bit_length() - 1
+                c ^= 1 << v
+                owner[v] = j
+
+        def propagate(masks: list[int], reasons: list[int], units: list[int]) -> int:
+            # Unit propagation: a one-vertex class forces its vertex in,
+            # which deletes that vertex's neighbours from the other classes.
+            # An independent set meeting every class of reasons[j] meets
+            # class j inside masks[j] only, so when class j is left empty,
+            # reasons[j] (j and, transitively, the classes whose forced
+            # vertices shrank it) is an inconsistent subset.  A class joins
+            # units when it shrinks to one vertex; shrinking again empties it.
+            for u in units:
+                nb = adj[masks[u].bit_length() - 1]
+                why = reasons[u]
+                touched = nb & live
+                while touched:
+                    j = owner[touched.bit_length() - 1]
+                    touched ^= touched & classes[j]
+                    m = masks[j]
+                    hit = m & nb
+                    if hit:
+                        m ^= hit
+                        masks[j] = m
+                        reasons[j] |= why
+                        if not m:
+                            return reasons[j]
+                        if not m & (m - 1):
+                            units.append(j)
+            return 0
+
+        while need:
+            masks = classes.copy()
+            reasons = [1 << j for j in range(len(classes))]
+            units = [j for j, m in enumerate(masks) if m and not m & (m - 1)]
+            found = propagate(masks, reasons, units)
+            if not found:
+                # failed literals: a two-vertex class whose vertices each
+                # propagate to a conflict is inconsistent with both conflicts
+                for c, m in enumerate(masks):
+                    if m.bit_count() != 2:
+                        continue
+                    found = reasons[c]
+                    for low in (m & -m, m & (m - 1)):
+                        trial = masks.copy()
+                        trial[c] = low
+                        conflict = propagate(trial, reasons.copy(), [c])
+                        if not conflict:
+                            found = 0
+                            break
+                        found |= conflict
+                    if found:
+                        break
+                else:
+                    return False
+            need -= 1
+            while found:
+                j = found.bit_length() - 1
+                found ^= 1 << j
+                live ^= classes[j]
+                classes[j] = 0
+        return True
+
     def solve(self, p: int, chosen: int) -> bool:
         # the include child is pushed last, so nodes pop in preorder
         stack = [(p, chosen)]
@@ -215,7 +310,9 @@ class _Solver:
             if self._cover_bound(p, [p]) <= room:
                 continue
             levels = list(self._levels(p).values())
-            if self._cover_bound(p, levels) <= room:
+            classes: list[int] = []  # the degree-order cover, for the refinement
+            bound = self._cover_bound(p, levels, classes)
+            if bound <= room or self._conflicts(classes, bound - room):
                 continue
             # branch vertex: maximum degree within p, lowest index on ties
             top = levels[-1]
@@ -270,8 +367,14 @@ def max_independent_set(g: UGraph, budget: int = DEFAULT_BUDGET) -> Independence
     would have started from, on its dominance-pruned vertices.
 
     Works on the bitset rows ``g.adj`` only, the final independence check
-    included, so no per-edge ``edges`` tuple is made here.
+    included, so no per-edge ``edges`` tuple is made here.  A budget that is
+    not an int (a bool included) or is below 1 raises ``ValidationError``,
+    as ``Config`` does.
     """
+    if type(budget) is not int:
+        raise ValidationError("budget must be an int")
+    if budget < 1:
+        raise ValidationError("budget must be positive")
     adj = g.adj
     solver = _Solver(adj, budget)
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import tigraph
 import tigraph.independence as ind
-from tigraph import UGraph, higher_graph, max_independent_set
+from tigraph import Digraph, TIGraph, UGraph, ValidationError, higher_graph, max_independent_set
 from tigraph.independence import _dominated_pruned, _Solver
 from tigraph.ingest import AffinePiece, Arc, CircleMap, IntervalCover, ti_from_circle
 
@@ -483,7 +483,7 @@ def test_dominated_pruned_keeps_one_vertex_of_a_clique():
 
 
 def _g60():
-    """G(60, 0.15) at seed 108: a search of 139 nodes."""
+    """G(60, 0.15) at seed 108: a search of 51 nodes (139 without the conflict refinement)."""
     rng = random.Random(108)
     n = 60
     return UGraph.from_edges(
@@ -492,8 +492,9 @@ def _g60():
 
 
 def test_second_cover_cuts_the_search_with_the_same_witness(dbl):
-    # G(60, 0.15): the degree-ordered cover prunes where the index-ordered
-    # one cannot (139 nodes against 245); the doubling lift closes at once
+    # G(60, 0.15): the degree-ordered cover and its conflict refinement
+    # prune where the index-ordered cover cannot (51 nodes against 245; the
+    # degree-ordered cover alone took 139); the doubling lift closes at once
     g = _g60()
     res, nodes = _solve_counting(g, ind.DEFAULT_BUDGET)
     ref, ref_nodes = _solve_reference(g, ind.DEFAULT_BUDGET)
@@ -610,4 +611,103 @@ def test_a_branching_solve_never_sets_the_recursion_limit(monkeypatch):
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     (size, _, exact), nodes = _solve_counting(_g60(), ind.DEFAULT_BUDGET)
     assert (size, exact) == (19, True)
-    assert nodes == 139
+    assert nodes == 51
+
+
+def _alpha_within(adj, p):
+    """Independence number of the subgraph induced on p, by its 2^|p| subsets."""
+    best = 0
+    sub = p
+    while sub:
+        size = sub.bit_count()
+        if size > best and not any(adj[v] & sub for v in range(len(adj)) if sub >> v & 1):
+            best = size
+        sub = (sub - 1) & p
+    return best
+
+
+def _degree_cover(solver, p):
+    classes = []
+    bound = solver._cover_bound(p, list(solver._levels(p).values()), classes)
+    return bound, classes
+
+
+@given(random_ugraphs(n_max=14, probs=(0.2, 0.3, 0.5, 0.7)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_conflict_refinement_prunes_only_below_alpha(g, data):
+    # the refinement may claim alpha(G[p]) <= room only when it holds
+    full = (1 << g.n) - 1
+    p = data.draw(st.one_of(st.just(full), st.integers(0, full)))
+    adj = g.adj
+    solver = _Solver(adj, 1)
+    bound, classes = _degree_cover(solver, p)
+    assert len(classes) == bound
+    union = 0
+    for c in classes:  # disjoint cliques covering p
+        assert c and not union & c
+        union |= c
+        assert all(c & ~(adj[v] | 1 << v) == 0 for v in range(g.n) if c >> v & 1)
+    assert union == p
+    alpha = _alpha_within(adj, p)
+    for room in range(bound):
+        if solver._conflicts(classes.copy(), bound - room):
+            assert alpha <= room
+
+
+def test_conflict_refinement_closes_c5():
+    # the three classes {1,2} {3,4} {5} are inconsistent together: 5 forces
+    # out 4 and 1, then 2 forces out 3
+    solver = _Solver(_cycle(5).adj, 1)
+    bound, classes = _degree_cover(solver, 0b11111)
+    assert (bound, classes) == (3, [0b00011, 0b01100, 0b10000])
+    assert solver._conflicts(classes.copy(), 1)  # 3 - 1 = 2 = alpha(C5)
+    assert not solver._conflicts(classes.copy(), 2)
+
+
+def _node_trace(g, solver_cls):
+    """The (candidates, chosen) of every node a search visits, in order."""
+    seen = []
+
+    class Tracing(solver_cls):
+        def _reduce(self, p, chosen):
+            seen.append((p, chosen))
+            return super()._reduce(p, chosen)
+
+    res, _ = _solve_counting(g, ind.DEFAULT_BUDGET, Tracing)
+    return res, seen
+
+
+class _CoverOnlySolver(_Solver):
+    def _conflicts(self, classes, need):
+        return False
+
+
+@given(random_ugraphs(n_max=40))
+@settings(max_examples=100, deadline=None)
+def test_refined_search_visits_a_subsequence_of_the_cover_only_search(g):
+    res, seen = _node_trace(g, _Solver)
+    ref, ref_seen = _node_trace(g, _CoverOnlySolver)
+    assert res == ref
+    later = iter(ref_seen)  # each `in` consumes the iterator up to its match
+    assert all(node in later for node in seen)
+
+
+def test_survey_graph_177_m4_lift_matches_the_reference():
+    # graph 177 of the survey corpus (scripts/random_survey.py --seed 0),
+    # pruned; its m=4 lift has 246 words and alpha 34.  The two covers alone
+    # search 3,923 nodes here, the reference 4,161.
+    t = [[1, 1], [1, 2], [1, 3], [1, 4], [1, 5], [2, 2], [2, 3], [2, 5], [2, 6], [3, 3], [3, 4]]
+    t += [[3, 6], [4, 2], [4, 4], [4, 5], [4, 6], [5, 4], [6, 2], [6, 3], [6, 4], [6, 6]]
+    i = [[1, 3], [1, 4], [1, 5], [2, 4], [2, 5], [2, 6], [3, 6]]
+    lift = higher_graph(TIGraph(Digraph.from_edges(6, t), UGraph.from_edges(6, i)), 4).lifted.i
+    assert lift.n == 246
+    res, nodes = _solve_counting(lift, ind.DEFAULT_BUDGET)
+    assert res == _solve_reference(lift, ind.DEFAULT_BUDGET)[0]
+    assert (res[0], res[2]) == (34, True)
+    assert nodes == 33
+
+
+@pytest.mark.parametrize("budget", [0, -1, True, False, 2.0, "5", None])
+def test_budget_must_be_a_positive_int(budget):
+    with pytest.raises(ValidationError):
+        max_independent_set(_cycle(5), budget=budget)
