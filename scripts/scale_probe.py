@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Wall time and peak memory of one ``tigraph report`` per row of the scale table.
+
+Each row ``name:m`` runs ``tigraph report GRAPH --m-max m --format json`` in
+a subprocess of its own and prints the wall seconds, that child's peak
+resident set size (from ``os.wait4``), its exit code and the sha256 of its
+stdout.  The graphs are those of ``bench/inputs.py``: ``dbl`` is the doubling
+fixture and ``cover`` the 200-arc cover of x -> 3x, ``cover_spec(0)`` run
+through ``tigraph ingest``.  They are written to a temporary directory, so
+nothing under ``bench/`` changes.
+
+Usage: python3 scripts/scale_probe.py [--root DIR] [name:m ...]
+
+Without rows it runs dbl:13 dbl:14 cover:5 cover:6, the scale table of
+ROADMAP.md.  ``--root`` names the checkout whose ``src/`` and
+``bench/inputs.py`` are used (default: the one holding this script), so two
+commits can be probed with the same script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+DEFAULT_ROOT = Path(__file__).resolve().parents[1]
+DEFAULT_ROWS = ("dbl:13", "dbl:14", "cover:5", "cover:6")
+GRAPHS = ("dbl", "cover")
+
+
+def parse_row(text: str) -> tuple[str, int]:
+    name, _, m = text.partition(":")
+    if name not in GRAPHS or not m.isdigit() or int(m) < 1:
+        raise argparse.ArgumentTypeError(f"expected name:m with name in {GRAPHS} and m >= 1, got {text!r}")
+    return name, int(m)
+
+
+def run_child(argv: list[str], env: dict[str, str], out: Path) -> tuple[float, int, int]:
+    """(wall seconds, peak RSS in KiB, exit code) of ``argv`` writing its stdout to ``out``."""
+    with out.open("wb") as f:
+        start = time.perf_counter()
+        proc = subprocess.Popen(argv, stdout=f, env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    return wall, usage.ru_maxrss, proc.returncode
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rows", nargs="*", type=parse_row, help="name:m (default: %s)" % " ".join(DEFAULT_ROWS))
+    parser.add_argument("--root", type=Path, default=DEFAULT_ROOT)
+    args = parser.parse_args(argv)
+
+    root = args.root.resolve()
+    sys.path.insert(0, str(root / "bench"))
+    sys.dont_write_bytecode = True  # no __pycache__ under bench/
+    import inputs
+
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    cli = [sys.executable, "-m", "tigraph.cli"]
+    rows = args.rows or [parse_row(r) for r in DEFAULT_ROWS]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        needed = {name for name, _ in rows}
+        graph = {name: tmp / f"{name}.json" for name in needed}
+        if "dbl" in needed:
+            graph["dbl"].write_text(json.dumps(inputs.DOUBLING))
+        if "cover" in needed:
+            spec = tmp / "cover_spec.json"
+            spec.write_text(inputs.cover_spec(0))
+            _, _, code = run_child(cli + ["ingest", str(spec)], env, graph["cover"])
+            if code != 0:
+                print(f"error: tigraph ingest exited {code}", file=sys.stderr)
+                return 1
+        for name, m in rows:
+            out = tmp / "report.json"
+            argv = cli + ["report", str(graph[name]), "--m-max", str(m), "--format", "json"]
+            wall, rss_kib, code = run_child(argv, env, out)
+            digest = hashlib.sha256(out.read_bytes()).hexdigest()
+            row = f"{name}:{m}"
+            print(f"{row:<9} wall {wall:8.2f} s  peak_rss {rss_kib / 1024:8.1f} MB  exit {code}  sha256 {digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

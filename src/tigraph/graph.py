@@ -11,7 +11,8 @@ stores its successor tuples ``succ`` and derives ``pred`` and bitset
 built it, and is refused above ``MAX_BITSET_VERTICES`` vertices before
 ``from_edges`` makes a row.  ``UGraph.components`` and the canonical pair
 tuple ``edges`` (for serialization and restriction to a vertex subset) are
-derived from the rows.
+derived from the rows; ``component_of`` is the one breadth-first search on
+them, which the exact MIS solver also runs inside a candidate mask.
 """
 
 from __future__ import annotations
@@ -36,6 +37,26 @@ def _check_vertex_count(n: int) -> None:
         raise ValidationError("vertex count must be >= 1")
     if n > MAX_BITSET_VERTICES:
         raise SizeCapExceeded(f"bitset adjacency unavailable for n={n}")
+
+
+def component_of(adj: tuple[int, ...], seed: int, within: int) -> int:
+    """Mask of the vertices of ``within`` connected to ``seed`` inside it.
+
+    Breadth-first on the bitset rows ``adj``: a level ORs its frontier's
+    rows and keeps the vertices of ``within`` not reached before.  ``seed``
+    is a mask inside ``within``.
+    """
+    rest = within ^ seed
+    frontier = seed
+    while frontier:
+        nxt = 0
+        while frontier:
+            u = frontier.bit_length() - 1
+            frontier ^= 1 << u
+            nxt |= adj[u]
+        frontier = nxt & rest
+        rest ^= frontier
+    return within ^ rest
 
 
 def bits_of(mask: int) -> Iterable[int]:
@@ -165,25 +186,11 @@ class UGraph:
 
     @cached_property
     def components(self) -> tuple[int, ...]:
-        """Vertex masks of the connected components, in order of lowest vertex.
-
-        Breadth-first on the rows: a level ORs its frontier's rows, then
-        masks out the component found so far.
-        """
-        adj = self.adj
+        """Vertex masks of the connected components, in order of lowest vertex."""
         comps = []
         rest = (1 << self.n) - 1
         while rest:
-            comp = rest & -rest
-            frontier = comp
-            while frontier:
-                nxt = 0
-                while frontier:
-                    u = frontier.bit_length() - 1
-                    frontier ^= 1 << u
-                    nxt |= adj[u]
-                frontier = (nxt | comp) ^ comp
-                comp |= frontier
+            comp = component_of(self.adj, rest & -rest, rest)
             rest ^= comp
             comps.append(comp)
         return tuple(comps)

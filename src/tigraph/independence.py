@@ -31,7 +31,15 @@ failed literal: if both its vertices propagate to a conflict, the class and
 both conflicts form one.  The refined bound is still an upper bound on the
 independence number, and it only runs where both covers failed to prune, so
 again the search visits a subset of the nodes, in the same order, with the
-same incumbents and the same witness.
+same incumbents and the same witness.  One node is never refined: a
+connected p whose top degree is 2, which after the reductions is one cycle.
+One branch and the reductions close a cycle in 3 nodes, where refining its
+cover would record n/2 classes of n bits and propagate around the whole
+cycle, as on the 2-regular lifts of circle covers.  Where the refinement
+would have pruned, no set beats the incumbent, so branching there changes
+no witness; it only adds nodes.  Connectivity matters:
+cycles left disjoint by domination (a hub on many odd cycles) are closed at
+once by the refinement, and branching on them doubles the search per cycle.
 
 Both reductions revisit only what a removal touched (the worklist discipline
 of Akiba & Iwata, TCS 609, 2016), with the decisions of full rescans.
@@ -51,7 +59,8 @@ rows of San Segundo et al.).  That is O(n b) word-parallel operations on
 n-bit masks over the whole greedy, not one per edge.  Once the node budget
 is spent, every remaining component keeps that incumbent.  The solver reads
 only bitset rows, the one form a ``UGraph`` stores, so it never meets a
-graph above ``MAX_BITSET_VERTICES``: ``UGraph`` refuses to build one.
+graph above ``MAX_BITSET_VERTICES``: ``UGraph`` refuses to build one.  It
+stores no closed rows: N[v] is formed from ``adj[v]`` where it is read.
 """
 
 from __future__ import annotations
@@ -59,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .graph import UGraph, bits_of
+from .graph import UGraph, bits_of, component_of
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -74,10 +83,6 @@ class IndependenceResult:
 class _Solver:
     def __init__(self, adj: tuple[int, ...], budget: int):
         self.adj = adj
-        # tuple() of a list, not of a generator: that one starts from a guessed
-        # size and resizes, and CPython's per-size free lists of small tuples
-        # then grow with every solve until they hold 2,000 tuples each
-        self.closed = tuple([a | (1 << v) for v, a in enumerate(adj)])
         self.budget = budget
         self.nodes = 0
         self.best_size = 0
@@ -142,7 +147,6 @@ class _Solver:
                     zeros[j] ^= level
                 d >>= 1
                 j += 1
-        closed = self.closed
         chosen = 0
         while p:
             cand = p
@@ -152,7 +156,7 @@ class _Solver:
                     cand = z
             low = cand & -cand
             chosen |= low
-            dropped = closed[low.bit_length() - 1] & p
+            dropped = (adj[low.bit_length() - 1] & p) | low
             p ^= dropped
             while dropped:
                 u = dropped.bit_length() - 1
@@ -309,20 +313,25 @@ class _Solver:
             room = self.best_size - size
             if self._cover_bound(p, [p]) <= room:
                 continue
-            levels = list(self._levels(p).values())
-            classes: list[int] = []  # the degree-order cover, for the refinement
-            bound = self._cover_bound(p, levels, classes)
-            if bound <= room or self._conflicts(classes, bound - room):
-                continue
+            degrees = self._levels(p)
+            levels = list(degrees.values())
             # branch vertex: maximum degree within p, lowest index on ties
             top = levels[-1]
             v = (top & -top).bit_length() - 1
-            stack.append((p & ~(1 << v), chosen))
-            stack.append((p & ~self.closed[v], chosen | (1 << v)))
+            # _reduce left every degree >= 2, so a top degree of 2 makes the
+            # degree-order cover the index-order one that just failed, and a
+            # connected p one cycle, which is branched unrefined
+            if max(degrees) > 2 or component_of(self.adj, 1 << v, p) != p:
+                classes: list[int] = []  # the degree-order cover, for the refinement
+                bound = self._cover_bound(p, levels, classes)
+                if bound <= room or self._conflicts(classes, bound - room):
+                    continue
+            stack.append((p ^ (1 << v), chosen))
+            stack.append((p ^ ((self.adj[v] & p) | 1 << v), chosen | (1 << v)))
         return True
 
 
-def _dominated_pruned(adj: tuple[int, ...], closed: tuple[int, ...], p: int) -> int:
+def _dominated_pruned(adj: tuple[int, ...], p: int) -> int:
     # If u, v are adjacent and N[u] subset of N[v], some maximum independent
     # set avoids v; drop the higher-indexed vertex on exact ties.  Each step
     # drops the lowest v dominated by the lowest u that dominates any.  The
@@ -330,29 +339,29 @@ def _dominated_pruned(adj: tuple[int, ...], closed: tuple[int, ...], p: int) -> 
     # dominates nothing.  A vertex not adjacent to v keeps its closed
     # neighbourhood and every containment it was in, so a drop can only give
     # a dominated neighbour to a neighbour of v; those (u among them) rejoin.
+    # So a tie is only met from its lower vertex v: u above it is scanned
+    # after v last left the worklist, and N[v] has not changed since.
     # u's lowest dominated neighbour is found by witness elimination: a
     # w in N[u] outside N[v] rules out v and every other candidate not
-    # adjacent to w.
+    # adjacent to w, w too, as v is in N[u] but not in N[w].  As u is in
+    # N(v), the highest vertex of N(u) outside N(v) other than v is one.
     m = p
     while m:
         low = m & -m
         u = low.bit_length() - 1
         m ^= low
-        cu = closed[u] & p
-        cand = adj[u] & p
+        nu = cand = adj[u] & p
         while cand:
             vlow = cand & -cand
             v = vlow.bit_length() - 1
-            cv = closed[v]
-            miss = (cu | cv) ^ cv  # cu & ~cv without a negative int
-            if miss:
-                cand &= closed[(miss & -miss).bit_length() - 1]
-            elif u < v or cu != cv & p:
-                p ^= vlow
-                m = (m | adj[v]) & p  # adj[v] holds u
-                break
+            av = adj[v]
+            miss = (nu | av) ^ av  # nu & ~av without a negative int; holds v
+            if miss != vlow:
+                cand &= adj[(miss ^ vlow).bit_length() - 1]
             else:
-                cand ^= vlow
+                p ^= vlow
+                m = (m | av) & p  # av holds u
+                break
     return p
 
 
@@ -382,14 +391,16 @@ def max_independent_set(g: UGraph, budget: int = DEFAULT_BUDGET) -> Independence
     chosen_total = 0
     exact = True
     for comp in g.components:
-        comp = _dominated_pruned(adj, solver.closed, comp)
+        comp = _dominated_pruned(adj, comp)
         solver.best_mask = solver._greedy(comp)
         solver.best_size = solver.best_mask.bit_count()
         if exact:  # once the budget is gone, a component keeps this incumbent
             exact = solver.solve(comp, 0)
         chosen_total |= solver.best_mask
 
-    witness = tuple([v + 1 for v in bits_of(chosen_total)])  # from a list, as closed is
+    # tuple() of a list: from a generator it starts from a guessed size and
+    # resizes, and CPython's free lists of small tuples grow with every solve
+    witness = tuple([v + 1 for v in bits_of(chosen_total)])
     if any(adj[v - 1] & chosen_total for v in witness):
         raise AssertionError("witness is not independent")
     return IndependenceResult(len(witness), witness, exact)

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
@@ -133,7 +134,7 @@ class _ReferenceSolver(_Solver):
             if d > best_d:
                 best_d = d
                 best_v = v
-        self._solve(p & ~self.closed[best_v], chosen | (1 << best_v))
+        self._solve(p & ~(adj[best_v] | 1 << best_v), chosen | (1 << best_v))
         self._solve(p & ~(1 << best_v), chosen)
 
 
@@ -189,8 +190,15 @@ def _solve_counting(g, budget, solver_cls=_Solver, prune=_dominated_pruned):
     return (res.size, res.witness, res.exact), sum(s.nodes for s in made)
 
 
+def _closed_rows(adj):
+    return tuple(a | (1 << v) for v, a in enumerate(adj))
+
+
 def _solve_reference(g, budget):
-    return _solve_counting(g, budget, _ReferenceSolver, _reference_dominated_pruned)
+    def prune(adj, p):
+        return _reference_dominated_pruned(adj, _closed_rows(adj), p)
+
+    return _solve_counting(g, budget, _ReferenceSolver, prune)
 
 
 def test_four_cycle(dbl):
@@ -471,15 +479,13 @@ def test_levels_partition_p_by_degree_in_ascending_order(g, data):
 @settings(max_examples=200, deadline=None)
 def test_dominated_pruned_matches_restarting_scan(g, data):
     p = data.draw(st.integers(0, (1 << g.n) - 1))
-    closed = tuple(a | (1 << v) for v, a in enumerate(g.adj))
-    assert _dominated_pruned(g.adj, closed, p) == _reference_dominated_pruned(g.adj, closed, p)
+    assert _dominated_pruned(g.adj, p) == _reference_dominated_pruned(g.adj, _closed_rows(g.adj), p)
 
 
 def test_dominated_pruned_keeps_one_vertex_of_a_clique():
     n = 64
     g = UGraph.from_edges(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
-    closed = tuple(a | (1 << v) for v, a in enumerate(g.adj))
-    assert _dominated_pruned(g.adj, closed, (1 << n) - 1) == 1
+    assert _dominated_pruned(g.adj, (1 << n) - 1) == 1
 
 
 def _g60():
@@ -517,8 +523,7 @@ def test_budget_gone_finishes_remaining_components_greedily():
     res = max_independent_set(g, budget=1)
     assert not res.exact
     c5, rest = (1 << 5) - 1, ((1 << 25) - 1) ^ ((1 << 5) - 1)
-    closed = tuple(a | (1 << v) for v, a in enumerate(g.adj))
-    rest = _reference_dominated_pruned(g.adj, closed, rest)
+    rest = _reference_dominated_pruned(g.adj, _closed_rows(g.adj), rest)
     expect = _reference_greedy(g.adj, c5) | _reference_greedy(g.adj, rest)
     assert res.witness == tuple(v + 1 for v in range(25) if expect >> v & 1)
 
@@ -534,10 +539,24 @@ def test_doubling_lift_m11_closes_at_root(dbl):
     assert not any(a in chosen and b in chosen for a, b in g.edges)
 
 
-def test_wide_cover_m5_lift_is_solved_exactly_in_under_two_seconds():
-    # 16,200 words under x -> 3x on 200 arcs, a 2-regular lifted I: the root
-    # branches once and degree-1 peeling empties each child, so a full
-    # sweep after every take made this take seconds
+def test_doubling_lift_m11_is_solved_without_a_second_copy_of_its_rows(dbl):
+    # the solver reads the graph's own rows: a table of closed rows beside
+    # them would trace about as much memory as the rows themselves
+    g = higher_graph(dbl, 11).lifted.i
+    g.components
+    rows = sum(sys.getsizeof(r) for r in g.adj)
+    tracemalloc.start()
+    try:
+        res = max_independent_set(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (res.size, res.exact) == (2048, True)
+    assert peak < rows / 4
+
+
+def _wide_cover_m5_lift():
+    """Lifted I at m=5 of x -> 3x on 200 arcs: 16,200 words, one 2-regular component."""
     arcs = [
         Arc.from_endpoints(Fraction(5 * i - 1, 1000), Fraction(5 * (i + 1) + 1, 1000))
         for i in range(200)
@@ -545,6 +564,13 @@ def test_wide_cover_m5_lift_is_solved_exactly_in_under_two_seconds():
     cmap = CircleMap((AffinePiece(Fraction(0), Fraction(1), Fraction(3), Fraction(0)),))
     g = higher_graph(ti_from_circle(cmap, IntervalCover(tuple(arcs))), 5).lifted.i
     assert g.n == 16_200
+    return g
+
+
+def test_wide_cover_m5_lift_is_solved_exactly_in_under_two_seconds():
+    # the root branches once and degree-1 peeling empties each child, so a
+    # full sweep after every take made this take seconds
+    g = _wide_cover_m5_lift()
     start = time.perf_counter()
     res = max_independent_set(g)
     elapsed = time.perf_counter() - start
@@ -553,9 +579,34 @@ def test_wide_cover_m5_lift_is_solved_exactly_in_under_two_seconds():
     assert elapsed < 2
 
 
+class _UnrefinedSolver(_Solver):
+    def _conflicts(self, classes, need):
+        raise AssertionError("a cover was refined")
+
+
+def test_one_cycle_is_branched_without_refining_its_cover():
+    # refining the cover of a 16,200-vertex cycle would record 8,100 classes
+    # of 16,200 bits and propagate around the cycle; one branch closes it
+    res, nodes = _solve_counting(_wide_cover_m5_lift(), ind.DEFAULT_BUDGET, _UnrefinedSolver)
+    assert (res[0], res[2]) == (8_100, True)
+    assert nodes == 3
+
+
+def test_disjoint_cycles_left_by_domination_are_refined_not_branched():
+    # 12 C5s on 5k+1..5k+5 and vertex 61 adjacent to all of 1..60: I is
+    # connected, but domination drops vertex 61 and leaves p 2-regular and
+    # disconnected.  Each C5's three classes are inconsistent, so the root
+    # closes; branching as on one cycle would take 2^13 - 1 nodes.
+    edges = [(5 * k + i, 5 * k + i % 5 + 1) for k in range(12) for i in range(1, 6)]
+    edges += [(v, 61) for v in range(1, 61)]
+    (size, witness, exact), nodes = _solve_counting(UGraph.from_edges(61, edges), ind.DEFAULT_BUDGET)
+    assert (size, exact, nodes) == (24, True, 1)
+    assert 61 not in witness
+
+
 _BAD_WITNESS = {
     "max_independent_set": (
-        "ind._dominated_pruned = lambda adj, closed, p: p\n"
+        "ind._dominated_pruned = lambda adj, p: p\n"
         "ind._Solver._greedy = lambda self, p: p\n"
         "ind._Solver.solve = lambda self, p, chosen: None\n"
         "ind.max_independent_set(g)\n"

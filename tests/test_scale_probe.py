@@ -1,0 +1,32 @@
+"""``scripts/scale_probe.py`` runs a report per row and prints one line for each."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+LINE = re.compile(r"dbl:3 +wall +\d+\.\d\d s  peak_rss +\d+\.\d MB  exit 0  sha256 [0-9a-f]{64}")
+
+
+def test_scale_probe_prints_one_line_per_row():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "scale_probe.py"), "dbl:3"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert LINE.fullmatch(proc.stdout.strip()), proc.stdout
+
+
+def test_scale_probe_refuses_an_unknown_row():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "scale_probe.py"), "dbl"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "expected name:m" in proc.stderr

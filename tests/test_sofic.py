@@ -22,6 +22,7 @@ from tigraph import (
     sofic_entropy,
 )
 
+from tigraph.graph import component_of
 from tigraph.sofic import DEFAULT_STATE_CAP
 
 from conftest import label_words_anywhere, random_pruned_tigraph
@@ -261,9 +262,9 @@ def i_graphs(draw, n_max=12):
     return UGraph.from_edges(n, pairs), UGraph.from_rows(rows)
 
 
-@given(i_graphs())
+@given(i_graphs(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_components_match_networkx(graphs):
+def test_components_match_networkx(graphs, data):
     import networkx as nx
 
     for i in graphs:
@@ -271,6 +272,12 @@ def test_components_match_networkx(graphs):
         nxg.add_nodes_from(range(1, i.n + 1))
         expect = sorted((sorted(c) for c in nx.connected_components(nxg)), key=min)
         assert [[v + 1 for v in range(i.n) if comp >> v & 1] for comp in i.components] == expect
+        # the search inside a vertex subset, as the MIS solver runs it
+        within = data.draw(st.integers(1, (1 << i.n) - 1))
+        seed = within & -within
+        sub = nxg.subgraph(v + 1 for v in range(i.n) if within >> v & 1)
+        expect = sum(1 << (v - 1) for v in nx.node_connected_component(sub, seed.bit_length()))
+        assert component_of(i.adj, seed, within) == expect
 
 
 @given(i_graphs())
