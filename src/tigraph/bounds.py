@@ -336,7 +336,7 @@ def limit_sequence(
         except SizeCapExceeded:
             truncated = True
             break
-        mis = max_independent_set(lift.lifted.i, budget=mis_budget)
+        mis = max_independent_set(lift.i, budget=mis_budget)
         gamma = higher_gamma(gamma_base, g.n, m) if primitive else None
         entries.append(
             LimitEntry(
@@ -371,7 +371,7 @@ def _limit_bound(
     # store the separated word family for the best m so the certificate
     # re-verifies without rebuilding the whole sequence
     lift = higher_graph(g, best_m, size_cap=size_cap)
-    mis = max_independent_set(lift.lifted.i, budget=mis_budget)
+    mis = max_independent_set(lift.i, budget=mis_budget)
     witness_words = [list(lift.vertex_words[v - 1]) for v in mis.witness]
     cert = {
         # fields in certificate key order; asdict's deep copy costs 11 us an

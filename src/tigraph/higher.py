@@ -10,19 +10,24 @@ T must be pruned, as for every bound; ``higher_graph`` refuses any other T
 rather than prune it.  So every prefix extends to a word, and the children
 of a prefix ending in v are the successors of v.
 
-Both lifted graphs come from one walk down the tree of word prefixes, level
-j holding the length-j prefixes as flat int lists, and only two levels held
-at a time.  The words under a node form one contiguous index range, as long
-as the paths of the remaining length from its last symbol, which the cap
-check counts anyway.  The successors of a word are the children of its
-suffix node, an index range, and each node finds its suffix node by offset
-arithmetic from its parent's, so the lifted T needs no word lookup.  The
-lifted I is built as bitset rows: a node's row is its parent's ANDed with
-the words whose symbol at the node's level is equal or I-adjacent to its
-own, one AND of words-bit integers per tree node.  The lifted ``UGraph``
-stores these rows and nothing else, as every ``UGraph`` does; its ``edges``
-tuple is derived only if something reads it, which the report path does
-not.  A lift is refused with ``SizeCapExceeded`` above ``size_cap`` or
+``higher_graph`` builds the lifted I and nothing else: one walk down the
+tree of word prefixes, level j holding the length-j prefixes as flat int
+lists, and only two levels held at a time.  The words under a node form one
+contiguous index range, as long as the paths of the remaining length from
+its last symbol, which the cap check counts anyway.  The lifted I is built
+as bitset rows: a node's row is its parent's ANDed with the words whose
+symbol at the node's level is equal or I-adjacent to its own, one AND of
+words-bit integers per tree node.  The lifted ``UGraph`` stores these rows
+and nothing else, as every ``UGraph`` does; its ``edges`` tuple is derived
+only if something reads it, which the report path does not.
+
+The lifted T and the words are built on first read of ``HigherGraph.lifted``
+and ``HigherGraph.vertex_words``, from the base graph, and then cached; the
+report path reads the words of one lift only and the lifted T of none.  The
+lifted T takes the same walk: the successors of a word are the children of
+its suffix node, an index range, and each node finds its suffix node by
+offset arithmetic from its parent's, so no word is looked up.  A lift is
+refused with ``SizeCapExceeded`` above ``size_cap`` or
 ``MAX_BITSET_VERTICES`` words, whichever is smaller, before any word or
 tree level is made.
 """
@@ -30,6 +35,7 @@ tree level is made.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain
 from typing import Iterator
 
@@ -41,9 +47,24 @@ DEFAULT_SIZE_CAP = 2_000_000
 
 @dataclass(frozen=True)
 class HigherGraph:
+    """The m-th higher vertex graph of ``base``, a TI-graph with pruned T.
+
+    ``i`` is the lifted I, built by ``higher_graph``.  ``lifted`` (the
+    lifted T with ``i``) and ``vertex_words`` (the words, in vertex order)
+    are built from ``base`` on first read and cached.
+    """
+
+    base: TIGraph
     m: int
-    lifted: TIGraph
-    vertex_words: tuple[Word, ...]
+    i: UGraph
+
+    @cached_property
+    def lifted(self) -> TIGraph:
+        return TIGraph(Digraph(self.i.n, _lift_succ(self.base.t, self.m)), self.i)
+
+    @cached_property
+    def vertex_words(self) -> tuple[Word, ...]:
+        return tuple(_enumerate_words(self.base.t, self.m))  # already lexicographic
 
 
 def words_indistinguishable(g: TIGraph, a: Word, b: Word) -> bool:
@@ -118,44 +139,79 @@ def _capped_counts(t: Digraph, m: int, size_cap: int) -> list[list[int]]:
 
 
 def higher_graph(g: TIGraph, m: int, size_cap: int = DEFAULT_SIZE_CAP) -> HigherGraph:
-    """Build the m-th higher vertex graph of g, whose T must be pruned.
+    """The m-th higher vertex graph of g, whose T must be pruned, with its lifted I built.
 
     Raises ValidationError for an unpruned T, and SizeCapExceeded before
     enumeration when more than ``size_cap`` or ``MAX_BITSET_VERTICES`` words
-    have length m.  The lift is pruned too; for m = 1 it is a copy of g.
+    have length m.  The lifted T and the words are built only when read.
+    The lift is pruned too; for m = 1 it is a copy of g.
     """
     require_pruned(g.t)
     if m < 1:
         raise ValidationError("m must be >= 1")
     counts = _capped_counts(g.t, m, size_cap)
-    succ, rows = _lift(g, counts)
-    words = _enumerate_words(g.t, m)  # already lexicographic
-    return HigherGraph(m, TIGraph(Digraph(len(words), succ), UGraph.from_rows(rows)), tuple(words))
+    return HigherGraph(g, m, UGraph.from_rows(_lift_rows(g, counts)))
 
 
-def _lift(g: TIGraph, counts: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
-    """Lifted T successor tuples and lifted I rows, level by level down the prefix tree.
+def _levels(t: Digraph, m: int) -> Iterator[tuple[list[int], list[tuple[int, ...]]]]:
+    """The word-prefix tree of T, level by level: (last, kids) for levels 1..m.
 
-    Level j lists, in lexicographic order, the length-j prefixes: each
-    node's last symbol ``last`` and its suffix node ``sfx`` (the level j-1
-    index of the prefix without its first symbol); ``start`` marks where
-    each node's children begin one level down.  T is pruned, so the children
-    of a node ending in v are ``succ[v-1]``, in order.  Row k of level j has
-    bit i set for every word i that is indistinguishable from node k in the
-    first j positions, so at level m it is word k's lifted I row plus bit k.
+    ``last`` lists, in lexicographic order, the last symbol of each
+    length-j prefix; ``kids[p]`` lists the last symbols of the children of
+    node p of level j-1 (``kids`` is empty at level 1).  T is pruned, so the
+    children of a node ending in v are ``succ[v-1]``, in order.
     """
-    m = len(counts)
-    succ = g.t.succ
-    # near[s]: the symbols equal or I-adjacent to s
-    near = [()] + [tuple(bits_of(a << 1 | 2 << s)) for s, a in enumerate(g.i.adj)]
-    # a level-j node ending in v has the counts[m-j][v-1] words of one
-    # contiguous range under it
-    last = list(range(1, g.n + 1))
-    masks = _level_masks(last, counts[m - 1], near)
-    rows = [masks[v] for v in last]
-    for j in range(2, m + 1):
+    succ = t.succ
+    last = list(range(1, t.n + 1))
+    kids: list[tuple[int, ...]] = []
+    yield last, kids
+    for _ in range(m - 1):
         kids = [succ[v - 1] for v in last]
         last = list(chain.from_iterable(kids))
+        yield last, kids
+
+
+def _lift_rows(g: TIGraph, counts: list[list[int]]) -> list[int]:
+    """Lifted I rows, one AND per node of the word-prefix tree.
+
+    Row k of level j has bit i set for every word i that is
+    indistinguishable from node k in the first j positions, so at level m it
+    is word k's lifted I row plus bit k.
+    """
+    m = len(counts)
+    # near[s]: the symbols equal or I-adjacent to s
+    near = [()] + [tuple(bits_of(a << 1 | 2 << s)) for s, a in enumerate(g.i.adj)]
+    rows: list[int] = []
+    for j, (last, kids) in enumerate(_levels(g.t, m), start=1):
+        # a level-j node ending in v has the counts[m-j][v-1] words of one
+        # contiguous range under it
+        masks = _level_masks(last, counts[m - j], near)
+        if j == 1:
+            rows = [masks[v] for v in last]
+            continue
+        nxt_rows = []
+        for p, row in enumerate(rows):
+            rows[p] = None  # freed as its children's rows are made
+            for s in kids[p]:
+                nxt_rows.append(row & masks[s])
+        rows = nxt_rows
+    for k in range(len(rows)):
+        rows[k] ^= 1 << k
+    return rows
+
+
+def _lift_succ(t: Digraph, m: int) -> tuple[tuple[int, ...], ...]:
+    """Lifted T successor tuples: a word's successors are the children of its suffix node.
+
+    A level-j node's suffix node ``sfx`` is the level j-1 index of the
+    prefix without its first symbol; ``start`` marks where each node's
+    children begin one level down.
+    """
+    if m == 1:
+        return t.succ
+    for j, (last, kids) in enumerate(_levels(t, m), start=1):
+        if j == 1:
+            continue
         # the suffix node q of a node ending in v ends in v too, so the
         # node's child k has q's child k for suffix node; at level 2 q is
         # the root, whose child s is level 1's node s - 1
@@ -165,22 +221,10 @@ def _lift(g: TIGraph, counts: list[list[int]]) -> tuple[tuple[tuple[int, ...], .
             spans = list(map(range, start, start[1:]))
             sfx = [k for q in sfx for k in spans[q]]
         start = list(accumulate(map(len, kids), initial=0))
-        masks = _level_masks(last, counts[m - j], near)
-        nxt_rows = []
-        for p, row in enumerate(rows):
-            rows[p] = None  # freed as its children's rows are made
-            for s in kids[p]:
-                nxt_rows.append(row & masks[s])
-        rows = nxt_rows
-    for k in range(len(rows)):
-        rows[k] ^= 1 << k
-    if m == 1:
-        return succ, rows
-    # a word's successors are the children of its suffix node
     ranges = [tuple(range(a + 1, b + 1)) for a, b in zip(start, start[1:])]
     # tuple() of a list: one of a generator resizes a guessed size, which
     # grows CPython's free lists of small tuples with every lift
-    return tuple([ranges[q] for q in sfx]), rows
+    return tuple([ranges[q] for q in sfx])
 
 
 def _level_masks(last: list[int], span: list[int], near: list[tuple[int, ...]]) -> list[int]:

@@ -81,8 +81,10 @@ def right_resolve(lg: LabeledGraph, state_cap: int = DEFAULT_STATE_CAP) -> Right
 
     Initial states are the full per-label vertex sets; from state S and
     label L the successor state is the set of L-labeled T-successors of S.
-    All reachable states are retained.  The presentation generates the same
-    label-sequence language as the input.
+    All reachable states are retained, and StateCapExceeded is raised when
+    there would be more than ``state_cap`` of them, initial states included.
+    The presentation generates the same label-sequence language as the
+    input.
     """
     r = lg.num_labels
     label_of = lg.labels
@@ -91,13 +93,12 @@ def right_resolve(lg: LabeledGraph, state_cap: int = DEFAULT_STATE_CAP) -> Right
         label_mask[lab] |= 1 << (v - 1)
     succ_mask = lg.t.rows
 
-    initials = [(label_mask[lab], lab) for lab in range(1, r + 1) if label_mask[lab]]
-    state_id: dict[int, int] = {}
-    states: list[tuple[int, int]] = []  # (vertex mask, label)
-    for mask, lab in initials:
-        if mask not in state_id:
-            state_id[mask] = len(states)
-            states.append((mask, lab))
+    # the labeling is onto 1..r, so the r initial masks are nonempty and
+    # distinct, and each is a state under the cap like any other
+    if r > state_cap:
+        raise StateCapExceeded(f"more than {state_cap} subset states")
+    states = [(label_mask[lab], lab) for lab in range(1, r + 1)]  # (vertex mask, label)
+    state_id = {mask: k for k, (mask, _) in enumerate(states)}
     edges: list[tuple[int, int]] = []
     head = 0
     while head < len(states):

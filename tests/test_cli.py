@@ -276,6 +276,19 @@ def test_report_primitivity_search_cap_exit_3(dbl_path, dbl, capsys, monkeypatch
     assert err == f"cap reached: primitivity search unavailable for n={dbl.n}\n"
 
 
+def test_report_state_cap_below_the_label_count_exit_3(tmp_path, capsys):
+    # a 3-cycle with edgeless I has three I-components: three initial subset
+    # states, one over a cap of 2
+    p = tmp_path / "cycle3.json"
+    p.write_text(json.dumps({"n": 3, "t_edges": [[1, 2], [2, 3], [3, 1]], "i_edges": []}))
+    code, out, _ = _run(capsys, ["report", str(p), "--state-cap", "2", "--format", "json"])
+    assert code == 3
+    errors = {b["method"]: b["certificate"].get("error") for b in json.loads(out)["bounds"]}
+    assert errors["sofic"] == "StateCapExceeded: more than 2 subset states"
+    assert [m for m, e in errors.items() if e] == ["sofic"]
+    assert _run(capsys, ["report", str(p), "--state-cap", "3"])[0] == 0
+
+
 def test_oracle_counts(dbl_path, gm_path, capsys):
     code, out, _ = _run(capsys, ["oracle", dbl_path, "-n", "2"])
     assert code == 0

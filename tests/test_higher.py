@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import tigraph.bounds
 import tigraph.higher
 from tigraph import (
+    Config,
     Digraph,
     EmptyGraphError,
     HigherGraph,
@@ -20,6 +21,7 @@ from tigraph import (
     TIGraph,
     UGraph,
     ValidationError,
+    best_bound,
     higher_graph,
     max_independent_set,
     oracle_separated_count,
@@ -139,7 +141,7 @@ def test_size_cap_fires_before_any_word_or_level(monkeypatch, dbl):
 
     with monkeypatch.context() as patch:
         patch.setattr(tigraph.higher, "_enumerate_words", refuse)
-        patch.setattr(tigraph.higher, "_lift", refuse)
+        patch.setattr(tigraph.higher, "_levels", refuse)
         with pytest.raises(SizeCapExceeded, match="more than 63 words of length 5"):
             higher_graph(dbl, 5, size_cap=63)
     assert higher_graph(dbl, 5, size_cap=64).lifted.n == 64
@@ -352,7 +354,7 @@ def _ref_higher_graph(g, m):
         for pos in range(1, m):
             row &= masks[pos][w[pos]]
         rows.append(row ^ 1 << k)
-    return HigherGraph(m, TIGraph(lifted_t, UGraph.from_rows(rows)), tuple(words))
+    return TIGraph(lifted_t, UGraph.from_rows(rows)), tuple(words)
 
 
 @st.composite
@@ -374,8 +376,18 @@ def test_higher_graph_matches_reference(g, m):
         g, _ = prune_stranded(g)
     except EmptyGraphError:
         return
+    ref_lifted, ref_words = _ref_higher_graph(g, m)
+    # the lifted T and the words are built on first read, in either order
+    words_first = higher_graph(g, m)
+    assert words_first.vertex_words == ref_words
+    assert words_first.lifted.t == ref_lifted.t
+    assert words_first.lifted.i == ref_lifted.i
     lift = higher_graph(g, m)
-    assert lift == _ref_higher_graph(g, m)
+    assert lift.i == ref_lifted.i
+    assert lift.lifted.t == ref_lifted.t
+    assert lift.lifted.i is lift.i
+    assert lift.vertex_words == ref_words
+    assert lift == words_first == HigherGraph(g, m, ref_lifted.i)
     # lifts of lifts (_tower_isomorphic) rely on this
     assert lift.lifted.t.is_pruned()
 
@@ -440,4 +452,26 @@ def test_report_keeps_lifted_i_as_rows(tmp_path, capsys, monkeypatch):
     assert main(["report", str(path), "--m-max", "5"]) == 0
     assert "higher_limit" in capsys.readouterr().out
     assert {lift.m for lift in lifts} == {1, 2, 3, 4, 5}
-    assert all("edges" not in lift.lifted.i.__dict__ for lift in lifts)
+    assert all("edges" not in lift.i.__dict__ for lift in lifts)
+
+
+def test_best_bound_builds_no_lifted_t_and_words_once(monkeypatch, dbl):
+    # the limit sequence reads each lift's I only; the certificate reads the
+    # words of the best_m lift, and no bound reads a lifted T
+    calls = {"_lift_succ": 0, "_enumerate_words": 0}
+
+    def counted(name):
+        original = getattr(tigraph.higher, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(tigraph.higher, name, counted(name))
+    report = best_bound(dbl, Config(m_max=6))
+    (limit,) = [b for b in report.bounds if b.method == "higher_limit"]
+    assert len(limit.certificate["sequence"]) == 6
+    assert calls == {"_lift_succ": 0, "_enumerate_words": 1}

@@ -73,6 +73,17 @@ def test_right_resolve_state_cap(gm):
         right_resolve(component_labeling(gm), state_cap=1)
 
 
+def test_right_resolve_state_cap_counts_initial_states():
+    # edgeless I on three vertices: three labels, so three initial states
+    lg = component_labeling(
+        TIGraph(Digraph.from_edges(3, [(1, 2), (2, 3), (3, 1)]), UGraph.from_edges(3, []))
+    )
+    for cap in (1, 2):
+        with pytest.raises(StateCapExceeded, match=f"more than {cap} subset states"):
+            right_resolve(lg, state_cap=cap)
+    assert right_resolve(lg, state_cap=3).t.n == 3
+
+
 def _reference_right_resolve(lg, state_cap=DEFAULT_STATE_CAP):
     """The subset construction trying every label from every state: states x labels ANDs."""
     r = lg.num_labels
@@ -82,6 +93,8 @@ def _reference_right_resolve(lg, state_cap=DEFAULT_STATE_CAP):
     state_id, states, edges = {}, [], []
     for lab in range(1, r + 1):
         if label_mask[lab] not in state_id:
+            if len(states) >= state_cap:
+                raise StateCapExceeded(f"more than {state_cap} subset states")
             state_id[label_mask[lab]] = len(states)
             states.append((label_mask[lab], lab))
     head = 0
