@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Wall time and peak memory of one ``tigraph report`` per row of the scale table.
+"""Wall time and peak memory of one ``tigraph`` run per row of the scale table.
 
-Each row ``name:m`` runs ``tigraph report GRAPH --m-max m --format json`` in
-a subprocess of its own and prints the wall seconds, that child's peak
-resident set size (from ``os.wait4``), its exit code and the sha256 of its
-stdout.  The graphs are those of ``bench/inputs.py``: ``dbl`` is the doubling
-fixture and ``cover`` the 200-arc cover of x -> 3x, ``cover_spec(0)`` run
-through ``tigraph ingest``.  They are written to a temporary directory, so
-nothing under ``bench/`` changes.
+Each row ``name:m`` runs ``tigraph report GRAPH --m-max m --format json``,
+and each row ``higher:name:m`` runs ``tigraph higher GRAPH -m m`` (the JSON
+dump of the m-th higher vertex graph), in a subprocess of its own.  It
+prints the wall seconds, that child's peak resident set size (from
+``os.wait4``), its exit code and the sha256 of its stdout.  The graphs are
+those of ``bench/inputs.py``: ``dbl`` is the doubling fixture, ``dense`` is
+``dense_graph()`` (complete T and I on 4 vertices) and ``cover`` the 200-arc
+cover of x -> 3x, ``cover_spec(0)`` run through ``tigraph ingest``.  They
+are written to a temporary directory, so nothing under ``bench/`` changes.
 
-Usage: python3 scripts/scale_probe.py [--root DIR] [name:m ...]
+Usage: python3 scripts/scale_probe.py [--root DIR] [[higher:]name:m ...]
 
 Without rows it runs dbl:13 dbl:14 cover:5 cover:6, the scale table of
 ROADMAP.md.  ``--root`` names the checkout whose ``src/`` and
@@ -31,14 +33,18 @@ from pathlib import Path
 
 DEFAULT_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_ROWS = ("dbl:13", "dbl:14", "cover:5", "cover:6")
-GRAPHS = ("dbl", "cover")
+GRAPHS = ("dbl", "dense", "cover")
 
 
-def parse_row(text: str) -> tuple[str, int]:
-    name, _, m = text.partition(":")
+def parse_row(text: str) -> tuple[str, str, int]:
+    """(command, graph name, m) of a row ``name:m`` (a report) or ``higher:name:m``."""
+    command = "higher" if text.startswith("higher:") else "report"
+    name, _, m = text.removeprefix("higher:").partition(":")
     if name not in GRAPHS or not m.isdigit() or int(m) < 1:
-        raise argparse.ArgumentTypeError(f"expected name:m with name in {GRAPHS} and m >= 1, got {text!r}")
-    return name, int(m)
+        raise argparse.ArgumentTypeError(
+            f"expected name:m or higher:name:m with name in {GRAPHS} and m >= 1, got {text!r}"
+        )
+    return command, name, int(m)
 
 
 def run_child(argv: list[str], env: dict[str, str], out: Path) -> tuple[float, int, int]:
@@ -68,10 +74,12 @@ def main(argv: list[str] | None = None) -> int:
     rows = args.rows or [parse_row(r) for r in DEFAULT_ROWS]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        needed = {name for name, _ in rows}
+        needed = {name for _, name, _ in rows}
         graph = {name: tmp / f"{name}.json" for name in needed}
         if "dbl" in needed:
             graph["dbl"].write_text(json.dumps(inputs.DOUBLING))
+        if "dense" in needed:
+            graph["dense"].write_text(json.dumps(inputs.dense_graph()))
         if "cover" in needed:
             spec = tmp / "cover_spec.json"
             spec.write_text(inputs.cover_spec(0))
@@ -79,12 +87,16 @@ def main(argv: list[str] | None = None) -> int:
             if code != 0:
                 print(f"error: tigraph ingest exited {code}", file=sys.stderr)
                 return 1
-        for name, m in rows:
-            out = tmp / "report.json"
-            argv = cli + ["report", str(graph[name]), "--m-max", str(m), "--format", "json"]
+        for command, name, m in rows:
+            out = tmp / "out.json"
+            if command == "higher":
+                argv = cli + ["higher", str(graph[name]), "-m", str(m)]
+                row = f"higher:{name}:{m}"
+            else:
+                argv = cli + ["report", str(graph[name]), "--m-max", str(m), "--format", "json"]
+                row = f"{name}:{m}"
             wall, rss_kib, code = run_child(argv, env, out)
             digest = hashlib.sha256(out.read_bytes()).hexdigest()
-            row = f"{name}:{m}"
             print(f"{row:<9} wall {wall:8.2f} s  peak_rss {rss_kib / 1024:8.1f} MB  exit {code}  sha256 {digest}", flush=True)
     return 0
 

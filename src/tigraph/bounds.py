@@ -514,6 +514,9 @@ def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
     ``sofic`` with clique I-components, or ``certified`` on ``higher_limit``
     for non-primitive T.  A malformed certificate, or a re-check that hits a
     cap or a solve that does not converge, fails the check; it never raises.
+    The ``independent_subshift`` ``lambda`` and the ``sofic`` value are
+    Perron values certified to the report's ``Config.tol`` only, so ``tol``
+    must be at least that plus 1e-9.
     """
     try:
         return _recheck(g, bound, tol)

@@ -17,8 +17,8 @@ from pathlib import Path
 from .bounds import BoundReport, best_bound, oracle_separated_count
 from .config import Config
 from .errors import SizeCapExceeded, StateCapExceeded, TigraphError
-from .graph import TIGraph, export_dot, parse_tigraph, prune_stranded, serialize_tigraph
-from .higher import higher_graph
+from .graph import TIGraph, export_dot, parse_tigraph, prune_stranded, serialize_tigraph, tigraph_json_dict
+from .higher import count_paths, higher_graph
 from .ingest import load_map_spec, ti_from_circle
 from .structure import higher_gamma
 
@@ -118,18 +118,18 @@ def cmd_higher(args: argparse.Namespace) -> int:
                 gamma = f" gamma={higher_gamma(structure.gamma(), pruned.n, args.m)}"
         finally:
             sys.stdout.write(
-                f"m={args.m} vertices={lift.lifted.n} t_edges={lift.lifted.t.num_edges()}"
-                f" i_edges={lift.lifted.i.num_edges()}{gamma}\n"
+                # the lifted T's edges are the (m+1)-paths of T
+                f"m={args.m} vertices={lift.i.n} t_edges={count_paths(pruned.t, args.m + 1)}"
+                f" i_edges={lift.i.num_edges()}{gamma}\n"
             )
         return EXIT_OK
     if args.dot:
         labels = {
-            v: "(" + ",".join(map(str, lift.vertex_words[v - 1])) + ")"
-            for v in range(1, lift.lifted.n + 1)
+            v: "(" + ",".join(map(str, w)) + ")" for v, w in enumerate(lift.vertex_words, start=1)
         }
         sys.stdout.write(export_dot(lift.lifted, node_labels=labels))
         return EXIT_OK
-    payload = json.loads(serialize_tigraph(lift.lifted))
+    payload = tigraph_json_dict(lift.lifted)
     payload["vertex_words"] = [list(w) for w in lift.vertex_words]
     sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
     return EXIT_OK

@@ -298,14 +298,18 @@ def _parse_text(data: str):
     return n, t_edges, i_edges
 
 
-def serialize_tigraph(g: TIGraph) -> str:
-    """Canonical compact JSON; parse(serialize(g)) reproduces g field for field."""
-    payload = {
+def tigraph_json_dict(g: TIGraph) -> dict:
+    """The JSON object of g: ``n``, ``t_edges`` and ``i_edges``, in canonical order."""
+    return {
         "n": g.n,
         "t_edges": [[i, j] for i, j in g.t.edges()],
         "i_edges": [[i, j] for i, j in g.i.edges],
     }
-    return json.dumps(payload, separators=(",", ":"))
+
+
+def serialize_tigraph(g: TIGraph) -> str:
+    """Canonical compact JSON; parse(serialize(g)) reproduces g field for field."""
+    return json.dumps(tigraph_json_dict(g), separators=(",", ":"))
 
 
 def prune_digraph(d: Digraph) -> tuple[Digraph, dict[int, int]]:

@@ -24,9 +24,9 @@ only if something reads it, which the report path does not.
 The lifted T and the words are built on first read of ``HigherGraph.lifted``
 and ``HigherGraph.vertex_words``, from the base graph, and then cached; the
 report path reads the words of one lift only and the lifted T of none.  The
-lifted T takes the same walk: the successors of a word are the children of
-its suffix node, an index range, and each node finds its suffix node by
-offset arithmetic from its parent's, so no word is looked up.  A lift is
+lifted T is read off the words: the words extending w are those whose first
+m-1 symbols are w's last m-1, one run in lexicographic order as long as the
+successor list of w's last symbol.  A lift is
 refused with ``SizeCapExceeded`` above ``size_cap`` or
 ``MAX_BITSET_VERTICES`` words, whichever is smaller, before any word or
 tree level is made.
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Iterator
 
 from .errors import LengthMismatchError, SizeCapExceeded, ValidationError
@@ -49,9 +49,10 @@ DEFAULT_SIZE_CAP = 2_000_000
 class HigherGraph:
     """The m-th higher vertex graph of ``base``, a TI-graph with pruned T.
 
-    ``i`` is the lifted I, built by ``higher_graph``.  ``lifted`` (the
-    lifted T with ``i``) and ``vertex_words`` (the words, in vertex order)
-    are built from ``base`` on first read and cached.
+    ``i`` is the lifted I, built by ``higher_graph``.  ``vertex_words``
+    (the words, in vertex order) is built from ``base`` on first read, and
+    ``lifted`` (the lifted T, read off the words, with ``i``) from those;
+    both are cached.
     """
 
     base: TIGraph
@@ -60,7 +61,7 @@ class HigherGraph:
 
     @cached_property
     def lifted(self) -> TIGraph:
-        return TIGraph(Digraph(self.i.n, _lift_succ(self.base.t, self.m)), self.i)
+        return TIGraph(Digraph(self.i.n, _lift_succ(self.base.t, self.vertex_words)), self.i)
 
     @cached_property
     def vertex_words(self) -> tuple[Word, ...]:
@@ -200,31 +201,25 @@ def _lift_rows(g: TIGraph, counts: list[list[int]]) -> list[int]:
     return rows
 
 
-def _lift_succ(t: Digraph, m: int) -> tuple[tuple[int, ...], ...]:
-    """Lifted T successor tuples: a word's successors are the children of its suffix node.
+def _lift_succ(t: Digraph, words: tuple[Word, ...]) -> tuple[tuple[int, ...], ...]:
+    """Lifted T successor tuples, read off the lexicographically ordered words.
 
-    A level-j node's suffix node ``sfx`` is the level j-1 index of the
-    prefix without its first symbol; ``start`` marks where each node's
-    children begin one level down.
+    The successors of word w are the words with prefix w[1:]: one run of
+    indices, from the first word with that prefix, as long as the successor
+    list of that prefix's last symbol.  Words sharing that prefix share one
+    tuple.
     """
-    if m == 1:
+    if len(words[0]) == 1:
         return t.succ
-    for j, (last, kids) in enumerate(_levels(t, m), start=1):
-        if j == 1:
-            continue
-        # the suffix node q of a node ending in v ends in v too, so the
-        # node's child k has q's child k for suffix node; at level 2 q is
-        # the root, whose child s is level 1's node s - 1
-        if j == 2:
-            sfx = [s - 1 for s in last]
-        else:
-            spans = list(map(range, start, start[1:]))
-            sfx = [k for q in sfx for k in spans[q]]
-        start = list(accumulate(map(len, kids), initial=0))
-    ranges = [tuple(range(a + 1, b + 1)) for a, b in zip(start, start[1:])]
+    succ = t.succ
+    runs: dict[Word, tuple[int, ...]] = {}  # (m-1)-prefix -> the 1-based indices of its words
+    for k, w in enumerate(words, start=1):
+        prefix = w[:-1]
+        if prefix not in runs:
+            runs[prefix] = tuple(range(k, k + len(succ[w[-2] - 1])))
     # tuple() of a list: one of a generator resizes a guessed size, which
     # grows CPython's free lists of small tuples with every lift
-    return tuple([ranges[q] for q in sfx])
+    return tuple([runs[w[1:]] for w in words])
 
 
 def _level_masks(last: list[int], span: list[int], near: list[tuple[int, ...]]) -> list[int]:

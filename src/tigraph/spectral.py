@@ -60,29 +60,25 @@ def _to_csr(a) -> tuple[tuple, list[int], list[int], np.ndarray]:
     """A square nonnegative matrix as (succ, indptr, indices, data).
 
     ``succ[i]`` lists the 1-based columns stored in row i, the form
-    ``structure._tarjan`` reads.  Takes a Digraph, a dense array-like, or a
-    sparse matrix with a ``tocsr`` method (scipy's), which keeps its stored
-    entry order.
+    ``structure._tarjan`` reads.  Takes a Digraph or a dense array-like;
+    anything numpy cannot read as a float array is refused with
+    ValidationError.
     """
     if isinstance(a, Digraph):
         indptr = list(accumulate(map(len, a.succ), initial=0))
         indices = [j - 1 for row in a.succ for j in row]
         return a.succ, indptr, indices, np.ones(len(indices))
-    if hasattr(a, "tocsr"):
-        mat = a.tocsr()
-        shape = mat.shape
-        indptr = mat.indptr.tolist()
-        indices = mat.indices.tolist()
-        data = np.asarray(mat.data, dtype=float)
-    else:
+    try:
         dense = np.asarray(a, dtype=float)
-        if dense.ndim != 2:
-            raise ValidationError("matrix must be square")
-        shape = dense.shape
-        rows, cols = np.nonzero(dense)
-        data = dense[rows, cols]
-        indptr = np.searchsorted(rows, np.arange(shape[0] + 1)).tolist()
-        indices = cols.tolist()
+    except (ValueError, TypeError) as exc:  # ragged rows, non-numeric entries
+        raise ValidationError("matrix must be numeric, with rows of one length") from exc
+    if dense.ndim != 2:
+        raise ValidationError("matrix must be square")
+    shape = dense.shape
+    rows, cols = np.nonzero(dense)
+    data = dense[rows, cols]
+    indptr = np.searchsorted(rows, np.arange(shape[0] + 1)).tolist()
+    indices = cols.tolist()
     if shape[0] != shape[1] or not shape[0]:
         raise ValidationError("matrix must be square and nonempty")
     if not (np.isfinite(data) & (data >= 0)).all():
@@ -94,9 +90,9 @@ def _to_csr(a) -> tuple[tuple, list[int], list[int], np.ndarray]:
 def perron_eigenvalue(a, tol: float = DEFAULT_TOL, iteration_cap: int | None = None) -> SpectralResult:
     """Perron eigenvalue of a square nonnegative matrix, certified to ``tol``.
 
-    Accepts a dense array-like, a scipy sparse matrix, or a Digraph.  Raises
-    ValidationError for an empty or non-square matrix or one with a
-    negative, NaN or infinite entry.  Raises NoConvergenceError if some
+    Accepts a dense array-like or a Digraph.  Raises ValidationError for an
+    empty, ragged or non-square matrix or one with a negative, NaN, infinite
+    or non-numeric entry.  Raises NoConvergenceError if some
     block's certified interval does not shrink below ``tol`` within the
     iteration cap (default 100 n^2 + 1000 per block); the error names the
     first such block in Tarjan order.

@@ -764,6 +764,23 @@ def test_certificates_reverify():
             assert verify_bound(g, b), (g, b)
 
 
+def test_certificates_made_at_a_coarse_tol_verify_at_that_tol_plus_1e_9():
+    # the independent_subshift lambda and the sofic value are Perron values
+    # certified to the report's tol only, so the default tol refuses some
+    rng = random.Random(1)
+    nontrivial = set()
+    refused_at_default = 0
+    for _ in range(12):
+        g = random_pruned_tigraph(rng, n_max=6)
+        for b in best_bound(g, Config(m_max=2, tol=1e-4)).bounds:
+            assert verify_bound(g, b, tol=1e-4 + 1e-9), (g, b)
+            if b.method in ("independent_subshift", "sofic") and b.value > 0:
+                nontrivial.add(b.method)
+                refused_at_default += not verify_bound(g, b)
+    assert nontrivial == {"independent_subshift", "sofic"}
+    assert refused_at_default > 0
+
+
 def test_higher_shift_pipeline_invariance(dbl):
     # running the pipeline on the lift shifts the sequence index: entry k of
     # the lift matches entry m+k-1 of the base

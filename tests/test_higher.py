@@ -32,7 +32,7 @@ from tigraph import (
 )
 from tigraph.cli import main
 from tigraph.graph import bits_of
-from tigraph.higher import _enumerate_words
+from tigraph.higher import _enumerate_words, count_paths
 
 from conftest import adjacency_matrix, random_pruned_tigraph
 
@@ -275,6 +275,13 @@ def test_lifted_i_rows_match_walk_random(g, m):
     _assert_rows_match_walk(g, m)
 
 
+@given(tigraphs(), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_lifted_t_edges_are_the_paths_one_step_longer(g, m):
+    # higher --stats prints this count without building the lifted T
+    assert count_paths(g.t, m + 1) == higher_graph(g, m).lifted.t.num_edges()
+
+
 def _reference_enumerate_words(t, m):
     """Depth-first words that copy the word tuple at every step."""
     words = []
@@ -455,9 +462,8 @@ def test_report_keeps_lifted_i_as_rows(tmp_path, capsys, monkeypatch):
     assert all("edges" not in lift.i.__dict__ for lift in lifts)
 
 
-def test_best_bound_builds_no_lifted_t_and_words_once(monkeypatch, dbl):
-    # the limit sequence reads each lift's I only; the certificate reads the
-    # words of the best_m lift, and no bound reads a lifted T
+def _count_lift_builds(monkeypatch) -> dict[str, int]:
+    """Calls to the lifted T and word builders, counted from here on."""
     calls = {"_lift_succ": 0, "_enumerate_words": 0}
 
     def counted(name):
@@ -471,7 +477,24 @@ def test_best_bound_builds_no_lifted_t_and_words_once(monkeypatch, dbl):
 
     for name in calls:
         monkeypatch.setattr(tigraph.higher, name, counted(name))
+    return calls
+
+
+def test_best_bound_builds_no_lifted_t_and_words_once(monkeypatch, dbl):
+    # the limit sequence reads each lift's I only; the certificate reads the
+    # words of the best_m lift, and no bound reads a lifted T
+    calls = _count_lift_builds(monkeypatch)
     report = best_bound(dbl, Config(m_max=6))
     (limit,) = [b for b in report.bounds if b.method == "higher_limit"]
     assert len(limit.certificate["sequence"]) == 6
     assert calls == {"_lift_succ": 0, "_enumerate_words": 1}
+
+
+def test_higher_stats_builds_no_lifted_t_and_no_words(tmp_path, capsys, monkeypatch, dbl):
+    # vertices and I-edges are read off the lifted I, T-edges are (m+1)-paths
+    path = tmp_path / "dbl.json"
+    path.write_text(serialize_tigraph(dbl))
+    calls = _count_lift_builds(monkeypatch)
+    assert main(["higher", str(path), "-m", "6", "--stats"]) == 0
+    assert capsys.readouterr().out == _HIGHER_STATS["dbl"][5] + "\n"
+    assert calls == {"_lift_succ": 0, "_enumerate_words": 0}

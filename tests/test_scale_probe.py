@@ -1,4 +1,4 @@
-"""``scripts/scale_probe.py`` runs a report per row and prints one line for each."""
+"""``scripts/scale_probe.py`` runs a report or a ``higher`` dump per row and prints one line for each."""
 
 import re
 import subprocess
@@ -7,7 +7,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-LINE = re.compile(r"dbl:3 +wall +\d+\.\d\d s  peak_rss +\d+\.\d MB  exit 0  sha256 [0-9a-f]{64}")
+LINE = r" +wall +\d+\.\d\d s  peak_rss +\d+\.\d MB  exit 0  sha256 [0-9a-f]{64}"
 
 
 def test_scale_probe_prints_one_line_per_row():
@@ -18,7 +18,18 @@ def test_scale_probe_prints_one_line_per_row():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert LINE.fullmatch(proc.stdout.strip()), proc.stdout
+    assert re.fullmatch("dbl:3" + LINE, proc.stdout.strip()), proc.stdout
+
+
+def test_scale_probe_runs_a_higher_dump_per_higher_row():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "scale_probe.py"), "higher:dbl:3"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch("higher:dbl:3" + LINE, proc.stdout.strip()), proc.stdout
 
 
 def test_scale_probe_refuses_an_unknown_row():

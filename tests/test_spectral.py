@@ -207,22 +207,23 @@ def test_matvec_is_bitwise_scipy_csr(a):
 @given(small_01_matrices(n_max=9))
 @settings(max_examples=60, deadline=None)
 def test_dense_digraph_and_scipy_sparse_inputs_agree(a):
-    sparse = pytest.importorskip("scipy.sparse")
+    # the Digraph, array and list forms; a scipy matrix is refused (below)
     n = a.shape[0]
     edges = [(i + 1, j + 1) for i, j in zip(*np.nonzero(a))]
     expect = perron_eigenvalue(a)
     assert perron_eigenvalue(Digraph.from_edges(n, edges)) == expect
     assert perron_eigenvalue(a.tolist()) == expect
-    assert perron_eigenvalue(sparse.csr_array(a)) == expect
-    assert perron_eigenvalue(sparse.coo_matrix(a)) == expect
 
 
 def test_sparse_input_is_validated():
+    # numpy's own ValueError or TypeError never leaks out
+    with pytest.raises(ValidationError, match="numeric"):
+        perron_eigenvalue([[1, 2], [3]])
+    with pytest.raises(ValidationError, match="numeric"):
+        perron_eigenvalue([["a"]])
     sparse = pytest.importorskip("scipy.sparse")
-    with pytest.raises(ValidationError, match="square"):
-        perron_eigenvalue(sparse.csr_array(np.ones((2, 3))))
-    with pytest.raises(ValidationError, match="nonnegative"):
-        perron_eigenvalue(sparse.csr_array(np.array([[1.0, -1.0], [1.0, 0.0]])))
+    with pytest.raises(ValidationError, match="numeric"):
+        perron_eigenvalue(sparse.csr_array(np.ones((2, 2))))
 
 
 def test_importing_the_cli_loads_no_scipy():
@@ -388,13 +389,12 @@ def _as_input(a, form):
     if form == "digraph" and (a <= 1).all():
         n = a.shape[0]
         return Digraph.from_edges(n, [(i + 1, j + 1) for i, j in zip(*np.nonzero(a))])
-    if form == "scipy":
-        sparse = pytest.importorskip("scipy.sparse")
-        return sparse.csr_array(a)
+    if form == "list":
+        return a.tolist()
     return a
 
 
-input_forms = st.sampled_from(["dense", "digraph", "scipy"])
+input_forms = st.sampled_from(["dense", "digraph", "list"])
 
 
 @given(block_matrices(), input_forms)
