@@ -39,12 +39,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 try:  # CPython's own SHA-256: hashlib loads OpenSSL, about 3.5 MB resident, for one digest a report
     from _sha256 import sha256
-except ImportError:  # not built, or named _sha2 (Python 3.12 on)
-    from hashlib import sha256
+except ImportError:  # named _sha2 from Python 3.12 on
+    try:
+        from _sha2 import sha256
+    except ImportError:  # not built
+        from hashlib import sha256
 
 from .config import Config
 from .errors import SizeCapExceeded, TigraphError, ValidationError
@@ -402,6 +403,8 @@ def oracle_separated_count(
         raise ValidationError("word length must be >= 1")
     _capped_counts(g.t, n, size_cap)
     words = _enumerate_words(g.t, n)
+
+    import numpy as np
 
     compat = np.eye(g.n + 1, dtype=bool)  # [a, b]: a = b or a ~ b in I
     for a, b in g.i.edges:

@@ -298,18 +298,14 @@ def _parse_text(data: str):
     return n, t_edges, i_edges
 
 
-def tigraph_json_dict(g: TIGraph) -> dict:
-    """The JSON object of g: ``n``, ``t_edges`` and ``i_edges``, in canonical order."""
-    return {
+def serialize_tigraph(g: TIGraph) -> str:
+    """Canonical compact JSON; parse(serialize(g)) reproduces g field for field."""
+    payload = {
         "n": g.n,
         "t_edges": [[i, j] for i, j in g.t.edges()],
         "i_edges": [[i, j] for i, j in g.i.edges],
     }
-
-
-def serialize_tigraph(g: TIGraph) -> str:
-    """Canonical compact JSON; parse(serialize(g)) reproduces g field for field."""
-    return json.dumps(tigraph_json_dict(g), separators=(",", ":"))
+    return json.dumps(payload, separators=(",", ":"))
 
 
 def prune_digraph(d: Digraph) -> tuple[Digraph, dict[int, int]]:

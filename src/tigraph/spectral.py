@@ -14,10 +14,15 @@ Each block runs its own power iteration, one block after another in Tarjan
 order, and is recorded at its first step with an interval width of at most
 2 tol.
 
-Matrices are held as CSR in plain lists and numpy arrays; scipy is not
-imported.  The matvec ``np.bincount(rows, weights=data * v[cols])`` adds
-each row's products in stored order, as a CSR matvec does, so the values
-are bitwise those of scipy's ``csr_matvec``.
+Matrices are held as CSR in plain lists; scipy is not imported.  The first
+step from the all-ones vector is each row's sum in stored order plus 1,
+computed in plain floats.  A block whose first step already certifies it
+(a row-regular block, whose lambda is its common row sum, exactly) is
+recorded there, and a one-vertex block is its own entry, so numpy is
+imported only for a block that needs more steps, or for array-like input.
+The numpy matvec ``np.bincount(rows, weights=data * v[cols])`` adds each
+row's products in stored order, as a CSR matvec does, so the values are
+bitwise those of scipy's ``csr_matvec`` and of the plain-float first step.
 """
 
 from __future__ import annotations
@@ -25,8 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-
-import numpy as np
 
 from .errors import NoConvergenceError, ValidationError
 from .graph import Digraph, require_pruned
@@ -56,18 +59,20 @@ class SpectralResult:
             raise ValidationError("certified interval dips below zero")
 
 
-def _to_csr(a) -> tuple[tuple, list[int], list[int], np.ndarray]:
+def _to_csr(a) -> tuple[tuple, list[int], list[int], list[float]]:
     """A square nonnegative matrix as (succ, indptr, indices, data).
 
     ``succ[i]`` lists the 1-based columns stored in row i, the form
-    ``structure._tarjan`` reads.  Takes a Digraph or a dense array-like;
-    anything numpy cannot read as a float array is refused with
-    ValidationError.
+    ``structure._tarjan`` reads.  Takes a Digraph, whose unit weights need
+    no numpy, or a dense array-like; anything numpy cannot read as a float
+    array is refused with ValidationError.
     """
     if isinstance(a, Digraph):
         indptr = list(accumulate(map(len, a.succ), initial=0))
         indices = [j - 1 for row in a.succ for j in row]
-        return a.succ, indptr, indices, np.ones(len(indices))
+        return a.succ, indptr, indices, [1.0] * len(indices)
+    import numpy as np
+
     try:
         dense = np.asarray(a, dtype=float)
     except (ValueError, TypeError) as exc:  # ragged rows, non-numeric entries
@@ -84,7 +89,7 @@ def _to_csr(a) -> tuple[tuple, list[int], list[int], np.ndarray]:
     if not (np.isfinite(data) & (data >= 0)).all():
         raise ValidationError("matrix entries must be finite and nonnegative")
     succ = tuple([j + 1 for j in indices[indptr[i] : indptr[i + 1]]] for i in range(shape[0]))
-    return succ, indptr, indices, data
+    return succ, indptr, indices, data.tolist()
 
 
 def perron_eigenvalue(a, tol: float = DEFAULT_TOL, iteration_cap: int | None = None) -> SpectralResult:
@@ -96,6 +101,11 @@ def perron_eigenvalue(a, tol: float = DEFAULT_TOL, iteration_cap: int | None = N
     block's certified interval does not shrink below ``tol`` within the
     iteration cap (default 100 n^2 + 1000 per block); the error names the
     first such block in Tarjan order.
+
+    A block settled by its first step (a row-regular one: all row sums
+    equal to within 2 tol) counts one iteration and is read off its row
+    sums with no numpy; a one-vertex block counts none.  numpy is imported
+    for array-like input and for a block that needs a second step.
     """
     if not 0 < tol < math.inf:  # also false for nan
         raise ValidationError("tol must be positive and finite")
@@ -113,17 +123,29 @@ def perron_eigenvalue(a, tol: float = DEFAULT_TOL, iteration_cap: int | None = N
         pos = {v: i for i, v in enumerate(comp)}
         rows: list[int] = []
         cols: list[int] = []
-        take: list[int] = []
+        vals: list[float] = []
+        # the first step (A' + Id) 1: each row's sum in stored order, plus 1
+        first: list[float] = []
         for v in comp:
+            total = 0.0
             for ptr in range(indptr[v], indptr[v + 1]):
                 col = pos.get(indices[ptr])
                 if col is not None:
                     rows.append(pos[v])
                     cols.append(col)
-                    take.append(ptr)
+                    vals.append(data[ptr])
+                    total += data[ptr]
+            first.append(total + 1.0)
+        lo = min(first)
+        hi = max(first)
+        if hi - lo <= width_tol:  # row-regular: lambda is the common row sum
+            parts.append(((lo + hi) / 2.0 - 1.0, (hi - lo) / 2.0, tuple(comp), (1.0,) * nb, 1))
+            continue
+        import numpy as np
+
         block_rows = np.array(rows)
         block_cols = np.array(cols)
-        block_data = data[take]
+        block_data = np.array(vals)
         cap = iteration_cap if iteration_cap is not None else 100 * nb * nb + 1000
         vec = np.ones(nb)
         iters = 0
@@ -156,10 +178,10 @@ def perron_eigenvalue(a, tol: float = DEFAULT_TOL, iteration_cap: int | None = N
     return SpectralResult(value, error_bound, total_iters, block_ids, vec_out)
 
 
-def _entry(indptr: list[int], indices: list[int], data: np.ndarray, i: int, j: int) -> float:
+def _entry(indptr: list[int], indices: list[int], data: list[float], i: int, j: int) -> float:
     for ptr in range(indptr[i], indptr[i + 1]):
         if indices[ptr] == j:
-            return float(data[ptr])
+            return data[ptr]
     return 0.0
 
 

@@ -2,15 +2,19 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import tigraph.cli
 import tigraph.graph
-from tigraph import serialize_tigraph
+from tigraph import higher_graph, serialize_tigraph
 from tigraph.cli import main
+
+from conftest import random_pruned_tigraph
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -338,6 +342,22 @@ def test_higher_m1_echoes_graph(dbl_path, capsys, dbl):
     assert payload["n"] == 4
     assert payload["t_edges"] == [list(e) for e in dbl.t.edges()]
     assert payload["vertex_words"] == [[1], [2], [3], [4]]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_higher_dump_is_the_compact_json_of_the_lift(tmp_path, capsys, monkeypatch, seed):
+    # written row by row (two words a write here), byte for byte the one-shot dump
+    monkeypatch.setattr(tigraph.cli, "WORDS_PER_WRITE", 2)
+    g = random_pruned_tigraph(random.Random(seed))
+    path = tmp_path / "g.json"
+    path.write_text(serialize_tigraph(g))
+    for m in (1, 2, 3):
+        lift = higher_graph(g, m)
+        payload = json.loads(serialize_tigraph(lift.lifted))
+        payload["vertex_words"] = [list(w) for w in lift.vertex_words]
+        code, out, _ = _run(capsys, ["higher", str(path), "-m", str(m)])
+        assert code == 0
+        assert out == json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 def test_higher_dump_validates_against_schema(dbl_path, capsys):

@@ -1,8 +1,10 @@
 """Perron eigenvalue computation and its Collatz-Wielandt certificates."""
 
+import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +17,16 @@ from tigraph import (
     Digraph,
     NoConvergenceError,
     SpectralResult,
+    TIGraph,
+    UGraph,
     ValidationError,
     perron_eigenvalue,
+    prune_stranded,
+    serialize_tigraph,
     sft_entropy,
+    ti_from_circle,
 )
+from tigraph.ingest import AffinePiece, Arc, CircleMap, IntervalCover
 from tigraph.spectral import _to_csr
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -226,16 +234,97 @@ def test_sparse_input_is_validated():
         perron_eigenvalue(sparse.csr_array(np.ones((2, 2))))
 
 
-def test_importing_the_cli_loads_no_scipy():
+HEAVY_MODULES = ("numpy", "scipy", "_hashlib")
+
+
+def _heavy_modules_after(*argvs):
+    """Which of numpy, scipy and _hashlib a fresh interpreter holds after
+    importing ``tigraph.cli`` and running ``main`` on each argv."""
     src = str(Path(tigraph.__file__).resolve().parents[1])
     script = (
-        f"import sys; sys.path.insert(0, {src!r}); import tigraph.cli\n"
-        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
-        "print(loaded)\n"
+        f"import contextlib, io, json, sys; sys.path.insert(0, {src!r}); import tigraph.cli\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert tigraph.cli.main(argv) == 0, argv\n"
+        f"print(json.dumps([m for m in {HEAVY_MODULES!r} if m in sys.modules]))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # nor numpy, nor OpenSSL through hashlib's _hashlib
+    assert _heavy_modules_after() == []
+
+
+def test_reports_whose_blocks_are_regular_load_no_numpy(tmp_path, dbl):
+    # every Perron block of both reports has one vertex or equal row sums
+    arcs = [
+        Arc.from_endpoints(Fraction(5 * i - 1, 1000), Fraction(5 * (i + 1) + 1, 1000))
+        for i in range(200)
+    ]
+    cmap = CircleMap((AffinePiece(Fraction(0), Fraction(1), Fraction(3), Fraction(0)),))
+    cover, _ = prune_stranded(ti_from_circle(cmap, IntervalCover(tuple(arcs))))
+    (tmp_path / "dbl.json").write_text(serialize_tigraph(dbl))
+    (tmp_path / "cover.json").write_text(serialize_tigraph(cover))
+    loaded = _heavy_modules_after(
+        ["report", str(tmp_path / "dbl.json")],
+        ["report", str(tmp_path / "cover.json"), "--m-max", "2"],
+    )
+    assert loaded == []
+
+
+def test_oracle_and_a_non_regular_block_load_numpy(tmp_path, dbl):
+    # the golden-mean T: one block with row sums 2 and 1
+    gm = TIGraph(Digraph.from_edges(2, [(1, 1), (1, 2), (2, 1)]), UGraph.from_edges(2, []))
+    (tmp_path / "dbl.json").write_text(serialize_tigraph(dbl))
+    (tmp_path / "gm.json").write_text(serialize_tigraph(gm))
+    assert _heavy_modules_after(["oracle", str(tmp_path / "dbl.json"), "-n", "2"]) == ["numpy"]
+    assert _heavy_modules_after(["report", str(tmp_path / "gm.json")]) == ["numpy"]
+
+
+@st.composite
+def row_regular_matrices(draw, n_max=10):
+    """Irreducible row-regular matrices, as (dense array, form).
+
+    A cyclic permutation (which makes the matrix irreducible) plus random
+    permutation matrices, each adding one weight to every row.  The
+    "digraph" form keeps 0/1 entries by skipping a permutation that meets
+    the support; "float" weights the permutations by random floats, whose
+    row sums then agree only up to rounding.
+    """
+    n = draw(st.integers(2, n_max))
+    form = draw(st.sampled_from(["digraph", "int", "float"]))
+    a = np.zeros((n, n), dtype=float if form == "float" else int)
+    perms = [[(i + 1) % n for i in range(n)]]
+    perms += draw(st.lists(st.permutations(range(n)), max_size=4))
+    for perm in perms:
+        if form == "digraph" and any(a[i, j] for i, j in enumerate(perm)):
+            continue
+        weight = draw(st.floats(0.125, 8.0)) if form == "float" else 1
+        for i, j in enumerate(perm):
+            a[i, j] += weight
+    return a, form
+
+
+@given(row_regular_matrices())
+@settings(max_examples=150, deadline=None)
+def test_row_regular_blocks_are_read_off_their_first_step(case):
+    a, form = case
+    n = a.shape[0]
+    given_a = (
+        Digraph.from_edges(n, [(i + 1, j + 1) for i, j in zip(*np.nonzero(a))]) if form == "digraph" else a
+    )
+    res = perron_eigenvalue(given_a)
+    assert res.iterations == 1
+    assert res.witness_block == tuple(range(n))
+    assert _bits(res) == _bits(_reference_perron(given_a))
+    value, err, iters, vec = _scipy_power_iteration(a)
+    assert (res.value, res.error_bound, res.iterations, res.witness_vector) == (value, err, iters, vec)
+    if form != "float":
+        assert res.error_bound == 0.0
+        assert res.value == float(a[0].sum())
 
 
 # --- the iteration against an independent reference loop ---------------------
@@ -318,7 +407,7 @@ def _reference_perron(a, tol=1e-10, iteration_cap=None):
                     take.append(ptr)
         block_rows = np.array(rows, dtype=np.int64)
         block_cols = np.array(cols, dtype=np.int64)
-        block_data = data[take]
+        block_data = np.asarray(data)[take]
         nb = len(comp)
         cap = iteration_cap if iteration_cap is not None else 100 * nb * nb + 1000
         vec = np.ones(nb)
