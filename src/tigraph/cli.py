@@ -17,7 +17,7 @@ from pathlib import Path
 from .bounds import BoundReport, best_bound, oracle_separated_count
 from .config import Config
 from .errors import SizeCapExceeded, StateCapExceeded, TigraphError
-from .graph import TIGraph, bits_of, export_dot, parse_tigraph, prune_stranded, serialize_tigraph
+from .graph import TIGraph, export_dot, parse_tigraph, prune_stranded, serialize_tigraph, tigraph_json_pieces
 from .higher import count_paths, higher_graph
 from .ingest import load_map_spec, ti_from_circle
 from .structure import higher_gamma
@@ -25,7 +25,6 @@ from .structure import higher_gamma
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_CAP = 3
-WORDS_PER_WRITE = 4096
 
 
 def _read_graph(path: str) -> TIGraph:
@@ -130,44 +129,10 @@ def cmd_higher(args: argparse.Namespace) -> int:
         }
         sys.stdout.write(export_dot(lift.lifted, node_labels=labels))
         return EXIT_OK
-    # the compact JSON of the lifted graph plus "vertex_words", written one
-    # row at a time: held whole, one [i, j] list per lifted I-edge costs about
-    # 240 bytes an edge
-    write = sys.stdout.write
-    words = lift.vertex_words
-    write(f'{{"n":{lift.i.n},"t_edges":')
-    _write_json_array(
-        write, (",".join(f"[{i},{j}]" for j in row) for i, row in enumerate(lift.lifted.t.succ, start=1))
-    )
-    write(',"i_edges":')
-    _write_json_array(
-        write,
-        (
-            ",".join(f"[{i},{i + 1 + b}]" for b in bits_of(row >> i))
-            for i, row in enumerate(lift.i.adj, start=1)
-        ),
-    )
-    write(',"vertex_words":')
-    _write_json_array(
-        write,
-        (
-            ",".join("[" + ",".join(map(str, w)) + "]" for w in words[k : k + WORDS_PER_WRITE])
-            for k in range(0, len(words), WORDS_PER_WRITE)
-        ),
-    )
-    write("}\n")
+    for piece in tigraph_json_pieces(lift.lifted, lift.vertex_words):
+        sys.stdout.write(piece)
+    sys.stdout.write("\n")
     return EXIT_OK
-
-
-def _write_json_array(write, chunks) -> None:
-    """A JSON array whose items arrive as comma-joined chunks; an empty chunk adds none."""
-    write("[")
-    sep = ""
-    for chunk in chunks:
-        if chunk:
-            write(sep + chunk)
-            sep = ","
-    write("]")
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:

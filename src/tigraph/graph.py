@@ -9,10 +9,11 @@ Each graph is stored in one form and read through one adjacency view.  T
 stores its successor tuples ``succ`` and derives ``pred`` and bitset
 ``rows``.  I stores only its bitset rows ``adj``, whichever constructor
 built it, and is refused above ``MAX_BITSET_VERTICES`` vertices before
-``from_edges`` makes a row.  ``UGraph.components`` and the canonical pair
-tuple ``edges`` (for serialization and restriction to a vertex subset) are
-derived from the rows; ``component_of`` is the one breadth-first search on
-them, which the exact MIS solver also runs inside a candidate mask.
+``from_edges`` makes a row.  ``UGraph.components``, the canonical pair
+tuple ``edges`` (for restriction to a vertex subset) and its row-by-row
+form ``neighbors_above`` (for serialization) are derived from the rows;
+``component_of`` is the one breadth-first search on them, which the exact
+MIS solver also runs inside a candidate mask.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import EmptyGraphError, ParseError, SizeCapExceeded, ValidationError
 
@@ -180,9 +181,12 @@ class UGraph:
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Canonical pairs (i, j), i < j, in sorted order."""
-        return tuple(
-            (i + 1, i + 2 + j) for i, row in enumerate(self.adj) for j in bits_of(row >> (i + 1))
-        )
+        return tuple((i, j) for i, above in enumerate(self.neighbors_above(), start=1) for j in above)
+
+    def neighbors_above(self) -> Iterator[list[int]]:
+        """Row by row, each vertex's neighbors j > i, ascending: ``edges`` a row at a time."""
+        for i, row in enumerate(self.adj, start=1):
+            yield [i + 1 + j for j in bits_of(row >> i)]
 
     @cached_property
     def components(self) -> tuple[int, ...]:
@@ -300,12 +304,37 @@ def _parse_text(data: str):
 
 def serialize_tigraph(g: TIGraph) -> str:
     """Canonical compact JSON; parse(serialize(g)) reproduces g field for field."""
-    payload = {
-        "n": g.n,
-        "t_edges": [[i, j] for i, j in g.t.edges()],
-        "i_edges": [[i, j] for i, j in g.i.edges],
-    }
-    return json.dumps(payload, separators=(",", ":"))
+    return "".join(tigraph_json_pieces(g))
+
+
+def tigraph_json_pieces(g: TIGraph, vertex_words: Iterable[Word] | None = None) -> Iterator[str]:
+    """The canonical compact JSON of g in pieces, one per row of T and of I.
+
+    With ``vertex_words`` (the ``higher`` dump) a "vertex_words" key follows,
+    one piece per word.  Written as they come, the pieces never hold a
+    graph's edges as pairs.
+    """
+    yield f'{{"n":{g.n},"t_edges":'
+    yield from _json_pairs(g.t.succ)
+    yield ',"i_edges":'
+    yield from _json_pairs(g.i.neighbors_above())
+    if vertex_words is not None:
+        sep = ',"vertex_words":['
+        for w in vertex_words:
+            yield sep + "[" + ",".join(map(str, w)) + "]"
+            sep = ","
+        yield "]" if sep == "," else sep + "]"
+    yield "}"
+
+
+def _json_pairs(rows: Iterable[Iterable[int]]) -> Iterator[str]:
+    """The JSON array of the pairs [i, j], j in row i (1-based), a piece per nonempty row."""
+    sep = "["
+    for i, row in enumerate(rows, start=1):
+        if row:
+            yield f"{sep}[{i}," + f"],[{i},".join(map(str, row)) + "]"
+            sep = ","
+    yield "]" if sep == "," else "[]"
 
 
 def prune_digraph(d: Digraph) -> tuple[Digraph, dict[int, int]]:

@@ -18,11 +18,12 @@ Matrices are held as CSR in plain lists; scipy is not imported.  The first
 step from the all-ones vector is each row's sum in stored order plus 1,
 computed in plain floats.  A block whose first step already certifies it
 (a row-regular block, whose lambda is its common row sum, exactly) is
-recorded there, and a one-vertex block is its own entry, so numpy is
-imported only for a block that needs more steps, or for array-like input.
-The numpy matvec ``np.bincount(rows, weights=data * v[cols])`` adds each
-row's products in stored order, as a CSR matvec does, so the values are
-bitwise those of scipy's ``csr_matvec`` and of the plain-float first step.
+recorded there, and a one-vertex block is its own entry; any other block
+continues from that step in numpy, so numpy is imported only for a block
+that needs more steps, or for array-like input.  The numpy matvec
+``np.bincount(rows, weights=data * v[cols])`` adds each row's products in
+stored order, as the plain-float step and a CSR matvec do, so every step is
+bitwise that of scipy's ``csr_matvec``.
 """
 
 from __future__ import annotations
@@ -136,10 +137,12 @@ def perron_eigenvalue(a, tol: float = DEFAULT_TOL, iteration_cap: int | None = N
                     vals.append(data[ptr])
                     total += data[ptr]
             first.append(total + 1.0)
+        # its ratios to the all-ones vector are the step itself
         lo = min(first)
         hi = max(first)
+        iters = 1
         if hi - lo <= width_tol:  # row-regular: lambda is the common row sum
-            parts.append(((lo + hi) / 2.0 - 1.0, (hi - lo) / 2.0, tuple(comp), (1.0,) * nb, 1))
+            parts.append(((lo + hi) / 2.0 - 1.0, (hi - lo) / 2.0, tuple(comp), (1.0,) * nb, iters))
             continue
         import numpy as np
 
@@ -147,9 +150,14 @@ def perron_eigenvalue(a, tol: float = DEFAULT_TOL, iteration_cap: int | None = N
         block_cols = np.array(cols)
         block_data = np.array(vals)
         cap = iteration_cap if iteration_cap is not None else 100 * nb * nb + 1000
-        vec = np.ones(nb)
-        iters = 0
+        w = np.array(first)
         while True:
+            if iters >= cap:
+                raise NoConvergenceError(
+                    f"block of size {nb}: interval width {hi - lo:.3e} after {iters} iterations"
+                )
+            w /= w.max()
+            vec = w
             # (A' + Id) v
             prod = vec[block_cols]
             prod *= block_data
@@ -161,12 +169,6 @@ def perron_eigenvalue(a, tol: float = DEFAULT_TOL, iteration_cap: int | None = N
             hi = float(ratios.max())
             if hi - lo <= width_tol:
                 break
-            if iters >= cap:
-                raise NoConvergenceError(
-                    f"block of size {nb}: interval width {hi - lo:.3e} after {iters} iterations"
-                )
-            w /= w.max()
-            vec = w
         value = (lo + hi) / 2.0 - 1.0
         parts.append((value, (hi - lo) / 2.0, tuple(comp), tuple(vec.tolist()), iters))
     best = max(range(len(parts)), key=lambda k: parts[k][0])
