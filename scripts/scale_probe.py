@@ -2,8 +2,10 @@
 """Wall time and peak memory of one ``tigraph`` run per row of the scale table.
 
 Each row ``name:m`` runs ``tigraph report GRAPH --m-max m --format json``,
-and each row ``higher:name:m`` runs ``tigraph higher GRAPH -m m`` (the JSON
-dump of the m-th higher vertex graph), in a subprocess of its own.  It
+each row ``higher:name:m`` runs ``tigraph higher GRAPH -m m`` (the JSON
+dump of the m-th higher vertex graph) and each row ``dot:name:m`` runs
+``tigraph higher GRAPH -m m --dot`` (its DOT export), in a subprocess of
+its own.  It
 prints the wall seconds, that child's peak resident set size (from
 ``os.wait4``), its exit code and the sha256 of its stdout.  The graphs are
 those of ``bench/inputs.py``: ``dbl`` is the doubling fixture, ``dense`` is
@@ -11,7 +13,7 @@ those of ``bench/inputs.py``: ``dbl`` is the doubling fixture, ``dense`` is
 cover of x -> 3x, ``cover_spec(0)`` run through ``tigraph ingest``.  They
 are written to a temporary directory, so nothing under ``bench/`` changes.
 
-Usage: python3 scripts/scale_probe.py [--root DIR] [[higher:]name:m ...]
+Usage: python3 scripts/scale_probe.py [--root DIR] [[higher:|dot:]name:m ...]
 
 Without rows it runs dbl:13 dbl:14 cover:5 cover:6, the scale table of
 ROADMAP.md.  ``--root`` names the checkout whose ``src/`` and
@@ -37,12 +39,14 @@ GRAPHS = ("dbl", "dense", "cover")
 
 
 def parse_row(text: str) -> tuple[str, str, int]:
-    """(command, graph name, m) of a row ``name:m`` (a report) or ``higher:name:m``."""
-    command = "higher" if text.startswith("higher:") else "report"
-    name, _, m = text.removeprefix("higher:").partition(":")
+    """(command, graph name, m) of a row ``name:m`` (a report), ``higher:name:m`` or ``dot:name:m``."""
+    command, _, rest = text.partition(":")
+    if command not in ("higher", "dot"):
+        command, rest = "report", text
+    name, _, m = rest.partition(":")
     if name not in GRAPHS or not m.isdigit() or int(m) < 1:
         raise argparse.ArgumentTypeError(
-            f"expected name:m or higher:name:m with name in {GRAPHS} and m >= 1, got {text!r}"
+            f"expected name:m, higher:name:m or dot:name:m with name in {GRAPHS} and m >= 1, got {text!r}"
         )
     return command, name, int(m)
 
@@ -89,15 +93,18 @@ def main(argv: list[str] | None = None) -> int:
                 return 1
         for command, name, m in rows:
             out = tmp / "out.json"
-            if command == "higher":
-                argv = cli + ["higher", str(graph[name]), "-m", str(m)]
-                row = f"higher:{name}:{m}"
-            else:
+            if command == "report":
                 argv = cli + ["report", str(graph[name]), "--m-max", str(m), "--format", "json"]
                 row = f"{name}:{m}"
+            else:
+                argv = cli + ["higher", str(graph[name]), "-m", str(m)] + (["--dot"] if command == "dot" else [])
+                row = f"{command}:{name}:{m}"
             wall, rss_kib, code = run_child(argv, env, out)
-            digest = hashlib.sha256(out.read_bytes()).hexdigest()
-            print(f"{row:<9} wall {wall:8.2f} s  peak_rss {rss_kib / 1024:8.1f} MB  exit {code}  sha256 {digest}", flush=True)
+            digest = hashlib.sha256()
+            with out.open("rb") as f:  # in blocks: a child forked later starts at this process's size
+                for block in iter(lambda: f.read(1 << 20), b""):
+                    digest.update(block)
+            print(f"{row:<9} wall {wall:8.2f} s  peak_rss {rss_kib / 1024:8.1f} MB  exit {code}  sha256 {digest.hexdigest()}", flush=True)
     return 0
 
 

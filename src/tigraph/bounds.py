@@ -56,9 +56,9 @@ from .graph import (
     Word,
     bits_of,
     induced_digraph,
-    induced_subgraph,
     is_vertex_path,
     require_pruned,
+    restrict_rows,
     serialize_tigraph,
 )
 from .higher import (
@@ -222,9 +222,9 @@ def _class_ind(g: TIGraph, cls: tuple[int, ...], mis_budget: int) -> tuple[float
     """log ind(I_C), a witness in g's vertex numbers, and mis_exact, for C = ``cls``.
 
     ``cls`` lists the class in ascending order.  When it is every vertex,
-    ``g.i`` itself is solved.
+    ``g.i`` itself is solved; otherwise only I is restricted to it.
     """
-    i = g.i if len(cls) == g.n else induced_subgraph(g, cls)[0].i
+    i = g.i if len(cls) == g.n else UGraph.from_rows(restrict_rows(g.i.adj, cls))
     mis = max_independent_set(i, budget=mis_budget)
     return math.log(mis.size), [cls[v - 1] for v in mis.witness], mis.exact
 
@@ -407,8 +407,8 @@ def oracle_separated_count(
     import numpy as np
 
     compat = np.eye(g.n + 1, dtype=bool)  # [a, b]: a = b or a ~ b in I
-    for a, b in g.i.edges:
-        compat[a, b] = compat[b, a] = True
+    for a, above in enumerate(g.i.neighbors_above(), start=1):
+        compat[a, above] = compat[above, a] = True
     # one word's row at a time: the pairwise table of every word would take
     # len(words)**2 * n bytes
     columns = np.array(words, dtype=np.int64).T
@@ -550,7 +550,8 @@ def _recheck(g: TIGraph, bound: Bound, tol: float) -> bool:
         vs = set(vertices)
         if not vs or len(vs) != len(vertices):
             return False
-        return all(not (a in vs and b in vs) for a, b in g.i.edges)
+        mask = sum(1 << (v - 1) for v in vs)
+        return not any(g.i.adj[v - 1] & mask for v in vs)
 
     if method == "independent_subshift":
         if not cert:

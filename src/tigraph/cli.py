@@ -17,7 +17,7 @@ from pathlib import Path
 from .bounds import BoundReport, best_bound, oracle_separated_count
 from .config import Config
 from .errors import SizeCapExceeded, StateCapExceeded, TigraphError
-from .graph import TIGraph, export_dot, parse_tigraph, prune_stranded, serialize_tigraph, tigraph_json_pieces
+from .graph import TIGraph, dot_pieces, parse_tigraph, prune_stranded, serialize_tigraph, tigraph_json_pieces
 from .higher import count_paths, higher_graph
 from .ingest import load_map_spec, ti_from_circle
 from .structure import higher_gamma
@@ -127,10 +127,9 @@ def cmd_higher(args: argparse.Namespace) -> int:
         labels = {
             v: "(" + ",".join(map(str, w)) + ")" for v, w in enumerate(lift.vertex_words, start=1)
         }
-        sys.stdout.write(export_dot(lift.lifted, node_labels=labels))
+        sys.stdout.writelines(dot_pieces(lift.lifted, node_labels=labels))
         return EXIT_OK
-    for piece in tigraph_json_pieces(lift.lifted, lift.vertex_words):
-        sys.stdout.write(piece)
+    sys.stdout.writelines(tigraph_json_pieces(lift.lifted, lift.vertex_words))
     sys.stdout.write("\n")
     return EXIT_OK
 
@@ -144,8 +143,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    g = _read_graph(args.path)
-    sys.stdout.write(export_dot(g))
+    sys.stdout.writelines(dot_pieces(_read_graph(args.path)))
     return EXIT_OK
 
 

@@ -9,11 +9,12 @@ Each graph is stored in one form and read through one adjacency view.  T
 stores its successor tuples ``succ`` and derives ``pred`` and bitset
 ``rows``.  I stores only its bitset rows ``adj``, whichever constructor
 built it, and is refused above ``MAX_BITSET_VERTICES`` vertices before
-``from_edges`` makes a row.  ``UGraph.components``, the canonical pair
-tuple ``edges`` (for restriction to a vertex subset) and its row-by-row
-form ``neighbors_above`` (for serialization) are derived from the rows;
-``component_of`` is the one breadth-first search on them, which the exact
-MIS solver also runs inside a candidate mask.
+``from_edges`` makes a row.  ``UGraph.components`` and ``neighbors_above``
+(each vertex's higher neighbours, row by row, for serialization) are
+derived from the rows; ``component_of`` is the one breadth-first search on
+them, which the exact MIS solver also runs inside a candidate mask, and
+``restrict_rows`` is the one restriction of rows to a vertex subset.  The
+canonical pair tuple ``edges`` is kept for callers outside the package.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyGraphError, ParseError, SizeCapExceeded, ValidationError
 
@@ -66,6 +67,22 @@ def bits_of(mask: int) -> Iterable[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def restrict_rows(rows: Sequence[int], vertices: Sequence[int]) -> list[int]:
+    """Bitset rows of the subgraph on ``vertices``, renumbered 1..k in their order.
+
+    ``vertices`` ascend, 1-based: bit j-1 of ``rows[i-1]`` is the edge i -> j.
+    The k-th vertex's row keeps the bits of the subset, each moved to the
+    position of its vertex in ``vertices``.  A prefix 1..k keeps its numbers.
+    """
+    k = len(vertices)
+    if not k or vertices[-1] == k:
+        mask = (1 << k) - 1
+        return [rows[v - 1] & mask for v in vertices]
+    mask = sum(1 << (v - 1) for v in vertices)
+    new_bit = {v - 1: 1 << pos for pos, v in enumerate(vertices)}
+    return [sum(new_bit[b] for b in bits_of(rows[v - 1] & mask)) for v in vertices]
 
 
 @dataclass(frozen=True)
@@ -143,7 +160,7 @@ class UGraph:
     Bit j-1 of ``adj[i-1]`` is set iff i and j are adjacent.  Rows carry no
     diagonal bit and no bit at or above n; their symmetry is the caller's to
     keep.  The canonical pair tuple ``edges`` is derived from the rows on
-    first access and cached.
+    first access and cached; the package itself reads rows only.
     """
 
     n: int
@@ -337,34 +354,30 @@ def _json_pairs(rows: Iterable[Iterable[int]]) -> Iterator[str]:
     yield "]" if sep == "," else "[]"
 
 
-def prune_digraph(d: Digraph) -> tuple[Digraph, dict[int, int]]:
-    """Iteratively delete vertices with in- or out-degree 0.
+def essential_vertices(t: Digraph) -> list[int]:
+    """The vertices of T's essential graph, ascending.
 
-    Returns the pruned digraph and the old->new index map for survivors.
-    Raises EmptyGraphError if nothing survives.
+    Iteratively deletes vertices with in- or out-degree 0; the survivors are
+    the vertices on a bi-infinite path.  Raises EmptyGraphError if nothing
+    survives.
     """
-    alive = set(range(1, d.n + 1))
-    out_deg = {v: len(d.succ[v - 1]) for v in alive}
-    in_deg = {v: len(d.pred[v - 1]) for v in alive}
-    queue = [v for v in alive if out_deg[v] == 0 or in_deg[v] == 0]
+    out_deg = [len(row) for row in t.succ]
+    in_deg = [len(row) for row in t.pred]
+    dead = [not (o and i) for o, i in zip(out_deg, in_deg)]
+    queue = [v for v in range(1, t.n + 1) if dead[v - 1]]
     while queue:
         v = queue.pop()
-        if v not in alive:
-            continue
-        alive.remove(v)
-        for u in d.pred[v - 1]:
-            if u in alive:
-                out_deg[u] -= 1
-                if out_deg[u] == 0:
+        # v's predecessors lose an out-edge, its successors an in-edge
+        for deg, nbrs in ((out_deg, t.pred[v - 1]), (in_deg, t.succ[v - 1])):
+            for u in nbrs:
+                deg[u - 1] -= 1
+                if not deg[u - 1] and not dead[u - 1]:
+                    dead[u - 1] = True
                     queue.append(u)
-        for w in d.succ[v - 1]:
-            if w in alive:
-                in_deg[w] -= 1
-                if in_deg[w] == 0:
-                    queue.append(w)
-    if not alive:
+    survivors = [v for v in range(1, t.n + 1) if not dead[v - 1]]
+    if not survivors:
         raise EmptyGraphError("pruning removed every vertex")
-    return induced_digraph(d, alive)
+    return survivors
 
 
 def prune_stranded(g: TIGraph) -> tuple[TIGraph, dict[int, int]]:
@@ -374,7 +387,7 @@ def prune_stranded(g: TIGraph) -> tuple[TIGraph, dict[int, int]]:
     invariant holds.  Returns the pruned TI-graph plus the old->new index
     map; raises EmptyGraphError when everything is stranded.
     """
-    return induced_subgraph(g, prune_digraph(g.t)[1])
+    return induced_subgraph(g, essential_vertices(g.t))
 
 
 def require_pruned(t: Digraph) -> None:
@@ -409,10 +422,7 @@ def induced_subgraph(g: TIGraph, vertices: Iterable[int]) -> tuple[TIGraph, dict
     subgraph and the old->new index map.
     """
     t, index_map = induced_digraph(g.t, vertices)
-    i_edges = [
-        (index_map[a], index_map[b]) for a, b in g.i.edges if a in index_map and b in index_map
-    ]
-    return TIGraph(t, UGraph.from_edges(t.n, i_edges)), index_map
+    return TIGraph(t, UGraph.from_rows(restrict_rows(g.i.adj, list(index_map)))), index_map
 
 
 def export_dot(g: TIGraph, node_labels: dict[int, str] | None = None) -> str:
@@ -420,18 +430,20 @@ def export_dot(g: TIGraph, node_labels: dict[int, str] | None = None) -> str:
 
     Output is deterministic: vertices ascending, then T-edges, then I-edges.
     """
-    lines = ["digraph tigraph {"]
+    return "".join(dot_pieces(g, node_labels))
+
+
+def dot_pieces(g: TIGraph, node_labels: dict[int, str] | None = None) -> Iterator[str]:
+    """``export_dot``'s text in pieces, one per vertex and per row of T and of I."""
+    yield "digraph tigraph {\n"
+    labels = node_labels or {}
     for v in range(1, g.n + 1):
-        if node_labels and v in node_labels:
-            lines.append(f'  {v} [label="{node_labels[v]}"];')
-        else:
-            lines.append(f"  {v};")
-    for i, j in g.t.edges():
-        lines.append(f"  {i} -> {j};")
-    for a, b in g.i.edges:
-        lines.append(f"  {a} -> {b} [style=dashed, dir=none, constraint=false];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  {v} [label="{labels[v]}"];\n' if v in labels else f"  {v};\n"
+    for i, row in enumerate(g.t.succ, start=1):
+        yield "".join(f"  {i} -> {j};\n" for j in row)
+    for a, above in enumerate(g.i.neighbors_above(), start=1):
+        yield "".join(f"  {a} -> {b} [style=dashed, dir=none, constraint=false];\n" for b in above)
+    yield "}\n"
 
 
 def is_vertex_path(t: Digraph, word: Word) -> bool:

@@ -11,7 +11,8 @@ T-successors of S.
 The components are the vertex masks of ``UGraph.components``, the one
 connected-components routine, which the exact MIS solver also uses.  The
 subset construction and the clique check work on bitset rows: T's
-``rows`` and I's ``adj``.
+``rows`` and I's ``adj``.  ``essential_vertices``, the pruning rule of
+``prune_stranded``, cuts the presentation to its essential states.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import StateCapExceeded
-from .graph import Digraph, TIGraph, bits_of, prune_digraph
+from .graph import Digraph, TIGraph, bits_of, essential_vertices, induced_digraph
 from .spectral import DEFAULT_TOL, perron_eigenvalue
 
 DEFAULT_STATE_CAP = 100_000
@@ -136,10 +137,9 @@ def right_resolve(lg: LabeledGraph, state_cap: int = DEFAULT_STATE_CAP) -> Right
 def _prune_presentation(p: RightResolvingPresentation) -> RightResolvingPresentation:
     # Non-essential states (e.g. unreachable-from-cycles initials) do not
     # affect the spectral radius but are dropped so reports stay minimal.
-    pruned, index_map = prune_digraph(p.t)
-    keep = sorted(index_map, key=index_map.get)
+    keep = essential_vertices(p.t)
     return RightResolvingPresentation(
-        pruned,
+        induced_digraph(p.t, keep)[0],
         tuple(p.labels[v - 1] for v in keep),
         tuple(p.state_sets[v - 1] for v in keep),
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import NotPrimitiveError, SizeCapExceeded
-from .graph import Digraph, bits_of
+from .graph import Digraph, restrict_rows
 
 # Direct primitivity search needs n^2-bit scratch matrices; refuse beyond this.
 MAX_PRIMITIVITY_VERTICES = 16_384
@@ -139,22 +139,10 @@ def _cyclic_classes(t: Digraph, comp: tuple[int, ...]) -> list[tuple[tuple[int, 
     for v in comp:
         classes[level[v] % p].append(v)
 
-    # p-th boolean power restricted to the SCC, via local bitset rows.
-    local = {v: k for k, v in enumerate(comp)}
-    rows = [0] * len(comp)
-    for v in comp:
-        for w in t.succ[v - 1]:
-            if w in members:
-                rows[local[v]] |= 1 << local[w]
-    power = _bool_power(rows, p)
-
-    out = []
-    for cls in classes:
-        pos = {local[v]: k for k, v in enumerate(cls)}
-        mask = sum(1 << b for b in pos)
-        block = [sum(1 << pos[b] for b in bits_of(power[local[v]] & mask)) for v in cls]
-        out.append((tuple(cls), block))
-    return out
+    # p-th boolean power of T's rows cut to the SCC, then cut to each class
+    power = _bool_power(restrict_rows(t.rows, comp), p)
+    local = {v: k for k, v in enumerate(comp, start=1)}
+    return [(tuple(cls), restrict_rows(power, [local[v] for v in cls])) for cls in classes]
 
 
 def _bool_mul(a: list[int] | tuple[int, ...], b: list[int] | tuple[int, ...]) -> list[int]:

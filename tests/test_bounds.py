@@ -1,6 +1,8 @@
 """Bound methods, the limit sequence, the oracle, and the aggregator."""
 
 import dataclasses
+import importlib.util
+import json
 import math
 import os
 import random
@@ -38,10 +40,12 @@ from tigraph import (
     limit_sequence,
     max_independent_set,
     oracle_separated_count,
+    parse_tigraph,
     perron_eigenvalue,
     primitive_bound,
     primitivity_index,
     prune_stranded,
+    serialize_tigraph,
     sft_entropy,
     sofic_bound,
     verify_bound,
@@ -54,6 +58,7 @@ from tigraph.ingest import AffinePiece, Arc, CircleMap, IntervalCover, ti_from_c
 
 from conftest import random_pruned_tigraph
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
 LN2 = math.log(2)
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -762,6 +767,39 @@ def test_certificates_reverify():
         report = best_bound(g, Config(m_max=3))
         for b in report.bounds:
             assert verify_bound(g, b), (g, b)
+
+
+def _survey_corpus() -> list[dict]:
+    spec = importlib.util.spec_from_file_location("_bench_inputs", REPO_ROOT / "bench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module.survey_corpus()
+
+
+def test_pruning_reports_and_rechecks_read_i_as_rows(dbl):
+    # a stranded source ahead of the doubling fixture (so pruning renumbers),
+    # the fixture itself, and the survey graphs whose T is periodic or
+    # reducible with a proper cyclic class: none builds I's pair tuple
+    stranded = {"n": 5, "t_edges": [[1, 2]], "i_edges": [[1, 3]]}
+    stranded["t_edges"] += [[i + 1, j + 1] for i, j in dbl.t.edges()]
+    stranded["i_edges"] += [[a + 1, b + 1] for a, above in enumerate(dbl.i.neighbors_above(), 1) for b in above]
+    graphs = [json.dumps(stranded), serialize_tigraph(dbl)]
+    for d in _survey_corpus():
+        t = Digraph.from_edges(d["n"], [tuple(e) for e in d["t_edges"]])
+        if not t.structure.primitive and any(len(c) < t.n for _, _, c, _ in t.structure.classes):
+            graphs.append(json.dumps(d))
+    assert len(graphs) > 10
+    proper_class_solved = False
+    for blob in graphs[:14]:
+        g = parse_tigraph(blob)
+        pruned, _ = prune_stranded(g)
+        for b in best_bound(pruned, Config(m_max=3)).bounds:
+            assert verify_bound(pruned, b), b
+            proper_class_solved |= len(b.certificate.get("class", ())) not in (0, pruned.n)
+        assert "edges" not in g.i.__dict__
+        assert "edges" not in pruned.i.__dict__
+    assert proper_class_solved
 
 
 def test_certificates_made_at_a_coarse_tol_verify_at_that_tol_plus_1e_9():

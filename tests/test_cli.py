@@ -1,5 +1,6 @@
 """CLI commands, exit codes, output determinism, schema conformance."""
 
+import hashlib
 import json
 import os
 import random
@@ -446,6 +447,24 @@ def test_export_dot(dbl_path, capsys):
     assert code == 0
     assert out.startswith("digraph tigraph {")
     assert out.count("style=dashed") == 4
+
+
+@pytest.mark.parametrize(
+    "argv, graph, sha",
+    [
+        # digests of the output before DOT was streamed row by row
+        (["higher", "{}", "-m", "3", "--dot"], "dbl", "8218cd627a05a92945dd760e5023a7f4ae76be7db8d97576a62406bc5526d401"),
+        (["export-dot", "{}"], "dense", "4efd60dfc8f68316a4c34a4f9125ae19a0c9943282722d8444fb2b059e651188"),
+    ],
+)
+def test_streamed_dot_keeps_its_bytes(tmp_path, capsys, dbl, argv, graph, sha):
+    vs = range(1, 5)
+    dense = {"n": 4, "t_edges": [[i, j] for i in vs for j in vs], "i_edges": [[i, j] for i in vs for j in vs if i < j]}
+    p = tmp_path / "g.json"
+    p.write_text(serialize_tigraph(dbl) if graph == "dbl" else json.dumps(dense))
+    code, out, _ = _run(capsys, [a.format(p) for a in argv])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 def test_export_dot_does_not_prune(tmp_path, capsys):

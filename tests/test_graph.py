@@ -210,15 +210,21 @@ def test_serialize_parse_roundtrip(g):
     assert parse_tigraph(serialize_tigraph(g)) == g
 
 
-@given(tigraphs())
+@given(st.data())
 @settings(max_examples=100)
-def test_induced_subgraph_edge_counts(g):
-    vs = set(range(1, (g.n + 1) // 2 + 1))
-    sub, _ = induced_subgraph(g, vs)
-    expect_t = sum(1 for i, j in g.t.edges() if i in vs and j in vs)
-    expect_i = sum(1 for a, b in g.i.edges if a in vs and b in vs)
-    assert sub.t.num_edges() == expect_t
-    assert sub.i.num_edges() == expect_i
+def test_induced_subgraph_edge_counts(data):
+    # an arbitrary subset renumbers its vertices; the pairs of the input,
+    # kept and mapped through index_map, are the restriction's own
+    g = data.draw(tigraphs())
+    vs = data.draw(st.sets(st.integers(1, g.n), min_size=1))
+    sub, index_map = induced_subgraph(g, vs)
+    assert index_map == {v: k for k, v in enumerate(sorted(vs), start=1)}
+    expect_t = {(index_map[i], index_map[j]) for i, j in g.t.edges() if i in vs and j in vs}
+    expect_i = {(index_map[a], index_map[b]) for a, b in g.i.edges if a in vs and b in vs}
+    assert set(sub.t.edges()) == expect_t
+    assert set(sub.i.edges) == expect_i
+    assert sub.t.num_edges() == len(expect_t)
+    assert sub.i.num_edges() == len(expect_i)
 
 
 @given(tigraphs())

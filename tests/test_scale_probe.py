@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 LINE = r" +wall +\d+\.\d\d s  peak_rss +\d+\.\d MB  exit 0  sha256 [0-9a-f]{64}"
@@ -21,15 +23,16 @@ def test_scale_probe_prints_one_line_per_row():
     assert re.fullmatch("dbl:3" + LINE, proc.stdout.strip()), proc.stdout
 
 
-def test_scale_probe_runs_a_higher_dump_per_higher_row():
+@pytest.mark.parametrize("row", ["higher:dbl:3", "dot:dbl:3"])
+def test_scale_probe_runs_a_higher_dump_per_higher_row(row):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "scale_probe.py"), "higher:dbl:3"],
+        [sys.executable, str(ROOT / "scripts" / "scale_probe.py"), row],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert re.fullmatch("higher:dbl:3" + LINE, proc.stdout.strip()), proc.stdout
+    assert re.fullmatch(row + LINE, proc.stdout.strip()), proc.stdout
 
 
 def test_scale_probe_refuses_an_unknown_row():
