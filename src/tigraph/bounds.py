@@ -2,8 +2,8 @@
 
 The bounds, ``limit_sequence`` and ``verify_bound`` read T's SCCs, periods,
 cyclic classes and primitivity indices from ``Digraph.structure``, so one
-report analyses T once; a lift's index follows from T's by
-gamma(T_[m]) = gamma(T) - 1 + m.
+report analyses T once; a lift's index gamma(T_[m]) = gamma(T) - 1 + m is
+``StructureReport.gamma(m)``.
 
 The complete-digraph, primitive and component bounds are one class bound,
 log ind(I_C) / (p * gamma) on a cyclic class C of T: picking one vertex of
@@ -54,7 +54,6 @@ from .graph import (
     TIGraph,
     UGraph,
     Word,
-    bits_of,
     induced_digraph,
     is_vertex_path,
     require_pruned,
@@ -71,7 +70,6 @@ from .higher import (
 from .independence import DEFAULT_BUDGET, max_independent_set
 from .sofic import DEFAULT_STATE_CAP, clique_components_check, sofic_entropy
 from .spectral import DEFAULT_TOL, perron_eigenvalue, sft_entropy
-from .structure import higher_gamma
 
 METHOD_ORDER = (
     "independent_subshift",
@@ -266,9 +264,7 @@ def component_bound(g: TIGraph, mis_budget: int = DEFAULT_BUDGET) -> Bound:
     """
     require_pruned(g.t)
     report = g.t.structure
-    adj = g.i.adj
-    masks = [sum(1 << (v - 1) for v in cls) for _, _, cls, _ in report.classes]
-    if all(c & (adj[v] | 1 << v) == c for c in masks for v in bits_of(c)):
+    if all(g.i.is_clique(sum(1 << (v - 1) for v in cls)) for _, _, cls, _ in report.classes):
         return Bound("component", 0.0, True, False, {})
 
     best = None
@@ -318,16 +314,16 @@ def limit_sequence(
 ) -> LimitSequence:
     """Per-m data of the higher-shift sequence for m = 1..m_max.
 
-    For primitive T the lifted primitivity index follows
-    gamma(T_[m]) = gamma(T) - 1 + m from T's own gamma, so no lift is
-    analysed, and the running supremum of log(ind)/gamma is a certified
-    bound.  Otherwise only log(ind)/m is reported, as an
-    estimate.  The sequence is truncated (with a flag) when the word count
+    For primitive T the lifted primitivity index gamma(T_[m]) =
+    gamma(T) - 1 + m is read from T's own analysis, so no lift is analysed,
+    and the running supremum of log(ind)/gamma is a certified bound.
+    Otherwise only log(ind)/m is reported, as an estimate.  The sequence is truncated (with a flag) when the word count
     passes ``size_cap``.  Raw values need not be monotone in m.
     """
     require_pruned(g.t)
-    primitive = g.t.structure.primitive
-    gamma_base = g.t.structure.gamma() if primitive else None
+    report = g.t.structure
+    if report.primitive:
+        report.gamma()  # a T too large for the gamma search is refused before any lift
 
     entries: list[LimitEntry] = []
     truncated = False
@@ -338,7 +334,7 @@ def limit_sequence(
             truncated = True
             break
         mis = max_independent_set(lift.i, budget=mis_budget)
-        gamma = higher_gamma(gamma_base, g.n, m) if primitive else None
+        gamma = report.gamma(m) if report.primitive else None
         entries.append(
             LimitEntry(
                 m=m,
@@ -351,28 +347,24 @@ def limit_sequence(
         )
     if not entries:
         raise SizeCapExceeded("size cap too small for m = 1")
-    return LimitSequence(tuple(entries), truncated, primitive)
+    return LimitSequence(tuple(entries), truncated, report.primitive)
 
 
-def _limit_bound(
-    g: TIGraph,
-    seq: LimitSequence,
-    size_cap: int = DEFAULT_SIZE_CAP,
-    mis_budget: int = DEFAULT_BUDGET,
-) -> Bound:
+def _limit_bound(g: TIGraph, seq: LimitSequence, cfg: Config) -> Bound:
     value, best_m = seq.best()
     clamped = False
     if not seq.primitive:
         # finite-m estimates of the limsup may overshoot; the overlap
-        # entropy never exceeds the classical entropy, so cap there
-        ceiling = sft_entropy(g.t)
+        # entropy never exceeds the classical entropy, so cap there, at the
+        # report's tolerance
+        ceiling = sft_entropy(g.t, tol=cfg.tol)
         if value > ceiling:
             value = ceiling
             clamped = True
     # store the separated word family for the best m so the certificate
     # re-verifies without rebuilding the whole sequence
-    lift = higher_graph(g, best_m, size_cap=size_cap)
-    mis = max_independent_set(lift.i, budget=mis_budget)
+    lift = higher_graph(g, best_m, size_cap=cfg.size_cap)
+    mis = max_independent_set(lift.i, budget=cfg.mis_budget)
     witness_words = [list(lift.vertex_words[v - 1]) for v in mis.witness]
     cert = {
         # fields in certificate key order; asdict's deep copy costs 11 us an
@@ -439,16 +431,8 @@ class BoundReport:
     def to_json_dict(self) -> dict:
         return {
             "graph_digest": self.graph_digest,
-            "bounds": [
-                {
-                    "method": b.method,
-                    "value": b.value,
-                    "certified": b.certified,
-                    "exact": b.exact,
-                    "certificate": b.certificate,
-                }
-                for b in self.bounds
-            ],
+            # a row's keys are Bound's fields, in their order
+            "bounds": [dict(vars(b)) for b in self.bounds],
             "best": self.best,
             "config": self.parameters,
         }
@@ -487,10 +471,7 @@ def best_bound(g: TIGraph, config: Config | None = None) -> BoundReport:
     run(
         "higher_limit",
         lambda: _limit_bound(
-            g,
-            limit_sequence(g, cfg.m_max, size_cap=cfg.size_cap, mis_budget=cfg.mis_budget),
-            size_cap=cfg.size_cap,
-            mis_budget=cfg.mis_budget,
+            g, limit_sequence(g, cfg.m_max, size_cap=cfg.size_cap, mis_budget=cfg.mis_budget), cfg
         ),
     )
 
@@ -620,7 +601,7 @@ def _recheck(g: TIGraph, bound: Bound, tol: float) -> bool:
             report = g.t.structure
             if not report.primitive:
                 return False
-            divisor = higher_gamma(report.gamma(), g.n, m)
+            divisor = report.gamma(m)
         # the stored family certifies at least log(len(words)) / divisor; the
         # reported value may not exceed what the witness supports
         return bound.value <= math.log(len(words)) / divisor + tol

@@ -20,7 +20,6 @@ from .errors import SizeCapExceeded, StateCapExceeded, TigraphError
 from .graph import TIGraph, dot_pieces, parse_tigraph, prune_stranded, serialize_tigraph, tigraph_json_pieces
 from .higher import count_paths, higher_graph
 from .ingest import load_map_spec, ti_from_circle
-from .structure import higher_gamma
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -115,7 +114,7 @@ def cmd_higher(args: argparse.Namespace) -> int:
         structure = pruned.t.structure
         try:  # a T too large for the gamma search keeps its counts; main then exits 3
             if structure.primitive:
-                gamma = f" gamma={higher_gamma(structure.gamma(), pruned.n, args.m)}"
+                gamma = f" gamma={structure.gamma(args.m)}"
         finally:
             sys.stdout.write(
                 # the lifted T's edges are the (m+1)-paths of T

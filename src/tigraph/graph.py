@@ -12,9 +12,10 @@ built it, and is refused above ``MAX_BITSET_VERTICES`` vertices before
 ``from_edges`` makes a row.  ``UGraph.components`` and ``neighbors_above``
 (each vertex's higher neighbours, row by row, for serialization) are
 derived from the rows; ``component_of`` is the one breadth-first search on
-them, which the exact MIS solver also runs inside a candidate mask, and
-``restrict_rows`` is the one restriction of rows to a vertex subset.  The
-canonical pair tuple ``edges`` is kept for callers outside the package.
+them, which the exact MIS solver also runs inside a candidate mask,
+``UGraph.is_clique`` is the one test that a vertex mask is a clique of I,
+and ``restrict_rows`` is the one restriction of rows to a vertex subset.
+The canonical pair tuple ``edges`` is kept for callers outside the package.
 """
 
 from __future__ import annotations
@@ -218,6 +219,11 @@ class UGraph:
 
     def num_edges(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
+
+    def is_clique(self, mask: int) -> bool:
+        """True iff the vertices of ``mask`` (bit v-1 for vertex v) are pairwise adjacent."""
+        adj = self.adj
+        return all(mask & (adj[v] | 1 << v) == mask for v in bits_of(mask))
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,12 @@ only if something reads it, which the report path does not.
 The lifted T and the words are built on first read of ``HigherGraph.lifted``
 and ``HigherGraph.vertex_words``, from the base graph, and then cached; the
 report path reads the words of one lift only and the lifted T of none.  The
-lifted T is read off the words: the words extending w are those whose first
-m-1 symbols are w's last m-1, one run in lexicographic order as long as the
-successor list of w's last symbol.  A lift is
-refused with ``SizeCapExceeded`` above ``size_cap`` or
+words come from the same walk, ``_levels``, the one walk of the word-prefix
+tree: level j, each node repeated once per word under it, is the column of
+the words' j-th symbols.  The lifted T is read off the words: the words
+extending w are those whose first m-1 symbols are w's last m-1, one run in
+lexicographic order as long as the successor list of w's last symbol.  A
+lift is refused with ``SizeCapExceeded`` above ``size_cap`` or
 ``MAX_BITSET_VERTICES`` words, whichever is smaller, before any word or
 tree level is made.
 """
@@ -102,23 +104,22 @@ def count_paths(t: Digraph, m: int) -> int:
 
 
 def _enumerate_words(t: Digraph, m: int) -> list[Word]:
-    """Length-m paths of T in lexicographic order: one shared path, one tuple per word."""
-    words: list[Word] = []
-    succ = t.succ
-    path = [0] * m
-    stack = [iter(range(1, t.n + 1))]
-    while stack:
-        depth = len(stack) - 1
-        for v in stack[-1]:
-            path[depth] = v
-            if depth == m - 1:
-                words.append(tuple(path))
-            else:
-                stack.append(iter(succ[v - 1]))
-                break
-        else:
-            stack.pop()
-    return words
+    """Length-m paths of T in lexicographic order, read off the word-prefix tree.
+
+    Level j of ``_levels`` gives every word's j-th symbol: a node ending in
+    v stands for the words under it, one contiguous run as long as the paths
+    of m-j+1 vertices from v, so the column repeats v that often.  The words
+    are the rows of the m columns; a prefix is never copied, so the cost is
+    linear in m.
+    """
+    spans = list(_path_counts(t, m))
+    columns = []
+    for j, (last, _) in enumerate(_levels(t, m), start=1):
+        if j < m:  # a leaf is its own word, so the last column is the leaves
+            runs = [()] + [(v,) * c for v, c in enumerate(spans[m - j], start=1)]
+            last = list(chain.from_iterable(map(runs.__getitem__, last)))
+        columns.append(last)
+    return list(zip(*columns))
 
 
 def _capped_counts(t: Digraph, m: int, size_cap: int) -> list[list[int]]:
@@ -159,8 +160,9 @@ def _levels(t: Digraph, m: int) -> Iterator[tuple[list[int], list[tuple[int, ...
 
     ``last`` lists, in lexicographic order, the last symbol of each
     length-j prefix; ``kids[p]`` lists the last symbols of the children of
-    node p of level j-1 (``kids`` is empty at level 1).  T is pruned, so the
-    children of a node ending in v are ``succ[v-1]``, in order.
+    node p of level j-1 (``kids`` is empty at level 1).  The children of a
+    node ending in v are ``succ[v-1]``, in order; where T is not pruned, a
+    prefix ending in a vertex without successors has none.
     """
     succ = t.succ
     last = list(range(1, t.n + 1))

@@ -10,9 +10,10 @@ T-successors of S.
 
 The components are the vertex masks of ``UGraph.components``, the one
 connected-components routine, which the exact MIS solver also uses.  The
-subset construction and the clique check work on bitset rows: T's
-``rows`` and I's ``adj``.  ``essential_vertices``, the pruning rule of
-``prune_stranded``, cuts the presentation to its essential states.
+subset construction works on bitset rows: T's ``rows`` and I's ``adj``;
+the clique check is ``UGraph.is_clique`` on each component.
+``essential_vertices``, the pruning rule of ``prune_stranded``, cuts the
+presentation to its essential states.
 """
 
 from __future__ import annotations
@@ -166,6 +167,5 @@ def clique_components_check(g: TIGraph) -> bool:
     In that case the I-component shift has exactly the same separated word
     counts as the original, so the sofic value is exact, not just a bound.
     """
-    adj = g.i.adj
-    return all(adj[v] | 1 << v == comp for comp in g.i.components for v in bits_of(comp))
+    return all(map(g.i.is_clique, g.i.components))
 

@@ -18,7 +18,8 @@ Matrices are held as CSR in plain lists; scipy is not imported.  The first
 step from the all-ones vector is each row's sum in stored order plus 1,
 computed in plain floats.  A block whose first step already certifies it
 (a row-regular block, whose lambda is its common row sum, exactly) is
-recorded there, and a one-vertex block is its own entry; any other block
+recorded there, and a one-vertex block is its diagonal entry, read from
+the entries the block loop gathers, with no step; any other block
 continues from that step in numpy, so numpy is imported only for a block
 that needs more steps, or for array-like input.  The numpy matvec
 ``np.bincount(rows, weights=data * v[cols])`` adds each row's products in
@@ -116,10 +117,6 @@ def perron_eigenvalue(a, tol: float = DEFAULT_TOL, iteration_cap: int | None = N
     parts: list[tuple[float, float, tuple[int, ...], tuple[float, ...], int]] = []
     for comp in _tarjan(len(succ), succ):
         comp = sorted(v - 1 for v in comp)
-        if len(comp) == 1:
-            v = comp[0]
-            parts.append((_entry(indptr, indices, data, v, v), 0.0, (v,), (1.0,), 0))
-            continue
         nb = len(comp)
         pos = {v: i for i, v in enumerate(comp)}
         rows: list[int] = []
@@ -137,6 +134,9 @@ def perron_eigenvalue(a, tol: float = DEFAULT_TOL, iteration_cap: int | None = N
                     vals.append(data[ptr])
                     total += data[ptr]
             first.append(total + 1.0)
+        if nb == 1:  # the block is its diagonal entry, stored or 0
+            parts.append((vals[0] if vals else 0.0, 0.0, tuple(comp), (1.0,), 0))
+            continue
         # its ratios to the all-ones vector are the step itself
         lo = min(first)
         hi = max(first)
@@ -178,13 +178,6 @@ def perron_eigenvalue(a, tol: float = DEFAULT_TOL, iteration_cap: int | None = N
     error_bound = max(err_best, overshoot, 0.0)
     total_iters = sum(part[4] for part in parts)
     return SpectralResult(value, error_bound, total_iters, block_ids, vec_out)
-
-
-def _entry(indptr: list[int], indices: list[int], data: list[float], i: int, j: int) -> float:
-    for ptr in range(indptr[i], indptr[i + 1]):
-        if indices[ptr] == j:
-            return data[ptr]
-    return 0.0
 
 
 def sft_entropy(t: Digraph, tol: float = DEFAULT_TOL) -> float:

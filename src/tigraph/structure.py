@@ -4,8 +4,10 @@
 and keeps one flat table, ``StructureReport.classes``, of (SCC index,
 period, class vertices, gamma).  A class's gamma is read off the SCC's p-th
 boolean power restricted to the class.  One routine, ``_gamma``, searches
-for the least all-positive power of bit-packed rows; it serves both the
-classes and ``primitivity_index``.
+for the least all-positive power of bit-packed rows, for the classes only.
+Every other reader of gamma, ``primitivity_index`` and the lifted index
+gamma(T_[m]) = gamma(T) - 1 + m included, goes through
+``StructureReport.gamma``, which reads the cached analysis.
 """
 
 from __future__ import annotations
@@ -196,10 +198,10 @@ def _check_search_size(n: int) -> None:
 def _gamma(rows: list[int]) -> int:
     """Least k with the k-th boolean power of the bit-packed rows all-positive.
 
-    Searches incrementally up to the Wielandt bound n^2 - 2n + 2 and raises
-    NotPrimitiveError beyond it, which signals a period > 1 or a
-    non-irreducible input.  Each step is A^(k+1) = A * A^k, one OR per edge
-    of the graph.
+    Run on a cyclic class's p-step graph, which is primitive.  Searches
+    incrementally up to the Wielandt bound n^2 - 2n + 2 and, as a guard,
+    raises NotPrimitiveError beyond it.  Each step is A^(k+1) = A * A^k, one
+    OR per edge of the graph.
     """
     n = len(rows)
     _check_search_size(n)
@@ -218,18 +220,15 @@ def _gamma(rows: list[int]) -> int:
 def primitivity_index(t: Digraph) -> int:
     """Least k with the k-th boolean power of the adjacency matrix all-positive.
 
-    Raises NotPrimitiveError when T is not primitive.
+    Read from the cached analysis ``t.structure``, so no power is searched
+    here.  Raises NotPrimitiveError when T is not primitive (more than one
+    SCC, or a period > 1): then no power up to the Wielandt bound is
+    all-positive.
     """
-    return _gamma(list(t.rows))
-
-
-def higher_gamma(gamma: int, n: int, m: int) -> int:
-    """Primitivity index of the m-th higher graph of a primitive T.
-
-    gamma(T_[m]) = gamma(T) - 1 + m for T on n >= 2 vertices; a one-vertex
-    T (a single loop) lifts to itself, so its index stays gamma.
-    """
-    return gamma if n == 1 else gamma - 1 + m
+    if not t.structure.primitive:
+        cap = wielandt_cap(t.n)
+        raise NotPrimitiveError(f"no all-positive power up to the Wielandt bound {cap}")
+    return t.structure.gamma()
 
 
 @dataclass(frozen=True)
@@ -252,18 +251,21 @@ class StructureReport:
         """True iff the graph is one recurrent SCC of period 1."""
         return len(self.sccs) == 1 and self.periods[0] == 1
 
-    def gamma(self) -> int:
-        """Primitivity index of the whole graph.
+    def gamma(self, m: int = 1) -> int:
+        """Primitivity index of the graph's m-th higher graph; m = 1 is the graph itself.
 
-        Raises NotPrimitiveError when the graph is not primitive and
-        SizeCapExceeded when it is too large for the primitivity search.
+        gamma(T_[m]) = gamma(T) - 1 + m for T on n >= 2 vertices; a
+        one-vertex T (a single loop) lifts to itself, so its index stays
+        gamma(T).  Raises NotPrimitiveError when the graph is not primitive
+        and SizeCapExceeded when it is too large for the primitivity search.
         """
         if not self.primitive:
             raise NotPrimitiveError("transition graph is not primitive")
         gamma = self.classes[0][3]
+        n = len(self.sccs[0])
         if gamma is None:  # a primitive graph is refused only for its size
-            _check_search_size(len(self.sccs[0]))
-        return gamma
+            _check_search_size(n)
+        return gamma if n == 1 else gamma - 1 + m
 
 
 def analyze_structure(t: Digraph) -> StructureReport:

@@ -720,9 +720,15 @@ def test_best_bound_records_failures_without_aborting(dbl):
         ("size_cap", True),
         ("state_cap", 10.0),
         ("tol", True),
+        ("m_max", 0),
+        ("mis_budget", 0),
+        ("size_cap", -1),
+        ("state_cap", 0),
+        ("output_format", "xml"),
     ],
     ids=["m_max_bool", "m_max_float", "m_max_str", "mis_budget_float", "size_cap_bool",
-         "state_cap_float", "tol_bool"],
+         "state_cap_float", "tol_bool", "m_max_zero", "mis_budget_zero", "size_cap_negative",
+         "state_cap_zero", "output_format_xml"],
 )
 def test_config_rejects_wrongly_typed_fields(field, value):
     # a bool passes as 1, and m_max=2.5 reached best_bound as a raw TypeError
@@ -865,6 +871,15 @@ _TAMPERED = {
         "independent_subshift", None, None, {"independent_set": [1, 3, 9]}),
     "higher_limit-unequal-lengths": (
         "higher_limit", None, None, {"witness_words": [[1, 1], [2, 3, 1]]}),
+    "higher_limit-no-words": ("higher_limit", None, None, {"witness_words": []}),
+    # two valid words would support log 2 / gamma(T_[2]) > 0.01: only the
+    # refused claim fails these; 1 -> 3 is no T-edge, and 1 ~ 2 ~ 3 in I
+    "higher_limit-not-a-t-path": ("higher_limit", None, 0.01, {"witness_words": [[1, 1], [1, 3]]}),
+    "higher_limit-indistinguishable-pair": (
+        "higher_limit", None, 0.01, {"witness_words": [[1, 2], [2, 3]]}),
+    "primitive-error-entry": ("primitive", None, None, {"error": "SizeCapExceeded: x"}),
+    # vertex 2 has no loop, so the set holds no cycle and supports only 0
+    "independent_subshift-acyclic-set": ("independent_subshift", None, 0.3, {"independent_set": [2]}),
     "independent_subshift-missing-set": (
         "independent_subshift", None, None, {"independent_set": _DROP}),
     "primitive-missing-set": ("primitive", None, None, {"independent_set": _DROP}),
@@ -1175,3 +1190,26 @@ def test_invariant_checks_raise_under_python_O(name):
     )
     assert proc.returncode != 0
     assert expected in proc.stderr
+
+
+def test_oracle_refuses_when_its_budget_runs_out():
+    # at length 1 the word graph is I itself: a 5-cycle, which one branch
+    # of the exact search cannot close
+    complete = [(a, b) for a in range(1, 6) for b in range(1, 6)]
+    g = TIGraph(Digraph.from_edges(5, complete), UGraph.from_edges(5, [(v, v % 5 + 1) for v in range(1, 6)]))
+    assert oracle_separated_count(g, 1).count == 2
+    with pytest.raises(SizeCapExceeded, match="budget exhausted inside the oracle"):
+        oracle_separated_count(g, 1, mis_budget=1)
+
+
+def test_limit_bound_clamps_at_the_report_tol():
+    # survey graph 11 is reducible, and its finite-m estimate passes h(T):
+    # the ceiling is h(T) certified to the report's tol, not to the default
+    g = parse_tigraph(json.dumps(_survey_corpus()[11]))
+    assert not g.t.structure.primitive
+    for tol in (1e-4, 1e-10):
+        b = best_bound(g, Config(tol=tol)).bounds[-1]
+        assert b.method == "higher_limit" and b.certificate["clamped_to_classical"]
+        assert b.value.hex() == sft_entropy(g.t, tol=tol).hex()
+        assert verify_bound(g, b, tol=tol + 1e-9)
+    assert sft_entropy(g.t, tol=1e-4) != sft_entropy(g.t)

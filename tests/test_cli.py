@@ -543,3 +543,16 @@ def test_reused_parser_keeps_no_state_between_calls(dbl_path, capsys):
     assert code == 0 and stats.startswith("m=2 ")
     code, dumped, _ = _run(capsys, ["higher", dbl_path, "-m", "2"])
     assert code == 0 and json.loads(dumped)["n"] == 8
+
+
+@pytest.mark.parametrize(
+    "graph, flags, method",
+    [("dbl", ["--size-cap", "1"], "higher_limit"), ("gm", ["--state-cap", "1"], "sofic")],
+)
+def test_text_report_flags_a_failed_method(dbl_path, gm_path, capsys, graph, flags, method):
+    path = {"dbl": dbl_path, "gm": gm_path}[graph]
+    code, out, _ = _run(capsys, ["report", path, *flags])
+    assert code == 3  # a cap failed the method
+    rows = {line.split()[0]: line for line in out.splitlines()[3:-1]}
+    assert rows[method].endswith("ESTIMATE   FAILED")
+    assert [m for m, line in rows.items() if "FAILED" in line] == [method]

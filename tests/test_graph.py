@@ -314,3 +314,50 @@ def test_ugraph_is_immutable():
             g.n = 3
         with pytest.raises(AttributeError):
             del g.edges
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Digraph(0, ()), ValidationError, "vertex count must be >= 1"),
+        (lambda: Digraph(2, ((2,),)), ValidationError, "successor table length differs from n"),
+        (lambda: Digraph(2, ((3,), (1,))), ValidationError, r"T edge \(1,3\): endpoint out of range 1..2"),
+        (lambda: Digraph(2, ((0,), (1,))), ValidationError, r"T edge \(1,0\): endpoint out of range"),
+        (lambda: Digraph(2, ((2, 1), (1,))), ValidationError, "successors of vertex 1 not strictly"),
+        (lambda: Digraph(2, ((1,), (1, 1))), ValidationError, "successors of vertex 2 not strictly"),
+        (lambda: UGraph(2, (0,)), ValidationError, "I row count differs from n"),
+        (lambda: UGraph.from_edges(2, [(1, 3)]), ValidationError, r"I edge \(1,3\): endpoint out of range"),
+        (lambda: parse_tigraph('{"n":2,"t_edges":{},"i_edges":[]}'), ParseError, "'t_edges' must be a list"),
+        (lambda: parse_tigraph("n=1", fmt="yaml"), ParseError, "unknown format 'yaml'"),
+        (lambda: parse_tigraph('{"n":"2","t_edges":[],"i_edges":[]}'), ParseError, "'n' must be an integer"),
+        (lambda: parse_tigraph('{"n":true,"t_edges":[],"i_edges":[]}'), ParseError, "'n' must be an integer"),
+        (lambda: parse_tigraph("[1, 2]"), ParseError, "top-level JSON value must be an object"),
+        (lambda: parse_tigraph("n=two", fmt="text"), ParseError, "line 1: bad vertex count 'two'"),
+        (lambda: parse_tigraph("n=2\nT 1", fmt="text"), ParseError, "line 2: expected 'T i j'"),
+        (lambda: parse_tigraph("n=2\nX 1 2", fmt="text"), ParseError, "line 2: expected 'T i j'"),
+        (lambda: parse_tigraph("# no header\n\n", fmt="text"), ParseError, "missing 'n=<int>' header"),
+    ],
+    ids=[
+        "digraph_no_vertex", "digraph_short_table", "digraph_endpoint_high", "digraph_endpoint_zero",
+        "digraph_descending", "digraph_repeated", "ugraph_short_rows", "ugraph_endpoint_high",
+        "json_pairs_not_list", "unknown_format", "json_n_string", "json_n_bool", "json_not_object",
+        "text_bad_count", "text_short_line", "text_bad_kind", "text_no_header",
+    ],
+)
+def test_graph_refusals(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.sets(st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])),
+    st.integers(0, (1 << n) - 1),
+)))
+@settings(max_examples=200, deadline=None)
+def test_is_clique_is_the_pairwise_test(case):
+    n, pairs, mask = case
+    g = UGraph.from_edges(n, pairs)
+    vs = [v for v in range(1, n + 1) if mask >> (v - 1) & 1]
+    edges = set(g.edges)
+    assert g.is_clique(mask) == all((a, b) in edges for a in vs for b in vs if a < b)

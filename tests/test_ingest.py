@@ -544,3 +544,54 @@ def test_3000_arc_tripling_cover_is_pinned():
     assert (g.t.num_edges(), g.i.num_edges()) == (9000, 3000)
     digest = hashlib.sha256(serialize_tigraph(g).encode()).hexdigest()
     assert digest == PIN_3000
+
+
+_PIECE = '{"from": [0, 1], "slope": 2, "intercept": 0}'
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: CircleMap(()), ValidationError, "at least one piece"),
+        (
+            lambda: CircleMap((AffinePiece(0, Fraction(1, 2), 2, 0), AffinePiece(Fraction(3, 4), 1, 2, 0))),
+            ValidationError,
+            "gap or overlap at 0.75",
+        ),
+        (
+            lambda: CircleMap((AffinePiece(0, Fraction(1, 2), 2, 0), AffinePiece(Fraction(1, 4), 1, 2, 0))),
+            ValidationError,
+            "gap or overlap at 0.25",
+        ),
+        (
+            lambda: CircleMap((AffinePiece(0, 0, 2, 0), AffinePiece(0, 1, 2, 0))),
+            ValidationError,
+            "nonpositive width",
+        ),
+        (lambda: IntervalCover(()), ValidationError, "at least one arc"),
+        (
+            lambda: ti_from_circle(doubling_map(), _cover((0, 0.5), (0.5, 1)), margin=Fraction(-1, 100)),
+            ValidationError,
+            "margin must be >= 0",
+        ),
+        (lambda: load_map_spec("[]"), ParseError, "expected an object with 'pieces' and 'intervals'"),
+        (lambda: load_map_spec('{"pieces": []}'), ParseError, "expected an object with 'pieces'"),
+        (
+            lambda: load_map_spec(f'{{"pieces": [{_PIECE}], "intervals": [[0.1, 0.6], [0.2]]}}'),
+            ParseError,
+            r"interval 1: expected \[a, b\]",
+        ),
+        (
+            lambda: load_map_spec(f'{{"pieces": [{_PIECE}], "intervals": [{{"a": 0.1}}]}}'),
+            ParseError,
+            r"interval 0: expected \[a, b\]",
+        ),
+    ],
+    ids=[
+        "no_piece", "gap", "overlap", "empty_piece", "no_arc", "negative_margin",
+        "spec_not_object", "spec_without_intervals", "interval_short", "interval_not_list",
+    ],
+)
+def test_ingest_refusals(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -75,6 +75,9 @@ def test_periodic_block_converges():
 def test_invalid_inputs():
     with pytest.raises(ValidationError):
         perron_eigenvalue([[1, 2, 3]])
+    for bad in ([1, 2], np.zeros((2, 2, 2)), np.float64(1.0)):  # 1-D, 3-D, 0-D
+        with pytest.raises(ValidationError, match="matrix must be square"):
+            perron_eigenvalue(bad)
     with pytest.raises(ValidationError):
         perron_eigenvalue([[-1]])
     with pytest.raises(ValidationError, match="nonempty"):
@@ -85,6 +88,25 @@ def test_invalid_inputs():
     for tol in (0, float("nan"), float("inf")):
         with pytest.raises(ValidationError):
             perron_eigenvalue([[1]], tol=tol)
+
+
+@pytest.mark.parametrize(
+    "a, value, iterations, block",
+    [
+        ([[1e-20]], "0x1.79ca10c924223p-67", 0, (0,)),
+        ([[5.7, 0, 0], [0, 0, 1], [0, 1, 0]], "0x1.6cccccccccccdp+2", 1, (0,)),
+        ([[3, 0], [0, 0]], "0x1.8000000000000p+1", 0, (0,)),
+    ],
+    ids=["tiny_entry", "beside_a_regular_block", "beside_an_empty_vertex"],
+)
+def test_one_vertex_blocks_keep_their_entry_bitwise(a, value, iterations, block):
+    # a one-vertex block is its stored diagonal entry (or 0), with no step
+    res = perron_eigenvalue(a)
+    assert res.value.hex() == value
+    assert res.error_bound.hex() == "0x0.0p+0"
+    assert res.iterations == iterations
+    assert res.witness_block == block
+    assert res.witness_vector == (1.0,)
 
 
 def test_sft_entropy_self_loop():

@@ -392,3 +392,53 @@ def test_analyze_structure_of_a_long_cycle_is_fast(monkeypatch):
     assert report.periods == (n,)
     assert report.classes == tuple((0, n, (v,), 1) for v in range(1, n + 1))
     assert len(products) <= 2 * n.bit_length()
+
+
+def test_primitivity_index_reads_the_cached_analysis(monkeypatch):
+    # a power search on the 400-cycle steps to the Wielandt bound, 159,202
+    # products, before it calls the cycle non-primitive; the analysis squares
+    # its way to the period and finds each one-vertex class's gamma at once
+    n = 400
+    cycle = Digraph(n, tuple((v % n + 1,) for v in range(1, n + 1)))
+    products = []
+    searched = []
+    bool_mul, gamma = tigraph.structure._bool_mul, tigraph.structure._gamma
+
+    def counting_mul(a, b):
+        products.append(len(a))
+        return bool_mul(a, b)
+
+    def counting_gamma(rows):
+        searched.append(len(rows))
+        return gamma(rows)
+
+    monkeypatch.setattr(tigraph.structure, "_bool_mul", counting_mul)
+    monkeypatch.setattr(tigraph.structure, "_gamma", counting_gamma)
+    with pytest.raises(NotPrimitiveError, match=f"Wielandt bound {wielandt_cap(n)}$"):
+        primitivity_index(cycle)
+    assert len(products) <= 2 * n.bit_length()
+    assert searched == [1] * n  # one per cyclic class, none on all n rows
+
+    # a primitive T analysed once is not searched again
+    t = Digraph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (5, 2)])
+    assert t.structure.gamma() == 17
+    del products[:], searched[:]
+    assert primitivity_index(t) == 17
+    assert products == searched == []
+
+
+@pytest.mark.parametrize(
+    "t, gamma",
+    [
+        (Digraph.from_edges(1, [(1, 1)]), 1),
+        (Digraph.from_edges(2, [(1, 1), (1, 2), (2, 1)]), 2),
+        (Digraph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (5, 2)]), 17),
+    ],
+    ids=["loop", "golden_mean", "wielandt"],
+)
+def test_structure_gamma_of_the_lifts(t, gamma):
+    # gamma(T_[m]) = gamma(T) - 1 + m; a single loop lifts to itself
+    report = analyze_structure(t)
+    assert report.gamma() == report.gamma(1) == gamma
+    for m in range(2, 6):
+        assert report.gamma(m) == (gamma if t.n == 1 else gamma - 1 + m)
