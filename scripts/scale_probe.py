@@ -3,17 +3,18 @@
 
 Each row ``name:m`` runs ``tigraph report GRAPH --m-max m --format json``,
 each row ``higher:name:m`` runs ``tigraph higher GRAPH -m m`` (the JSON
-dump of the m-th higher vertex graph) and each row ``dot:name:m`` runs
-``tigraph higher GRAPH -m m --dot`` (its DOT export), in a subprocess of
-its own.  It
-prints the wall seconds, that child's peak resident set size (from
-``os.wait4``), its exit code and the sha256 of its stdout.  The graphs are
+dump of the m-th higher vertex graph), each row ``dot:name:m`` runs
+``tigraph higher GRAPH -m m --dot`` (its DOT export) and each row
+``oracle:name:n`` runs ``tigraph oracle GRAPH -n n --format json`` (the
+brute-force separated-word count), in a subprocess of its own.  It prints
+the wall seconds, that child's peak resident set size (from ``os.wait4``),
+its exit code and the sha256 of its stdout.  The graphs are
 those of ``bench/inputs.py``: ``dbl`` is the doubling fixture, ``dense`` is
 ``dense_graph()`` (complete T and I on 4 vertices) and ``cover`` the 200-arc
 cover of x -> 3x, ``cover_spec(0)`` run through ``tigraph ingest``.  They
 are written to a temporary directory, so nothing under ``bench/`` changes.
 
-Usage: python3 scripts/scale_probe.py [--root DIR] [[higher:|dot:]name:m ...]
+Usage: python3 scripts/scale_probe.py [--root DIR] [[higher:|dot:|oracle:]name:m ...]
 
 Without rows it runs dbl:13 dbl:14 cover:5 cover:6, the scale table of
 ROADMAP.md.  ``--root`` names the checkout whose ``src/`` and
@@ -39,14 +40,14 @@ GRAPHS = ("dbl", "dense", "cover")
 
 
 def parse_row(text: str) -> tuple[str, str, int]:
-    """(command, graph name, m) of a row ``name:m`` (a report), ``higher:name:m`` or ``dot:name:m``."""
+    """(command, graph name, m) of a row ``name:m`` (a report), ``higher:name:m``, ``dot:name:m`` or ``oracle:name:m``."""
     command, _, rest = text.partition(":")
-    if command not in ("higher", "dot"):
+    if command not in ("higher", "dot", "oracle"):
         command, rest = "report", text
     name, _, m = rest.partition(":")
     if name not in GRAPHS or not m.isdigit() or int(m) < 1:
         raise argparse.ArgumentTypeError(
-            f"expected name:m, higher:name:m or dot:name:m with name in {GRAPHS} and m >= 1, got {text!r}"
+            f"expected name:m, higher:name:m, dot:name:m or oracle:name:m with name in {GRAPHS} and m >= 1, got {text!r}"
         )
     return command, name, int(m)
 
@@ -93,12 +94,13 @@ def main(argv: list[str] | None = None) -> int:
                 return 1
         for command, name, m in rows:
             out = tmp / "out.json"
+            row = f"{name}:{m}" if command == "report" else f"{command}:{name}:{m}"
             if command == "report":
                 argv = cli + ["report", str(graph[name]), "--m-max", str(m), "--format", "json"]
-                row = f"{name}:{m}"
+            elif command == "oracle":
+                argv = cli + ["oracle", str(graph[name]), "-n", str(m), "--format", "json"]
             else:
                 argv = cli + ["higher", str(graph[name]), "-m", str(m)] + (["--dot"] if command == "dot" else [])
-                row = f"{command}:{name}:{m}"
             wall, rss_kib, code = run_child(argv, env, out)
             digest = hashlib.sha256()
             with out.open("rb") as f:  # in blocks: a child forked later starts at this process's size

@@ -26,10 +26,11 @@ Every bound carries a machine-checkable certificate and two flags:
     when I is edgeless or every I-component is a clique.
 
 The brute-force oracle (``oracle_separated_count``) enumerates all length-n
-words, builds their indistinguishability graph by direct pairwise
-comparison, and takes its exact independence number; this equals the
-independence number of the lifted intersection graph, giving the dual route
-used by the test suite.
+words, builds their indistinguishability graph from per-position bitsets of
+the words (``_indistinguishable_rows``, which ``verify_bound`` also runs on
+a ``higher_limit`` witness family), and takes its exact independence
+number; this equals the independence number of the lifted intersection
+graph, giving the dual route used by the test suite.
 Raw per-m sequence values need not be monotone; only the running supremum
 of the gamma-normalized values is.
 """
@@ -54,6 +55,7 @@ from .graph import (
     TIGraph,
     UGraph,
     Word,
+    bits_of,
     induced_digraph,
     is_vertex_path,
     require_pruned,
@@ -65,7 +67,6 @@ from .higher import (
     _capped_counts,
     _enumerate_words,
     higher_graph,
-    words_indistinguishable,
 )
 from .independence import DEFAULT_BUDGET, max_independent_set
 from .sofic import DEFAULT_STATE_CAP, clique_components_check, sofic_entropy
@@ -379,14 +380,36 @@ def _limit_bound(g: TIGraph, seq: LimitSequence, cfg: Config) -> Bound:
     return Bound("higher_limit", max(value, 0.0), seq.primitive, False, cert)
 
 
+def _indistinguishable_rows(g: TIGraph, words: list[Word]) -> list[int]:
+    """Bitset rows of the indistinguishability graph on ``words``, one per word.
+
+    Bit l of row k is set iff words k and l, k != l, are equal or I-adjacent
+    at every position; the words share one length and their symbols lie in
+    1..n.  At each position j, ``masks[s]`` holds the words whose j-th symbol
+    is s or an I-neighbour of s, read off I's closed neighbourhoods; row k is
+    the AND of word k's masks with bit k cleared, so a word listed twice has
+    its copy in its row.  Nothing of the lift is read.
+    """
+    closed = [row | 1 << v for v, row in enumerate(g.i.adj)]
+    rows = [((1 << len(words)) - 1) ^ 1 << k for k in range(len(words))]
+    for column in zip(*words):
+        at = dict.fromkeys(column, 0)  # at[s]: the words whose j-th symbol is s
+        for k, s in enumerate(column):
+            at[s] |= 1 << k
+        present = sum(1 << (s - 1) for s in at)
+        masks = {s: sum(at[v + 1] for v in bits_of(closed[s - 1] & present)) for s in at}
+        rows = [row & masks[s] for row, s in zip(rows, column)]
+    return rows
+
+
 def oracle_separated_count(
     g: TIGraph, n: int, size_cap: int = DEFAULT_SIZE_CAP, mis_budget: int = DEFAULT_BUDGET
 ) -> SeparatedCount:
     """Exact maximum n-separated word family, by brute force.
 
-    Enumerates every length-n vertex path, compares each with all of them
-    positionwise (equal or I-adjacent at every slot means
-    indistinguishable), and solves the resulting graph exactly.
+    Enumerates every length-n vertex path, builds their
+    indistinguishability graph (equal or I-adjacent at every slot) with
+    ``_indistinguishable_rows``, and solves it exactly.
     Independent of the higher-shift construction; used to cross-check it.
     Words are counted and capped as ``higher_graph`` counts them.
     """
@@ -395,22 +418,7 @@ def oracle_separated_count(
         raise ValidationError("word length must be >= 1")
     _capped_counts(g.t, n, size_cap)
     words = _enumerate_words(g.t, n)
-
-    import numpy as np
-
-    compat = np.eye(g.n + 1, dtype=bool)  # [a, b]: a = b or a ~ b in I
-    for a, above in enumerate(g.i.neighbors_above(), start=1):
-        compat[a, above] = compat[above, a] = True
-    # one word's row at a time: the pairwise table of every word would take
-    # len(words)**2 * n bytes
-    columns = np.array(words, dtype=np.int64).T
-
-    def row(k: int) -> int:
-        hits = compat[columns[:, k : k + 1], columns].all(axis=0)
-        hits[k] = False
-        return int.from_bytes(np.packbits(hits, bitorder="little").tobytes(), "little")
-
-    graph = UGraph.from_rows(row(k) for k in range(len(words)))
+    graph = UGraph.from_rows(_indistinguishable_rows(g, words))
     mis = max_independent_set(graph, budget=mis_budget)
     if not mis.exact:
         raise SizeCapExceeded("independent-set budget exhausted inside the oracle")
@@ -540,11 +548,11 @@ def _recheck(g: TIGraph, bound: Bound, tol: float) -> bool:
         if not independent(cert.get("independent_set")) or type(cert.get("mis_exact")) is not bool:
             return False
         lam = perron_eigenvalue(induced_digraph(g.t, cert["independent_set"])[0]).value
-        if lam == 0.0:  # the set holds no cycle
-            return bound.value == 0.0
         claimed = cert.get("lambda")
         if not isinstance(claimed, float) or abs(claimed - lam) > tol:
             return False
+        if lam == 0.0:  # the set holds no cycle
+            return bound.value == 0.0
         return abs(math.log(max(lam, 1.0)) - bound.value) <= tol
 
     if method in ("complete_digraph", "primitive", "component"):
@@ -591,10 +599,8 @@ def _recheck(g: TIGraph, bound: Bound, tol: float) -> bool:
             return False
         if any(not is_vertex_path(g.t, w) for w in words):
             return False
-        for i, a in enumerate(words):
-            for b in words[i + 1 :]:
-                if words_indistinguishable(g, a, b):
-                    return False
+        if any(_indistinguishable_rows(g, words)):
+            return False
         divisor = m
         if bound.certified:
             # only primitive T turns the per-m values into bounds

@@ -51,9 +51,9 @@ from tigraph import (
     verify_bound,
 )
 
-from tigraph.bounds import SeparatedCount
+from tigraph.bounds import SeparatedCount, _indistinguishable_rows
 from tigraph.graph import bits_of
-from tigraph.higher import _enumerate_words, count_paths
+from tigraph.higher import _enumerate_words, count_paths, words_indistinguishable
 from tigraph.ingest import AffinePiece, Arc, CircleMap, IntervalCover, ti_from_circle
 
 from conftest import random_pruned_tigraph
@@ -651,6 +651,28 @@ def test_oracle_matches_the_pair_list_graph():
                 assert oracle_separated_count(g, n) == _reference_oracle_separated_count(g, n)
 
 
+@st.composite
+def word_families(draw):
+    """A TI-graph and 1..12 equal-length words over its vertices, repeats allowed."""
+    n = draw(st.integers(1, 6))
+    g = TIGraph(Digraph.from_edges(n, []), UGraph.from_edges(n, draw(_i_edge_sets(n))))
+    m = draw(st.integers(1, 4))
+    words = draw(st.lists(st.tuples(*[st.integers(1, n)] * m), min_size=1, max_size=12))
+    return g, words
+
+
+@given(word_families())
+@settings(max_examples=200, deadline=None)
+def test_indistinguishable_rows_match_the_pairwise_definition(case):
+    g, words = case
+    expect = [
+        sum(1 << l for l, b in enumerate(words) if l != k and words_indistinguishable(g, a, b))
+        for k, a in enumerate(words)
+    ]
+    assert _indistinguishable_rows(g, words) == expect
+    assert _indistinguishable_rows(g, words[:1]) == [0]
+
+
 def test_oracle_subadditive_counts():
     rng = random.Random(19)
     from tigraph.higher import count_paths
@@ -877,9 +899,16 @@ _TAMPERED = {
     "higher_limit-not-a-t-path": ("higher_limit", None, 0.01, {"witness_words": [[1, 1], [1, 3]]}),
     "higher_limit-indistinguishable-pair": (
         "higher_limit", None, 0.01, {"witness_words": [[1, 2], [2, 3]]}),
+    # a word listed twice is indistinguishable from its copy
+    "higher_limit-repeated-word": ("higher_limit", None, 0.01, {"witness_words": [[1, 1], [1, 1]]}),
     "primitive-error-entry": ("primitive", None, None, {"error": "SizeCapExceeded: x"}),
     # vertex 2 has no loop, so the set holds no cycle and supports only 0
     "independent_subshift-acyclic-set": ("independent_subshift", None, 0.3, {"independent_set": [2]}),
+    # value 0 is all an acyclic set supports, but its lambda is still checked
+    "independent_subshift-acyclic-set-string-lambda": (
+        "independent_subshift", None, 0.0, {"independent_set": [2], "lambda": "x", "mis_exact": True}),
+    "independent_subshift-acyclic-set-missing-lambda": (
+        "independent_subshift", None, 0.0, {"independent_set": [2], "lambda": _DROP, "mis_exact": True}),
     "independent_subshift-missing-set": (
         "independent_subshift", None, None, {"independent_set": _DROP}),
     "primitive-missing-set": ("primitive", None, None, {"independent_set": _DROP}),

@@ -455,9 +455,12 @@ def test_export_dot(dbl_path, capsys):
         # digests of the output before DOT was streamed row by row
         (["higher", "{}", "-m", "3", "--dot"], "dbl", "8218cd627a05a92945dd760e5023a7f4ae76be7db8d97576a62406bc5526d401"),
         (["export-dot", "{}"], "dense", "4efd60dfc8f68316a4c34a4f9125ae19a0c9943282722d8444fb2b059e651188"),
+        # digests of the oracle's output while it built its graph with numpy
+        (["oracle", "{}", "-n", "8", "--format", "json"], "dbl", "ac617404e0086d7cdcb4097c87aace66649a52dd380cdde49097e5c7be6e0dcf"),
+        (["oracle", "{}", "-n", "4", "--format", "json"], "dense", "356bc2b76dbd2726bce8d901af24cb8d4b6c0f45e705c985fc5d41d86412ce9b"),
     ],
 )
-def test_streamed_dot_keeps_its_bytes(tmp_path, capsys, dbl, argv, graph, sha):
+def test_rewritten_commands_keep_their_bytes(tmp_path, capsys, dbl, argv, graph, sha):
     vs = range(1, 5)
     dense = {"n": 4, "t_edges": [[i, j] for i in vs for j in vs], "i_edges": [[i, j] for i in vs for j in vs if i < j]}
     p = tmp_path / "g.json"

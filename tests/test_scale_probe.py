@@ -1,4 +1,4 @@
-"""``scripts/scale_probe.py`` runs a report or a ``higher`` dump per row and prints one line for each."""
+"""``scripts/scale_probe.py`` runs a report, a ``higher`` dump or an oracle per row and prints one line for each."""
 
 import re
 import subprocess
@@ -23,7 +23,7 @@ def test_scale_probe_prints_one_line_per_row():
     assert re.fullmatch("dbl:3" + LINE, proc.stdout.strip()), proc.stdout
 
 
-@pytest.mark.parametrize("row", ["higher:dbl:3", "dot:dbl:3"])
+@pytest.mark.parametrize("row", ["higher:dbl:3", "dot:dbl:3", "oracle:dbl:3"])
 def test_scale_probe_runs_a_higher_dump_per_higher_row(row):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "scale_probe.py"), row],
