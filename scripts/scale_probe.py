@@ -8,11 +8,15 @@ dump of the m-th higher vertex graph), each row ``dot:name:m`` runs
 ``oracle:name:n`` runs ``tigraph oracle GRAPH -n n --format json`` (the
 brute-force separated-word count), in a subprocess of its own.  It prints
 the wall seconds, that child's peak resident set size (from ``os.wait4``),
-its exit code and the sha256 of its stdout.  The graphs are
-those of ``bench/inputs.py``: ``dbl`` is the doubling fixture, ``dense`` is
-``dense_graph()`` (complete T and I on 4 vertices) and ``cover`` the 200-arc
-cover of x -> 3x, ``cover_spec(0)`` run through ``tigraph ingest``.  They
-are written to a temporary directory, so nothing under ``bench/`` changes.
+its exit code and the sha256 of its stdout.  The graphs ``dbl``,
+``dense`` and ``cover`` are those of ``bench/inputs.py``: ``dbl`` is the
+doubling fixture, ``dense`` is ``dense_graph()`` (complete T and I on 4
+vertices) and ``cover`` the 200-arc cover of x -> 3x, ``cover_spec(0)`` run
+through ``tigraph ingest``.  ``rcover`` is a 2,000-arc cover of x -> 3x with
+random overlaps (``rcover_spec()``), also run through ``tigraph ingest``;
+its Perron blocks have about 1,000 vertices and unequal row sums, so they
+iterate in numpy.  The graphs are written to a temporary directory, so
+nothing under ``bench/`` changes.
 
 Usage: python3 scripts/scale_probe.py [--root DIR] [[higher:|dot:|oracle:]name:m ...]
 
@@ -28,15 +32,33 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
 import time
+from decimal import Decimal
 from pathlib import Path
 
 DEFAULT_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_ROWS = ("dbl:13", "dbl:14", "cover:5", "cover:6")
-GRAPHS = ("dbl", "dense", "cover")
+GRAPHS = ("dbl", "dense", "cover", "rcover")
+RCOVER_ARCS = 2000
+RCOVER_SEED = 5
+
+
+def rcover_spec() -> str:
+    """x -> 3x on the arcs [(i - r_i)/N, (i + 1 + r_i)/N], i < N = 2,000, as
+    exact decimals, where r_i = randint(5, 45)/100 from ``random.Random(5)``."""
+    rng = random.Random(RCOVER_SEED)
+    arcs = []
+    for i in range(RCOVER_ARCS):
+        r = rng.randint(5, 45)
+        # (i - r/100) / N = 5 (100 i - r) / 10^6, exactly; likewise i + 1 + r/100
+        lo = Decimal(5 * (100 * i - r)).scaleb(-6)
+        hi = Decimal(5 * (100 * (i + 1) + r)).scaleb(-6)
+        arcs.append(f"[{lo}, {hi}]")
+    return '{"pieces": [{"from": [0, 1], "slope": 3, "intercept": 0}], "intervals": [%s]}' % ", ".join(arcs)
 
 
 def parse_row(text: str) -> tuple[str, str, int]:
@@ -85,10 +107,11 @@ def main(argv: list[str] | None = None) -> int:
             graph["dbl"].write_text(json.dumps(inputs.DOUBLING))
         if "dense" in needed:
             graph["dense"].write_text(json.dumps(inputs.dense_graph()))
-        if "cover" in needed:
-            spec = tmp / "cover_spec.json"
-            spec.write_text(inputs.cover_spec(0))
-            _, _, code = run_child(cli + ["ingest", str(spec)], env, graph["cover"])
+        specs = {"cover": lambda: inputs.cover_spec(0), "rcover": rcover_spec}
+        for name in needed & specs.keys():
+            spec = tmp / f"{name}_spec.json"
+            spec.write_text(specs[name]())
+            _, _, code = run_child(cli + ["ingest", str(spec)], env, graph[name])
             if code != 0:
                 print(f"error: tigraph ingest exited {code}", file=sys.stderr)
                 return 1

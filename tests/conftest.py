@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +52,17 @@ def gm() -> TIGraph:
         Digraph.from_edges(3, [(1, 1), (1, 2), (2, 3), (3, 1), (3, 2)]),
         UGraph.from_edges(3, [(1, 3)]),
     )
+
+
+@pytest.fixture(scope="session")
+def survey_corpus() -> list[dict]:
+    """The 200 graphs of the benchmark's ``survey`` workload, as JSON dicts."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("_bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module.survey_corpus()
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,6 @@
 """Bound methods, the limit sequence, the oracle, and the aggregator."""
 
 import dataclasses
-import importlib.util
 import json
 import math
 import os
@@ -58,7 +57,6 @@ from tigraph.ingest import AffinePiece, Arc, CircleMap, IntervalCover, ti_from_c
 
 from conftest import random_pruned_tigraph
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
 LN2 = math.log(2)
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -797,15 +795,7 @@ def test_certificates_reverify():
             assert verify_bound(g, b), (g, b)
 
 
-def _survey_corpus() -> list[dict]:
-    spec = importlib.util.spec_from_file_location("_bench_inputs", REPO_ROOT / "bench" / "inputs.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up by name
-    spec.loader.exec_module(module)
-    return module.survey_corpus()
-
-
-def test_pruning_reports_and_rechecks_read_i_as_rows(dbl):
+def test_pruning_reports_and_rechecks_read_i_as_rows(dbl, survey_corpus):
     # a stranded source ahead of the doubling fixture (so pruning renumbers),
     # the fixture itself, and the survey graphs whose T is periodic or
     # reducible with a proper cyclic class: none builds I's pair tuple
@@ -813,7 +803,7 @@ def test_pruning_reports_and_rechecks_read_i_as_rows(dbl):
     stranded["t_edges"] += [[i + 1, j + 1] for i, j in dbl.t.edges()]
     stranded["i_edges"] += [[a + 1, b + 1] for a, above in enumerate(dbl.i.neighbors_above(), 1) for b in above]
     graphs = [json.dumps(stranded), serialize_tigraph(dbl)]
-    for d in _survey_corpus():
+    for d in survey_corpus:
         t = Digraph.from_edges(d["n"], [tuple(e) for e in d["t_edges"]])
         if not t.structure.primitive and any(len(c) < t.n for _, _, c, _ in t.structure.classes):
             graphs.append(json.dumps(d))
@@ -1231,10 +1221,10 @@ def test_oracle_refuses_when_its_budget_runs_out():
         oracle_separated_count(g, 1, mis_budget=1)
 
 
-def test_limit_bound_clamps_at_the_report_tol():
+def test_limit_bound_clamps_at_the_report_tol(survey_corpus):
     # survey graph 11 is reducible, and its finite-m estimate passes h(T):
     # the ceiling is h(T) certified to the report's tol, not to the default
-    g = parse_tigraph(json.dumps(_survey_corpus()[11]))
+    g = parse_tigraph(json.dumps(survey_corpus[11]))
     assert not g.t.structure.primitive
     for tol in (1e-4, 1e-10):
         b = best_bound(g, Config(tol=tol)).bounds[-1]

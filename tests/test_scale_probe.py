@@ -35,6 +35,18 @@ def test_scale_probe_runs_a_higher_dump_per_higher_row(row):
     assert re.fullmatch(row + LINE, proc.stdout.strip()), proc.stdout
 
 
+def test_scale_probe_ingests_the_random_overlap_cover():
+    # 2,000 arcs through ``tigraph ingest``; its report solves blocks in numpy
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "scale_probe.py"), "rcover:1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch("rcover:1" + LINE, proc.stdout.strip()), proc.stdout
+
+
 def test_scale_probe_refuses_an_unknown_row():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "scale_probe.py"), "dbl"],

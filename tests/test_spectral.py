@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from tigraph import (
     ti_from_circle,
 )
 from tigraph.ingest import AffinePiece, Arc, CircleMap, IntervalCover
-from tigraph.spectral import _to_csr
+from tigraph.spectral import FLOAT_LOOP_MAX_ENTRIES, _to_csr
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 PLASTIC = 1.3247179572447460  # positive root of x^3 = x + 1
@@ -198,14 +199,22 @@ def test_interval_brackets_rayleigh_quotient(a):
 
 
 @st.composite
-def irreducible_int_matrices(draw, n_max=12):
+def irreducible_int_matrices(draw, n_min=2, n_max=12):
     """Nonnegative integer matrices made strongly connected by a cycle."""
-    n = draw(st.integers(2, n_max))
+    n = draw(st.integers(n_min, n_max))
     entries = draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n))
     a = np.array(entries, dtype=int).reshape(n, n)
     for i in range(n):
         a[i, (i + 1) % n] = max(a[i, (i + 1) % n], 1)
     return a
+
+
+def _above_the_crossover(a):
+    return np.count_nonzero(a) > FLOAT_LOOP_MAX_ENTRIES
+
+
+# blocks that iterate in numpy; those of n <= 12 drawn above mostly do not
+large_irreducible_int_matrices = irreducible_int_matrices(n_min=8, n_max=24).filter(_above_the_crossover)
 
 
 def _scipy_power_iteration(a, tol=1e-10):
@@ -226,8 +235,8 @@ def _scipy_power_iteration(a, tol=1e-10):
     return value, max(err, (value + err) - value), iters, tuple(float(x) for x in vec)
 
 
-@given(irreducible_int_matrices())
-@settings(max_examples=60, deadline=None)
+@given(st.one_of(irreducible_int_matrices(), large_irreducible_int_matrices))
+@settings(max_examples=120, deadline=None)
 def test_matvec_is_bitwise_scipy_csr(a):
     res = perron_eigenvalue(a)
     value, err, iters, vec = _scipy_power_iteration(a)
@@ -297,13 +306,74 @@ def test_reports_whose_blocks_are_regular_load_no_numpy(tmp_path, dbl):
     assert loaded == []
 
 
-def test_the_oracle_loads_no_numpy_and_a_non_regular_block_does(tmp_path, dbl):
+def _non_regular_survey_graphs(corpus, count):
+    """The first ``count`` graphs of ``corpus`` whose T is one block with
+    unequal row sums, each as JSON."""
+    found = []
+    for d in corpus:
+        res = perron_eigenvalue(Digraph.from_edges(d["n"], [tuple(e) for e in d["t_edges"]]))
+        if res.iterations > 1 and len(res.witness_block) == d["n"]:
+            found.append(json.dumps(d))
+        if len(found) == count:
+            return found
+    raise AssertionError("too few non-regular survey graphs")
+
+
+def test_reports_load_numpy_only_for_a_block_above_the_crossover(tmp_path, dbl, survey_corpus):
     # the golden-mean T: one block with row sums 2 and 1
     gm = TIGraph(Digraph.from_edges(2, [(1, 1), (1, 2), (2, 1)]), UGraph.from_edges(2, []))
     (tmp_path / "dbl.json").write_text(serialize_tigraph(dbl))
     (tmp_path / "gm.json").write_text(serialize_tigraph(gm))
-    assert _heavy_modules_after(["oracle", str(tmp_path / "dbl.json"), "-n", "2"]) == []
-    assert _heavy_modules_after(["report", str(tmp_path / "gm.json")]) == ["numpy"]
+    argvs = [["oracle", str(tmp_path / "dbl.json"), "-n", "2"], ["report", str(tmp_path / "gm.json")]]
+    for k, text in enumerate(_non_regular_survey_graphs(survey_corpus, 3)):
+        (tmp_path / f"survey{k}.json").write_text(text)
+        argvs.append(["report", str(tmp_path / f"survey{k}.json")])
+    assert _heavy_modules_after(*argvs) == []
+    # the complete digraph on n vertices less one edge, with I empty: its
+    # one block, of n^2 - 1 entries, is above the crossover and not regular
+    n = math.isqrt(FLOAT_LOOP_MAX_ENTRIES + 1) + 1
+    edges = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if (i, j) != (1, 2)]
+    assert len(edges) > FLOAT_LOOP_MAX_ENTRIES
+    big = TIGraph(Digraph.from_edges(n, edges), UGraph.from_edges(n, []))
+    (tmp_path / "big.json").write_text(serialize_tigraph(big))
+    assert _heavy_modules_after(["report", str(tmp_path / "big.json"), "--m-max", "1"]) == ["numpy"]
+
+
+def _pad_above_the_crossover(a):
+    """``a`` with a complete block of new vertices joined to its vertex 0,
+    so that the one block has more than FLOAT_LOOP_MAX_ENTRIES entries."""
+    k = math.isqrt(FLOAT_LOOP_MAX_ENTRIES) + 1
+    n = len(a)
+    big = np.zeros((n + k, n + k))
+    big[:n, :n] = a
+    big[n:, n:] = 1.0
+    big[0, n] = big[n, 0] = 1.0
+    return big
+
+
+# an overflow at the first step, and a vec_i that underflows to 0 after
+# hundreds of steps (vertex 3's entry is about 1e-600 of vertex 0's)
+OVERFLOW = [[0.0, 1e308], [1e308, 1e308]]
+UNDERFLOW = [[0, 1, 0, 1], [1, 0, 0, 0], [1e-300, 0, 0, 0], [0, 0, 1e-300, 0]]
+
+
+@pytest.mark.parametrize(
+    "a, message",
+    [
+        (OVERFLOW, "iterate not finite after 1 iterations"),
+        (_pad_above_the_crossover(OVERFLOW), "iterate not finite after 1 iterations"),
+        (UNDERFLOW, "iterate not finite after"),
+        (_pad_above_the_crossover(UNDERFLOW), "iterate not finite after"),
+    ],
+    ids=["overflow", "overflow_numpy", "underflow", "underflow_numpy"],
+)
+def test_a_non_finite_iterate_stops_the_iteration(a, message):
+    # at the first infinite or nan ratio, not at the iteration cap, on both
+    # sides of the crossover, and with no RuntimeWarning from numpy
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergenceError, match=f"^block of size {len(a)}: {message}"):
+            perron_eigenvalue(a)
 
 
 @st.composite
