@@ -15,7 +15,10 @@ vertices) and ``cover`` the 200-arc cover of x -> 3x, ``cover_spec(0)`` run
 through ``tigraph ingest``.  ``rcover`` is a 2,000-arc cover of x -> 3x with
 random overlaps (``rcover_spec()``), also run through ``tigraph ingest``;
 its Perron blocks have about 1,000 vertices and unequal row sums, so they
-iterate in numpy.  The graphs are written to a temporary directory, so
+iterate in numpy.  ``cover10k`` is x -> 3x on the 10,000 arcs
+[(i - 0.2)/N, (i + 1.2)/N], N = 10,000 (``cover10k_spec()``), the same
+family as ``cover`` and row 3 of the scale table, also run through
+``tigraph ingest``.  The graphs are written to a temporary directory, so
 nothing under ``bench/`` changes.
 
 Usage: python3 scripts/scale_probe.py [--root DIR] [[higher:|dot:|oracle:]name:m ...]
@@ -42,9 +45,14 @@ from pathlib import Path
 
 DEFAULT_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_ROWS = ("dbl:13", "dbl:14", "cover:5", "cover:6")
-GRAPHS = ("dbl", "dense", "cover", "rcover")
+GRAPHS = ("dbl", "dense", "cover", "rcover", "cover10k")
 RCOVER_ARCS = 2000
 RCOVER_SEED = 5
+COVER10K_ARCS = 10_000
+
+
+def _spec(arcs: list[str]) -> str:
+    return '{"pieces": [{"from": [0, 1], "slope": 3, "intercept": 0}], "intervals": [%s]}' % ", ".join(arcs)
 
 
 def rcover_spec() -> str:
@@ -58,7 +66,13 @@ def rcover_spec() -> str:
         lo = Decimal(5 * (100 * i - r)).scaleb(-6)
         hi = Decimal(5 * (100 * (i + 1) + r)).scaleb(-6)
         arcs.append(f"[{lo}, {hi}]")
-    return '{"pieces": [{"from": [0, 1], "slope": 3, "intercept": 0}], "intervals": [%s]}' % ", ".join(arcs)
+    return _spec(arcs)
+
+
+def cover10k_spec() -> str:
+    """x -> 3x on the arcs [(i - 0.2)/N, (i + 1.2)/N], i < N = 10,000, as exact decimals."""
+    # (i - 0.2) / N = (10 i - 2) / 10^5, exactly; likewise i + 1.2
+    return _spec([f"[{Decimal(10 * i - 2).scaleb(-5)}, {Decimal(10 * i + 12).scaleb(-5)}]" for i in range(COVER10K_ARCS)])
 
 
 def parse_row(text: str) -> tuple[str, str, int]:
@@ -107,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
             graph["dbl"].write_text(json.dumps(inputs.DOUBLING))
         if "dense" in needed:
             graph["dense"].write_text(json.dumps(inputs.dense_graph()))
-        specs = {"cover": lambda: inputs.cover_spec(0), "rcover": rcover_spec}
+        specs = {"cover": lambda: inputs.cover_spec(0), "rcover": rcover_spec, "cover10k": cover10k_spec}
         for name in needed & specs.keys():
             spec = tmp / f"{name}_spec.json"
             spec.write_text(specs[name]())

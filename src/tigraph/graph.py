@@ -46,12 +46,13 @@ def component_of(adj: tuple[int, ...], seed: int, within: int) -> int:
     """Mask of the vertices of ``within`` connected to ``seed`` inside it.
 
     Breadth-first on the bitset rows ``adj``: a level ORs its frontier's
-    rows and keeps the vertices of ``within`` not reached before.  ``seed``
-    is a mask inside ``within``.
+    rows and keeps the vertices of ``within`` not reached before.  It stops
+    once every vertex of ``within`` is reached, so a last frontier that can
+    add nothing is never expanded.  ``seed`` is a mask inside ``within``.
     """
     rest = within ^ seed
     frontier = seed
-    while frontier:
+    while frontier and rest:
         nxt = 0
         while frontier:
             u = frontier.bit_length() - 1

@@ -11,10 +11,12 @@ The bound is one routine, the first-fit clique cover built one class at a
 time on bitsets (the greedy colouring of San Segundo et al., BBMC, applied
 to cliques of the graph), run over a list of level masks in turn.  It runs
 first with p as the only level, which is index order: one AND per vertex.
-Only when that cannot prune is the degree table of the node built, and the
+Only when that cannot prune is the degree table of the node read, and the
 routine runs again with its levels in ascending degree (Tomita & Kameda's
 colouring order), which is usually smaller; the same table gives the branch
-vertex.  A node's bound is never above the first order's alone, and the
+vertex.  A node below the root builds its table there; the root of a
+component reads the one domination pruning formed, when it has one (see
+below).  A node's bound is never above the first order's alone, and the
 incumbent changes only on a strict improvement, so the search visits a
 subset of the nodes the first order alone would, in the same order, and
 returns the same witness.
@@ -50,11 +52,20 @@ once; after that, a sweep visits only the vertices whose degree a take
 lowered, in ascending order: the neighbours of the taken vertex's neighbour,
 in this sweep when above the taken vertex and in the next otherwise.
 
+Each fact of a component is computed once.  Domination's scan forms N(u)
+within p for every vertex u; when it drops nothing, their popcounts are the
+component's degree table, which it returns with p.  The greedy incumbent
+reads that table, and so does the search root: it skips its degree-0/1
+sweep when the lowest degree is at least 2, as the sweep would take
+nothing, and reads the table in place of its own when the index-order
+cover fails.  The root is the same node with or without the table, so the
+search visits the same nodes in the same order.
+
 The connected components are ``UGraph.components``, solved one at a time.
-Each component starts from a minimum-degree greedy incumbent whose degrees
-are bit-sliced counters: b = bit_length(max degree) masks, one per degree
-bit, so a pick costs b ANDs and dropping a vertex one borrow-propagating
-subtract across the slices (Biham's bit-slicing, FSE 1997, on the bitset
+Each component starts from a minimum-degree greedy incumbent whose degrees,
+seeded from the degree table, are bit-sliced counters: b = bit_length(max
+degree) masks, one per degree bit, so a pick costs b ANDs and dropping a
+vertex one borrow-propagating subtract across the slices (Biham's bit-slicing, FSE 1997, on the bitset
 rows of San Segundo et al.).  That is O(n b) word-parallel operations on
 n-bit masks over the whole greedy, not one per edge.  Once the node budget
 is spent, every remaining component keeps that incumbent.  The solver reads
@@ -126,7 +137,7 @@ class _Solver:
                 rest = level & p
         return bound
 
-    def _greedy(self, p: int) -> int:
+    def _greedy(self, p: int, degrees: dict[int, int] | None = None) -> int:
         # Minimum degree within p, lowest index on ties, on bit-sliced degree
         # counters: bit v of zeros[j] is set when v is in p and bit j of its
         # degree within p is 0.  A pick goes from the top slice down, keeping
@@ -136,11 +147,12 @@ class _Solver:
         # borrow-propagating subtract across the slices.  The slices stay
         # non-negative and vertices are taken from the top bit down where
         # order does not matter: CPython's bitwise operations on negative
-        # ints cost several times more.
+        # ints cost several times more.  degrees, if given, is _levels(p).
         adj = self.adj
-        levels = self._levels(p)
-        zeros = [p] * max(levels, default=0).bit_length()
-        for d, level in levels.items():
+        if degrees is None:
+            degrees = self._levels(p)
+        zeros = [p] * max(degrees, default=0).bit_length()
+        for d, level in degrees.items():
             j = 0
             while d:
                 if d & 1:
@@ -295,15 +307,21 @@ class _Solver:
                 classes[j] = 0
         return True
 
-    def solve(self, p: int, chosen: int) -> bool:
-        # the include child is pushed last, so nodes pop in preorder
+    def solve(self, p: int, chosen: int, root_degrees: dict[int, int] | None = None) -> bool:
+        # The include child is pushed last, so nodes pop in preorder.
+        # root_degrees, if given, is _levels(p) of the root: when its lowest
+        # degree is at least 2, _reduce would take nothing there, and the
+        # root reads it in place of its own table.
         stack = [(p, chosen)]
         while stack:
             p, chosen = stack.pop()
             self.nodes += 1
             if self.nodes > self.budget:
                 return False
-            p, chosen = self._reduce(p, chosen)
+            degrees, root_degrees = root_degrees, None
+            if degrees is None or min(degrees) < 2:
+                p, chosen = self._reduce(p, chosen)
+                degrees = None
             size = chosen.bit_count()
             if size > self.best_size:
                 self.best_size = size
@@ -313,7 +331,8 @@ class _Solver:
             room = self.best_size - size
             if self._cover_bound(p, [p]) <= room:
                 continue
-            degrees = self._levels(p)
+            if degrees is None:
+                degrees = self._levels(p)
             levels = list(degrees.values())
             # branch vertex: maximum degree within p, lowest index on ties
             top = levels[-1]
@@ -331,7 +350,7 @@ class _Solver:
         return True
 
 
-def _dominated_pruned(adj: tuple[int, ...], p: int) -> int:
+def _dominated_pruned(adj: tuple[int, ...], p: int) -> tuple[int, dict[int, int] | None]:
     # If u, v are adjacent and N[u] subset of N[v], some maximum independent
     # set avoids v; drop the higher-indexed vertex on exact ties.  Each step
     # drops the lowest v dominated by the lowest u that dominates any.  The
@@ -345,12 +364,19 @@ def _dominated_pruned(adj: tuple[int, ...], p: int) -> int:
     # w in N[u] outside N[v] rules out v and every other candidate not
     # adjacent to w, w too, as v is in N[u] but not in N[w].  As u is in
     # N(v), the highest vertex of N(u) outside N(v) other than v is one.
+    # Until the first drop each vertex is scanned once, against all of p, so
+    # when nothing drops the popcounts of the scanned N(u) are the degree
+    # table _Solver._levels(p), returned with p; otherwise None is.
+    levels: dict[int, int] | None = {}
     m = p
     while m:
         low = m & -m
         u = low.bit_length() - 1
         m ^= low
         nu = cand = adj[u] & p
+        if levels is not None:
+            d = nu.bit_count()
+            levels[d] = levels.get(d, 0) | low
         while cand:
             vlow = cand & -cand
             v = vlow.bit_length() - 1
@@ -361,8 +387,11 @@ def _dominated_pruned(adj: tuple[int, ...], p: int) -> int:
             else:
                 p ^= vlow
                 m = (m | av) & p  # av holds u
+                levels = None
                 break
-    return p
+    if levels is not None:
+        levels = dict(sorted(levels.items()))
+    return p, levels
 
 
 def max_independent_set(g: UGraph, budget: int = DEFAULT_BUDGET) -> IndependenceResult:
@@ -391,11 +420,11 @@ def max_independent_set(g: UGraph, budget: int = DEFAULT_BUDGET) -> Independence
     chosen_total = 0
     exact = True
     for comp in g.components:
-        comp = _dominated_pruned(adj, comp)
-        solver.best_mask = solver._greedy(comp)
+        comp, degrees = _dominated_pruned(adj, comp)
+        solver.best_mask = solver._greedy(comp, degrees)
         solver.best_size = solver.best_mask.bit_count()
         if exact:  # once the budget is gone, a component keeps this incumbent
-            exact = solver.solve(comp, 0)
+            exact = solver.solve(comp, 0, degrees)
         chosen_total |= solver.best_mask
 
     # tuple() of a list: from a generator it starts from a guessed size and

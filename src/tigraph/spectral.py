@@ -20,11 +20,13 @@ computed in plain floats.  A block whose first step already certifies it
 (a row-regular block, whose lambda is its common row sum, exactly) is
 recorded there, and a one-vertex block is its diagonal entry, read from
 the entries the block loop gathers, with no step.  Any other block
-continues from that step in plain floats while it has at most
-``FLOAT_LOOP_MAX_ENTRIES`` stored entries, and in numpy above that, so
-numpy is imported only for a block above that crossover, or for
-array-like input.  Both loops add each row's products in stored order, the
-plain one with ``+=`` (never ``sum()``, which compensates from Python 3.12)
+continues from that step in plain floats.  One with at most
+``FLOAT_LOOP_MAX_ENTRIES`` stored entries stays there; a larger one hands
+its iterate to numpy at once if numpy is loaded, and else once its plain
+work (stored entries x steps) passes ``NUMPY_IMPORT_WORK``, a budget sized
+to numpy's import.  So numpy is imported only for a block above both, or
+for array-like input.  Both loops add each row's products in stored order,
+the plain one with ``+=`` (never ``sum()``, which compensates from Python 3.12)
 and the numpy one with ``np.bincount(rows, weights=data * v[cols])``, as
 the first step and a CSR matvec do, so every step is bitwise that of
 scipy's ``csr_matvec``.  An iterate that overflows, or whose ratios do,
@@ -34,6 +36,7 @@ stops the iteration with NoConvergenceError.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -49,8 +52,22 @@ DEFAULT_TOL = 1e-10
 # 3.11, numpy 2.4): 4.4 against 5.7 us at 40 entries, 5.0 against 5.8 us at
 # 48, 6.4 against 5.8 us at 64, 7.6 against 5.8 us at 80.  With 2 entries a
 # row plain floats are slower from 40 entries, with 8 from 80 only.  The
-# one-off cost of importing numpy (about 12 MB) is not counted.
+# one-off cost of importing numpy is weighed by NUMPY_IMPORT_WORK.
 FLOAT_LOOP_MAX_ENTRIES = 48
+
+# The plain-float work (stored entries x steps, the first step included) a
+# block above FLOAT_LOOP_MAX_ENTRIES does before its iterate goes to numpy,
+# when numpy is not loaded yet; once it is, such a block goes at once.
+# Importing numpy took 69-87 ms (five runs of `python -X importtime`, CPython
+# 3.11, numpy 2.4) and about 12 MB.  A plain step took about 0.05 us per entry
+# plus 0.4 us per row (0.43 us per entry at one entry a row, 0.16-0.18 at
+# three or four), so this budget is 2.5-22 ms of plain steps, at most about a
+# third of the import.  It is spent per block, and a report of k blocks just
+# under it pays it k times, so it is kept well below one import: the 68 blocks
+# of the 2,000-arc `rcover` probe (180,000-290,000 each) hand over within the
+# first block, while the one 63-entry block of the complete digraph on 8
+# vertices less one edge (12 steps, 756) never loads numpy.
+NUMPY_IMPORT_WORK = 50_000
 
 
 @dataclass(frozen=True)
@@ -157,27 +174,42 @@ def _numpy_step(nb: int, rows: list[int], cols: list[int], vals: list[float], np
     return step
 
 
-def _iterate(step, w, lo: float, hi: float, width_tol: float, cap: int):
-    """Steps the power iteration from its first step ``w`` (whose ratios
-    span [lo, hi]) until the interval is at most ``width_tol`` wide.
+def _plain_steps(entries: int, cap: int) -> int:
+    """How many steps, the first included, a block that its first step does
+    not settle, with ``entries`` stored entries, takes in plain floats
+    before numpy takes its iterate: all of them up to
+    ``FLOAT_LOOP_MAX_ENTRIES``, above it none more once numpy is loaded,
+    and else those within ``NUMPY_IMPORT_WORK``."""
+    if entries <= FLOAT_LOOP_MAX_ENTRIES:
+        return cap
+    if "numpy" in sys.modules:
+        return 1
+    return max(1, NUMPY_IMPORT_WORK // entries)
 
-    Returns (lo, hi, vec, iterations), the first step counted.  Raises
-    NoConvergenceError at the first infinite or nan ratio, or once ``cap``
-    steps have not converged.
+
+def _iterate(step, w, lo: float, hi: float, iters: int, width_tol: float, cap: int, stop: int):
+    """Steps the power iteration from its step number ``iters``, ``w``
+    (whose ratios span [lo, hi]), until the interval is at most
+    ``width_tol`` wide or ``stop`` steps are done.
+
+    Returns (w, vec, lo, hi, iters) of the last step; vec is None when no
+    step was taken.  Raises NoConvergenceError at the first infinite or nan
+    ratio, or once ``cap`` steps have not converged.
     """
     nb = len(w)
-    iters = 1
-    while True:
+    vec = None
+    while not hi - lo <= width_tol:  # a nan width goes on to the check below
         if not hi < math.inf:  # also true for nan
             raise NoConvergenceError(f"block of size {nb}: iterate not finite after {iters} iterations")
         if iters >= cap:
             raise NoConvergenceError(
                 f"block of size {nb}: interval width {hi - lo:.3e} after {iters} iterations"
             )
+        if iters >= stop:
+            break
         w, vec, lo, hi = step(w)
         iters += 1
-        if hi - lo <= width_tol:
-            return lo, hi, vec, iters
+    return w, vec, lo, hi, iters
 
 
 def perron_eigenvalue(a, tol: float = DEFAULT_TOL, iteration_cap: int | None = None) -> SpectralResult:
@@ -193,10 +225,11 @@ def perron_eigenvalue(a, tol: float = DEFAULT_TOL, iteration_cap: int | None = N
 
     A block settled by its first step (a row-regular one: all row sums
     equal to within 2 tol) counts one iteration and is read off its row
-    sums; a one-vertex block counts none.  Any other block iterates in plain
-    floats up to ``FLOAT_LOOP_MAX_ENTRIES`` stored entries and in numpy
-    above, so numpy is imported only for array-like input and for a block
-    above that crossover.
+    sums; a one-vertex block counts none.  Any other block starts in plain
+    floats and, above ``FLOAT_LOOP_MAX_ENTRIES`` stored entries, goes on in
+    numpy at once if numpy is loaded and else once its plain work passes
+    ``NUMPY_IMPORT_WORK`` entry-steps, so numpy is imported only for
+    array-like input and for a block above both.
     """
     if not 0 < tol < math.inf:  # also false for nan
         raise ValidationError("tol must be positive and finite")
@@ -234,15 +267,19 @@ def perron_eigenvalue(a, tol: float = DEFAULT_TOL, iteration_cap: int | None = N
             parts.append(((lo + hi) / 2.0 - 1.0, (hi - lo) / 2.0, tuple(comp), (1.0,) * nb, iters))
             continue
         cap = iteration_cap if iteration_cap is not None else 100 * nb * nb + 1000
-        if len(vals) <= FLOAT_LOOP_MAX_ENTRIES:
+        # plain floats first; the steps are bitwise equal, so handing the
+        # iterate to numpy changes none
+        w = first
+        plain = _plain_steps(len(vals), cap)
+        if plain > 1:
             step = _float_step(nb, rows, cols, vals)
-            lo, hi, vec, iters = _iterate(step, first, lo, hi, width_tol, cap)
-        else:
+            w, vec, lo, hi, iters = _iterate(step, w, lo, hi, iters, width_tol, cap, plain)
+        if not hi - lo <= width_tol:
             import numpy as np
 
             with np.errstate(all="ignore"):  # an overflow is refused by _iterate, not warned about
                 step = _numpy_step(nb, rows, cols, vals, np)
-                lo, hi, vec, iters = _iterate(step, np.array(first), lo, hi, width_tol, cap)
+                _, vec, lo, hi, iters = _iterate(step, np.array(w), lo, hi, iters, width_tol, cap, cap)
         value = (lo + hi) / 2.0 - 1.0
         parts.append((value, (hi - lo) / 2.0, tuple(comp), tuple(map(float, vec)), iters))
     best = max(range(len(parts)), key=lambda k: parts[k][0])

@@ -1,6 +1,7 @@
 """Core graph types, parsing, pruning, induced subgraphs, DOT export."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +203,34 @@ def tigraphs(draw, n_max=6):
         )
     )
     return TIGraph(Digraph.from_edges(n, t_edges), UGraph.from_edges(n, i_pairs))
+
+
+def _reference_bfs(adj, seed, within):
+    """Vertices of ``within`` reached from ``seed`` inside it, one vertex at a time."""
+    inside = {v for v in range(len(adj)) if within >> v & 1}
+    reached = {v for v in inside if seed >> v & 1}
+    queue = list(reached)
+    while queue:
+        u = queue.pop()
+        for w in inside - reached:
+            if adj[u] >> w & 1:
+                reached.add(w)
+                queue.append(w)
+    return sum(1 << v for v in reached)
+
+
+@given(st.integers(1, 80), st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.3]), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=200, deadline=None)
+def test_component_of_matches_a_reference_bfs(n, prob, graph_seed, data):
+    # sparse draws leave long paths, so the search runs many levels, and
+    # dense ones reach all of within in one or two
+    rng = random.Random(graph_seed)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < prob]
+    adj = UGraph.from_edges(n, pairs).adj
+    full = (1 << n) - 1
+    within = data.draw(st.one_of(st.just(full), st.integers(1, full)))
+    seed = data.draw(st.integers(1, full)) & within or within & -within
+    assert tigraph.graph.component_of(adj, seed, within) == _reference_bfs(adj, seed, within)
 
 
 @given(tigraphs())

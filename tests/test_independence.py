@@ -102,7 +102,8 @@ class _ReferenceSolver(_Solver):
                     changed = True
         return p, chosen
 
-    def solve(self, p, chosen):
+    def solve(self, p, chosen, root_degrees=None):
+        # its prune returns no degree table, so root_degrees is None
         try:
             self._solve(p, chosen)
         except _BudgetExhausted:
@@ -190,13 +191,18 @@ def _solve_counting(g, budget, solver_cls=_Solver, prune=_dominated_pruned):
     return (res.size, res.witness, res.exact), sum(s.nodes for s in made)
 
 
+def _untabled_prune(adj, p):
+    """``_dominated_pruned`` without its degree table, so every table is rebuilt."""
+    return _dominated_pruned(adj, p)[0], None
+
+
 def _closed_rows(adj):
     return tuple(a | (1 << v) for v, a in enumerate(adj))
 
 
 def _solve_reference(g, budget):
     def prune(adj, p):
-        return _reference_dominated_pruned(adj, _closed_rows(adj), p)
+        return _reference_dominated_pruned(adj, _closed_rows(adj), p), None
 
     return _solve_counting(g, budget, _ReferenceSolver, prune)
 
@@ -479,13 +485,62 @@ def test_levels_partition_p_by_degree_in_ascending_order(g, data):
 @settings(max_examples=200, deadline=None)
 def test_dominated_pruned_matches_restarting_scan(g, data):
     p = data.draw(st.integers(0, (1 << g.n) - 1))
-    assert _dominated_pruned(g.adj, p) == _reference_dominated_pruned(g.adj, _closed_rows(g.adj), p)
+    kept, _ = _dominated_pruned(g.adj, p)
+    assert kept == _reference_dominated_pruned(g.adj, _closed_rows(g.adj), p)
+
+
+def _doubling(m):
+    """Lifted I of the doubling fixture at m (T 1->{1,2}, 2->{3,4}, 3->{1,2},
+    4->{3,4}; I the 4-cycle), from which domination drops nothing."""
+    t = Digraph.from_edges(4, [(1, 1), (1, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 3), (4, 4)])
+    i = UGraph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    return higher_graph(TIGraph(t, i), m).lifted.i
+
+
+@given(
+    st.one_of(random_ugraphs(n_max=40), st.integers(4, 70).map(_cycle), st.integers(1, 7).map(_doubling)),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_dominated_pruned_returns_the_degree_table_when_it_drops_nothing(g, data):
+    # the greedy and the search root read this table in place of their own
+    full = (1 << g.n) - 1
+    p = data.draw(st.one_of(st.just(full), st.integers(0, full)))
+    kept, degrees = _dominated_pruned(g.adj, p)
+    if kept != p:
+        assert degrees is None
+    else:
+        levels = _Solver(g.adj, 1)._levels(p)
+        assert degrees == levels
+        assert list(degrees) == list(levels)
+
+
+SEARCH_BUDGETS = [7, 60, ind.DEFAULT_BUDGET]
+
+
+@given(random_ugraphs(n_max=45), st.sampled_from(SEARCH_BUDGETS))
+@settings(max_examples=150, deadline=None)
+def test_shared_degree_table_changes_no_search(g, budget):
+    # (size, witness, exact) and the B&B node count of a solver that
+    # rebuilds every table
+    assert _solve_counting(g, budget) == _solve_counting(g, budget, prune=_untabled_prune)
+
+
+@pytest.mark.parametrize("budget", SEARCH_BUDGETS)
+def test_shared_degree_table_changes_no_search_on_lifts(survey_corpus, budget):
+    graphs = [_doubling(m) for m in range(1, 10)]
+    for d in survey_corpus[:20]:
+        t = Digraph.from_edges(d["n"], [tuple(e) for e in d["t_edges"]])
+        i = UGraph.from_edges(d["n"], [tuple(e) for e in d["i_edges"]])
+        graphs += [higher_graph(TIGraph(t, i), m).lifted.i for m in range(1, 5)]
+    for g in graphs:
+        assert _solve_counting(g, budget) == _solve_counting(g, budget, prune=_untabled_prune)
 
 
 def test_dominated_pruned_keeps_one_vertex_of_a_clique():
     n = 64
     g = UGraph.from_edges(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
-    assert _dominated_pruned(g.adj, (1 << n) - 1) == 1
+    assert _dominated_pruned(g.adj, (1 << n) - 1) == (1, None)
 
 
 def _g60():
@@ -606,9 +661,9 @@ def test_disjoint_cycles_left_by_domination_are_refined_not_branched():
 
 _BAD_WITNESS = {
     "max_independent_set": (
-        "ind._dominated_pruned = lambda adj, p: p\n"
-        "ind._Solver._greedy = lambda self, p: p\n"
-        "ind._Solver.solve = lambda self, p, chosen: None\n"
+        "ind._dominated_pruned = lambda adj, p: (p, None)\n"
+        "ind._Solver._greedy = lambda self, p, degrees: p\n"
+        "ind._Solver.solve = lambda self, p, chosen, root_degrees: None\n"
         "ind.max_independent_set(g)\n"
     ),
 }
@@ -724,7 +779,8 @@ def _node_trace(g, solver_cls):
             seen.append((p, chosen))
             return super()._reduce(p, chosen)
 
-    res, _ = _solve_counting(g, ind.DEFAULT_BUDGET, Tracing)
+    # no shared table, so the root runs _reduce and is traced too
+    res, _ = _solve_counting(g, ind.DEFAULT_BUDGET, Tracing, _untabled_prune)
     return res, seen
 
 

@@ -47,6 +47,18 @@ def test_scale_probe_ingests_the_random_overlap_cover():
     assert re.fullmatch("rcover:1" + LINE, proc.stdout.strip()), proc.stdout
 
 
+def test_scale_probe_ingests_the_10000_arc_cover():
+    # row 3 of the scale table, through ``tigraph ingest``
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "scale_probe.py"), "cover10k:1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch("cover10k:1" + LINE, proc.stdout.strip()), proc.stdout
+
+
 def test_scale_probe_refuses_an_unknown_row():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "scale_probe.py"), "dbl"],

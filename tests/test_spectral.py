@@ -7,6 +7,7 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tigraph
+import tigraph.spectral as spectral
 from tigraph import (
     Digraph,
     NoConvergenceError,
@@ -28,7 +30,7 @@ from tigraph import (
     ti_from_circle,
 )
 from tigraph.ingest import AffinePiece, Arc, CircleMap, IntervalCover
-from tigraph.spectral import FLOAT_LOOP_MAX_ENTRIES, _to_csr
+from tigraph.spectral import FLOAT_LOOP_MAX_ENTRIES, NUMPY_IMPORT_WORK, _to_csr
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 PLASTIC = 1.3247179572447460  # positive root of x^3 = x + 1
@@ -328,15 +330,36 @@ def test_reports_load_numpy_only_for_a_block_above_the_crossover(tmp_path, dbl, 
     for k, text in enumerate(_non_regular_survey_graphs(survey_corpus, 3)):
         (tmp_path / f"survey{k}.json").write_text(text)
         argvs.append(["report", str(tmp_path / f"survey{k}.json")])
-    assert _heavy_modules_after(*argvs) == []
     # the complete digraph on n vertices less one edge, with I empty: its
-    # one block, of n^2 - 1 entries, is above the crossover and not regular
+    # one block, of n^2 - 1 entries, is above the crossover and not regular,
+    # but converges in plain floats within the import budget
     n = math.isqrt(FLOAT_LOOP_MAX_ENTRIES + 1) + 1
     edges = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if (i, j) != (1, 2)]
     assert len(edges) > FLOAT_LOOP_MAX_ENTRIES
-    big = TIGraph(Digraph.from_edges(n, edges), UGraph.from_edges(n, []))
-    (tmp_path / "big.json").write_text(serialize_tigraph(big))
-    assert _heavy_modules_after(["report", str(tmp_path / "big.json"), "--m-max", "1"]) == ["numpy"]
+    t = Digraph.from_edges(n, edges)
+    assert len(edges) * perron_eigenvalue(t).iterations <= NUMPY_IMPORT_WORK
+    (tmp_path / "big.json").write_text(serialize_tigraph(TIGraph(t, UGraph.from_edges(n, []))))
+    argvs.append(["report", str(tmp_path / "big.json"), "--m-max", "1"])
+    assert _heavy_modules_after(*argvs) == []
+    # a 60-cycle with the chord 1 -> 30, with I empty: 61 entries and
+    # thousands of steps, so its plain work passes the budget
+    edges = [(i, i % 60 + 1) for i in range(1, 61)] + [(1, 30)]
+    t = Digraph.from_edges(60, edges)
+    assert len(edges) > FLOAT_LOOP_MAX_ENTRIES
+    assert len(edges) * perron_eigenvalue(t).iterations > NUMPY_IMPORT_WORK
+    (tmp_path / "slow.json").write_text(serialize_tigraph(TIGraph(t, UGraph.from_edges(60, []))))
+    assert _heavy_modules_after(["report", str(tmp_path / "slow.json"), "--m-max", "1"]) == ["numpy"]
+
+
+@given(large_irreducible_int_matrices, st.integers(1, 60))
+@settings(max_examples=80, deadline=None)
+def test_handing_the_iterate_to_numpy_at_any_step_changes_nothing(a, plain):
+    # the plain and numpy steps are bitwise equal, so wherever the iterate
+    # changes hands the result is scipy's, iteration count and iterate too
+    with patch.object(spectral, "_plain_steps", lambda entries, cap: plain):
+        res = perron_eigenvalue(a)
+    value, err, iters, vec = _scipy_power_iteration(a)
+    assert (res.value, res.error_bound, res.iterations, res.witness_vector) == (value, err, iters, vec)
 
 
 def _pad_above_the_crossover(a):
