@@ -323,8 +323,12 @@ def limit_sequence(
     gamma(T) - 1 + m is read from T's own analysis, so no lift is analysed,
     and the running supremum of log(ind)/gamma is a certified bound.
     Otherwise only log(ind)/m is reported, as an estimate.  The sequence is truncated (with a flag) when the word count
-    passes ``size_cap``.  Raw values need not be monotone in m.
+    passes ``size_cap``.  Raw values need not be monotone in m.  An
+    ``m_max`` that is a bool or not an int >= 1 raises ValidationError, as
+    ``Config`` does.
     """
+    if type(m_max) is not int or m_max < 1:
+        raise ValidationError("m_max must be an int >= 1")
     require_pruned(g.t)
     report = g.t.structure
     if report.primitive:
@@ -508,8 +512,9 @@ def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
     pairwise distinguishable vertex paths of one length, ``exact`` other
     than on ``independent_subshift`` with edgeless I (at h(T)) or on
     ``sofic`` with clique I-components, or ``certified`` on ``higher_limit``
-    for non-primitive T.  A malformed certificate, or a re-check that hits a
-    cap or a solve that does not converge, fails the check; it never raises.
+    for non-primitive T.  A certificate that is malformed or not a dict, or
+    a re-check that hits a cap or a solve that does not converge, fails the
+    check; it never raises.
     The ``independent_subshift`` ``lambda`` and the ``sofic`` value are
     Perron values certified to the report's ``Config.tol`` only, so ``tol``
     must be at least that plus 1e-9.
@@ -522,6 +527,8 @@ def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
 
 def _recheck(g: TIGraph, bound: Bound, tol: float) -> bool:
     cert = bound.certificate
+    if not isinstance(cert, dict):
+        return False
     method = bound.method
     if bound.exact:
         if method == "independent_subshift":

@@ -149,29 +149,24 @@ def _image_runs(
         shift += den
 
     runs: list[tuple[int, int]] = []
-    cur_lo = cur_hi = None
-    prev = None
+    prev = (None, 0, 0)  # ends nowhere, so the first segment opens the first run
     offset = 0
     for u, v, num, q, c, shift in segments:
         y_u = num * (u - shift) // q + c
         y_v = num * (v - shift) // q + c
-        if prev is not None:
-            pv, p_num, left_limit = prev
-            delta = left_limit + offset - y_u
-            if pv == u and delta % den == 0 and (num > 0) == (p_num > 0):
-                offset = delta  # continuous junction: keep extending the lift
-            else:
-                runs.append((cur_lo, cur_hi))
-                cur_lo = cur_hi = None
-                offset = 0
-        a, b = sorted((y_u + offset, y_v + offset))
-        if cur_lo is None:
-            cur_lo, cur_hi = a, b
+        pv, p_num, left_limit = prev
+        delta = left_limit + offset - y_u
+        if pv == u and delta % den == 0 and (num > 0) == (p_num > 0):
+            # continuous junction: the segment extends the last run's lift
+            # from its end, y_u + delta, which the run already holds
+            offset = delta
+            run_lo, run_hi = runs.pop()
         else:
-            cur_lo, cur_hi = min(cur_lo, a), max(cur_hi, b)
+            offset = 0
+            run_lo = run_hi = y_u
+        end = y_v + offset
+        runs.append((min(run_lo, end), max(run_hi, end)))
         prev = (v, num, y_v)
-    if cur_lo is not None:
-        runs.append((cur_lo, cur_hi))
     return runs
 
 

@@ -14,23 +14,23 @@ Each block runs its own power iteration, one block after another in Tarjan
 order, and is recorded at its first step with an interval width of at most
 2 tol.
 
-Matrices are held as CSR in plain lists; scipy is not imported.  The first
-step from the all-ones vector is each row's sum in stored order plus 1,
-computed in plain floats.  A block whose first step already certifies it
-(a row-regular block, whose lambda is its common row sum, exactly) is
-recorded there, and a one-vertex block is its diagonal entry, read from
-the entries the block loop gathers, with no step.  Any other block
-continues from that step in plain floats.  One with at most
-``FLOAT_LOOP_MAX_ENTRIES`` stored entries stays there; a larger one hands
-its iterate to numpy at once if numpy is loaded, and else once its plain
-work (stored entries x steps) passes ``NUMPY_IMPORT_WORK``, a budget sized
-to numpy's import.  So numpy is imported only for a block above both, or
-for array-like input.  Both loops add each row's products in stored order,
-the plain one with ``+=`` (never ``sum()``, which compensates from Python 3.12)
-and the numpy one with ``np.bincount(rows, weights=data * v[cols])``, as
-the first step and a CSR matvec do, so every step is bitwise that of
-scipy's ``csr_matvec``.  An iterate that overflows, or whose ratios do,
-stops the iteration with NoConvergenceError.
+Matrices are held as CSR in plain lists; scipy is not imported.  A
+one-vertex block is its diagonal entry, read from the entries the block
+loop gathers, with no step.  Every other block iterates from the all-ones
+vector, and its first step is the loop's first iteration: each row's sum in
+stored order plus 1, so a row-regular block (whose lambda is its common row
+sum, exactly) stops there.  That step runs in plain floats unless numpy is
+already loaded and the block is above ``FLOAT_LOOP_MAX_ENTRIES`` stored
+entries.  A block with at most that many stays in plain floats; a larger
+one goes on in numpy from its first step if numpy is loaded, and else once
+its plain work (stored entries x steps) passes ``NUMPY_IMPORT_WORK``, a
+budget sized to numpy's import.  So numpy is imported only for a block
+above both, or for array-like input.  Both loops add each row's products in
+stored order, the plain one with ``+=`` (never ``sum()``, which compensates
+from Python 3.12) and the numpy one with ``np.bincount(rows, weights=data *
+v[cols])``, as a CSR matvec does, so every step is bitwise that of scipy's
+``csr_matvec``.  An iterate that overflows, or whose ratios do, stops the
+iteration with NoConvergenceError.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
+from operator import truediv
 
 from .errors import NoConvergenceError, ValidationError
 from .graph import Digraph, require_pruned
@@ -124,18 +125,15 @@ def _to_csr(a) -> tuple[tuple, list[int], list[int], list[float]]:
     return succ, indptr, indices, data.tolist()
 
 
-def _float_step(nb: int, rows: list[int], cols: list[int], vals: list[float]):
-    """The step of the power iteration on the nb x nb block A' whose stored
-    entries, row by row in stored order, are ``vals`` at (``rows``, ``cols``),
-    in plain floats.
+def _float_step(block: list[list[tuple[int, float]]]):
+    """The step of the power iteration on the block A' whose row i holds
+    the stored entries ``block[i]``, as (column, entry) pairs in stored
+    order, in plain floats.
 
     ``step(w)`` normalises ``w`` to ``vec = w / max(w)`` and returns
     ``(w', vec, lo, hi)`` with ``w' = (A' + Id) vec`` and [lo, hi] the range of
     the ratios ``w'_i / vec_i``, which is infinite if some ``vec_i`` is 0.
     """
-    block: list[list[tuple[int, float]]] = [[] for _ in range(nb)]
-    for i, col, d in zip(rows, cols, vals):
-        block[i].append((col, d))
 
     def step(w: list[float]):
         top = max(w)
@@ -147,7 +145,7 @@ def _float_step(nb: int, rows: list[int], cols: list[int], vals: list[float]):
                 total += vec[col] * d
             nxt.append(total + vec[i])
         try:
-            ratios = [x / v for x, v in zip(nxt, vec)]
+            ratios = list(map(truediv, nxt, vec))
         except ZeroDivisionError:  # some vec_i underflowed to 0
             return nxt, vec, math.inf, math.inf
         return nxt, vec, min(ratios), max(ratios)
@@ -155,12 +153,15 @@ def _float_step(nb: int, rows: list[int], cols: list[int], vals: list[float]):
     return step
 
 
-def _numpy_step(nb: int, rows: list[int], cols: list[int], vals: list[float], np):
+def _numpy_step(block: list[list[tuple[int, float]]], np):
     """``_float_step``'s step in numpy, for an array ``w``; a ratio with
     ``vec_i`` = 0 is inf or nan.  Run it under ``np.errstate(all="ignore")``."""
-    block_rows = np.array(rows)
-    block_cols = np.array(cols)
-    block_data = np.array(vals)
+    nb = len(block)
+    lengths = [len(row) for row in block]
+    block_rows = np.repeat(np.arange(nb), lengths)
+    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(block)), float, 2 * sum(lengths))
+    block_cols = pairs[0::2].astype(np.intp)
+    block_data = pairs[1::2].copy()
 
     def step(w):
         vec = w / w.max()
@@ -175,40 +176,39 @@ def _numpy_step(nb: int, rows: list[int], cols: list[int], vals: list[float], np
 
 
 def _plain_steps(entries: int, cap: int) -> int:
-    """How many steps, the first included, a block that its first step does
-    not settle, with ``entries`` stored entries, takes in plain floats
-    before numpy takes its iterate: all of them up to
-    ``FLOAT_LOOP_MAX_ENTRIES``, above it none more once numpy is loaded,
-    and else those within ``NUMPY_IMPORT_WORK``."""
+    """How many steps, the first included, a block with ``entries`` stored
+    entries takes in plain floats before numpy takes its iterate: all of
+    them up to ``FLOAT_LOOP_MAX_ENTRIES``; above it none once numpy is
+    loaded, and else those within ``NUMPY_IMPORT_WORK``, at least one."""
     if entries <= FLOAT_LOOP_MAX_ENTRIES:
         return cap
     if "numpy" in sys.modules:
-        return 1
+        return 0
     return max(1, NUMPY_IMPORT_WORK // entries)
 
 
-def _iterate(step, w, lo: float, hi: float, iters: int, width_tol: float, cap: int, stop: int):
-    """Steps the power iteration from its step number ``iters``, ``w``
-    (whose ratios span [lo, hi]), until the interval is at most
-    ``width_tol`` wide or ``stop`` steps are done.
+def _iterate(step, w, iters: int, width_tol: float, cap: int, stop: int):
+    """Steps the power iteration on from its step number ``iters`` and
+    iterate ``w`` until the interval is at most ``width_tol`` wide or
+    ``stop`` steps are done.
 
-    Returns (w, vec, lo, hi, iters) of the last step; vec is None when no
-    step was taken.  Raises NoConvergenceError at the first infinite or nan
-    ratio, or once ``cap`` steps have not converged.
+    Returns (w, vec, lo, hi, iters) of the last step.  Raises
+    NoConvergenceError at the first infinite or nan ratio, or once ``cap``
+    steps have not converged.
     """
-    nb = len(w)
-    vec = None
-    while not hi - lo <= width_tol:  # a nan width goes on to the check below
+    while True:
+        w, vec, lo, hi = step(w)
+        iters += 1
+        if hi - lo <= width_tol:  # false for a nan width, refused below
+            break
         if not hi < math.inf:  # also true for nan
-            raise NoConvergenceError(f"block of size {nb}: iterate not finite after {iters} iterations")
+            raise NoConvergenceError(f"block of size {len(w)}: iterate not finite after {iters} iterations")
         if iters >= cap:
             raise NoConvergenceError(
-                f"block of size {nb}: interval width {hi - lo:.3e} after {iters} iterations"
+                f"block of size {len(w)}: interval width {hi - lo:.3e} after {iters} iterations"
             )
         if iters >= stop:
             break
-        w, vec, lo, hi = step(w)
-        iters += 1
     return w, vec, lo, hi, iters
 
 
@@ -217,22 +217,25 @@ def perron_eigenvalue(a, tol: float = DEFAULT_TOL, iteration_cap: int | None = N
 
     Accepts a dense array-like or a Digraph.  Raises ValidationError for an
     empty, ragged or non-square matrix or one with a negative, NaN, infinite
-    or non-numeric entry.  Raises NoConvergenceError if some
-    block's certified interval does not shrink below ``tol`` within the
-    iteration cap (default 100 n^2 + 1000 per block), or as soon as one of
-    its iterates overflows; the error names the first such block in Tarjan
-    order.
+    or non-numeric entry, for a ``tol`` that is not positive and finite, and
+    for an ``iteration_cap`` other than None or an int >= 1.  Raises
+    NoConvergenceError if some block's certified interval does not shrink
+    below ``tol`` within the iteration cap (default 100 n^2 + 1000 per
+    block), or as soon as one of its iterates overflows; the error names the
+    first such block in Tarjan order.
 
-    A block settled by its first step (a row-regular one: all row sums
-    equal to within 2 tol) counts one iteration and is read off its row
-    sums; a one-vertex block counts none.  Any other block starts in plain
-    floats and, above ``FLOAT_LOOP_MAX_ENTRIES`` stored entries, goes on in
-    numpy at once if numpy is loaded and else once its plain work passes
-    ``NUMPY_IMPORT_WORK`` entry-steps, so numpy is imported only for
+    A one-vertex block counts no iteration.  Any other block iterates from
+    the all-ones vector, so a row-regular one (all row sums equal to within
+    2 tol) stops after its first step.  Each step runs in plain floats, or,
+    for a block above ``FLOAT_LOOP_MAX_ENTRIES`` stored entries, in numpy:
+    from the first step if numpy is loaded, and else once the plain work
+    passes ``NUMPY_IMPORT_WORK`` entry-steps.  So numpy is imported only for
     array-like input and for a block above both.
     """
     if not 0 < tol < math.inf:  # also false for nan
         raise ValidationError("tol must be positive and finite")
+    if iteration_cap is not None and (type(iteration_cap) is not int or iteration_cap < 1):
+        raise ValidationError("iteration_cap must be None or an int >= 1")
     succ, indptr, indices, data = _to_csr(a)
     width_tol = 2.0 * tol
     # (value, half-width, block, iterate, iterations) per component
@@ -241,45 +244,33 @@ def perron_eigenvalue(a, tol: float = DEFAULT_TOL, iteration_cap: int | None = N
         comp = sorted(v - 1 for v in comp)
         nb = len(comp)
         pos = {v: i for i, v in enumerate(comp)}
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        # the first step (A' + Id) 1: each row's sum in stored order, plus 1
-        first: list[float] = []
+        # each row's (column, entry) pairs within the block, in stored order
+        block: list[list[tuple[int, float]]] = []
+        entries = 0
         for v in comp:
-            total = 0.0
+            row = []
             for ptr in range(indptr[v], indptr[v + 1]):
                 col = pos.get(indices[ptr])
                 if col is not None:
-                    rows.append(pos[v])
-                    cols.append(col)
-                    vals.append(data[ptr])
-                    total += data[ptr]
-            first.append(total + 1.0)
+                    row.append((col, data[ptr]))
+            entries += len(row)
+            block.append(row)
         if nb == 1:  # the block is its diagonal entry, stored or 0
-            parts.append((vals[0] if vals else 0.0, 0.0, tuple(comp), (1.0,), 0))
-            continue
-        # its ratios to the all-ones vector are the step itself
-        lo = min(first)
-        hi = max(first)
-        iters = 1
-        if hi - lo <= width_tol:  # row-regular: lambda is the common row sum
-            parts.append(((lo + hi) / 2.0 - 1.0, (hi - lo) / 2.0, tuple(comp), (1.0,) * nb, iters))
+            parts.append((block[0][0][1] if entries else 0.0, 0.0, tuple(comp), (1.0,), 0))
             continue
         cap = iteration_cap if iteration_cap is not None else 100 * nb * nb + 1000
-        # plain floats first; the steps are bitwise equal, so handing the
-        # iterate to numpy changes none
-        w = first
-        plain = _plain_steps(len(vals), cap)
-        if plain > 1:
-            step = _float_step(nb, rows, cols, vals)
-            w, vec, lo, hi, iters = _iterate(step, w, lo, hi, iters, width_tol, cap, plain)
-        if not hi - lo <= width_tol:
+        # from the all-ones vector, in plain floats first; the steps are
+        # bitwise equal, so handing the iterate to numpy changes none
+        w, iters = [1.0] * nb, 0
+        plain = _plain_steps(entries, cap)
+        if plain:
+            w, vec, lo, hi, iters = _iterate(_float_step(block), w, iters, width_tol, cap, plain)
+        if not plain or not hi - lo <= width_tol:
             import numpy as np
 
             with np.errstate(all="ignore"):  # an overflow is refused by _iterate, not warned about
-                step = _numpy_step(nb, rows, cols, vals, np)
-                _, vec, lo, hi, iters = _iterate(step, np.array(w), lo, hi, iters, width_tol, cap, cap)
+                step = _numpy_step(block, np)
+                _, vec, lo, hi, iters = _iterate(step, np.array(w), iters, width_tol, cap, cap)
         value = (lo + hi) / 2.0 - 1.0
         parts.append((value, (hi - lo) / 2.0, tuple(comp), tuple(map(float, vec)), iters))
     best = max(range(len(parts)), key=lambda k: parts[k][0])

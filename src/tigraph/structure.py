@@ -68,34 +68,28 @@ def _tarjan(n: int, succ: tuple[tuple[int, ...], ...]) -> list[list[int]]:
     stack: list[int] = []
     comps: list[list[int]] = []
     counter = 1
-    for root in range(1, n + 1):
-        if index[root]:
-            continue
-        work = [(root, iter(succ[root - 1]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if not index[w]:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ[w - 1])))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
+    # the search starts at the unused vertex 0, whose successors are all the
+    # vertices, so each root is entered like any other vertex
+    work = [(0, iter(range(1, n + 1)))]
+    while True:
+        v, it = work[-1]
+        for w in it:
+            if not index[w]:
+                index[w] = low[w] = counter
+                counter += 1
+                stack.append(w)
+                on_stack[w] = True
+                work.append((w, iter(succ[w - 1])))
+                break
+            if on_stack[w] and index[w] < low[v]:
+                low[v] = index[w]
+        else:
             work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+            if not v:  # vertex 0: every vertex is searched
+                return comps
+            parent = work[-1][0]
+            if low[v] < low[parent]:
+                low[parent] = low[v]
             if low[v] == index[v]:
                 comp = []
                 while True:
@@ -105,7 +99,6 @@ def _tarjan(n: int, succ: tuple[tuple[int, ...], ...]) -> list[list[int]]:
                     if w == v:
                         break
                 comps.append(comp)
-    return comps
 
 
 def _cyclic_classes(t: Digraph, comp: tuple[int, ...]) -> list[tuple[tuple[int, ...], list[int]]]:

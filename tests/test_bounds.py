@@ -998,6 +998,20 @@ def test_verify_bound_accepts_provable_exact_claims(dbl, gm):
     assert verify_bound(g, partial) is False
 
 
+@pytest.mark.parametrize("cert", [[1], "abc", 5], ids=["list", "string", "int"])
+@pytest.mark.parametrize("method", tigraph.bounds.METHOD_ORDER)
+def test_verify_bound_fails_a_certificate_that_is_not_a_dict(dbl, method, cert):
+    # a report's certificate read back from JSON need not be an object
+    assert verify_bound(dbl, tigraph.Bound(method, 0.5, True, False, cert)) is False
+
+
+@pytest.mark.parametrize("m_max", [0, -1, True, 2.0, "3"])
+def test_limit_sequence_refuses_an_m_max_that_is_not_a_positive_int(dbl, m_max):
+    # an invalid argument, not a size cap hit
+    with pytest.raises(ValidationError, match="m_max must be an int >= 1"):
+        limit_sequence(dbl, m_max)
+
+
 def test_verify_bound_is_false_where_a_recheck_hits_a_cap(dbl, too_large_for_gamma, monkeypatch):
     # T is primitive but too large for the gamma search, so this certified
     # family cannot be re-checked

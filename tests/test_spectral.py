@@ -31,6 +31,7 @@ from tigraph import (
 )
 from tigraph.ingest import AffinePiece, Arc, CircleMap, IntervalCover
 from tigraph.spectral import FLOAT_LOOP_MAX_ENTRIES, NUMPY_IMPORT_WORK, _to_csr
+from tigraph.structure import _tarjan
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 PLASTIC = 1.3247179572447460  # positive root of x^3 = x + 1
@@ -91,6 +92,12 @@ def test_invalid_inputs():
     for tol in (0, float("nan"), float("inf")):
         with pytest.raises(ValidationError):
             perron_eigenvalue([[1]], tol=tol)
+
+
+@pytest.mark.parametrize("cap", [0, -1, True, False, 2.5, "5"])
+def test_iteration_cap_other_than_none_or_a_positive_int_is_refused(cap):
+    with pytest.raises(ValidationError, match="iteration_cap must be None or an int >= 1"):
+        perron_eigenvalue([[1, 1], [1, 0]], iteration_cap=cap)
 
 
 @pytest.mark.parametrize(
@@ -351,6 +358,45 @@ def test_reports_load_numpy_only_for_a_block_above_the_crossover(tmp_path, dbl, 
     assert _heavy_modules_after(["report", str(tmp_path / "slow.json"), "--m-max", "1"]) == ["numpy"]
 
 
+def _complete_digraph_perron(n, preload_numpy):
+    """Every field of ``perron_eigenvalue`` on the complete digraph on n
+    vertices, floats as hex, and whether numpy was loaded after it, from a
+    fresh interpreter that first imports numpy if ``preload_numpy``."""
+    src = str(Path(tigraph.__file__).resolve().parents[1])
+    script = (
+        f"import json, sys; sys.path.insert(0, {src!r})\n"
+        + ("import numpy\n" if preload_numpy else "")
+        + "from itertools import product\nfrom tigraph import Digraph, perron_eigenvalue\n"
+        f"r = perron_eigenvalue(Digraph.from_edges({n}, product(range(1, {n} + 1), repeat=2)))\n"
+        "fields = [r.value.hex(), r.error_bound.hex(), r.iterations, list(r.witness_block)]\n"
+        "print(json.dumps(fields + [[x.hex() for x in r.witness_vector], 'numpy' in sys.modules]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_a_row_regular_block_above_the_crossover_stops_at_its_first_step():
+    # 64 entries: the first step runs in numpy when numpy is loaded, and in
+    # plain floats, importing nothing, when it is not; both give one result
+    n = 8
+    assert n * n > FLOAT_LOOP_MAX_ENTRIES
+    *numpy_fields, numpy_loaded = _complete_digraph_perron(n, preload_numpy=True)
+    *plain_fields, plain_loaded = _complete_digraph_perron(n, preload_numpy=False)
+    assert numpy_loaded and not plain_loaded
+    assert numpy_fields == plain_fields
+    assert plain_fields == [float(n).hex(), (0.0).hex(), 1, list(range(n)), [(1.0).hex()] * n]
+
+
+def test_a_row_regular_block_above_the_import_budget_loads_no_numpy():
+    # 224^2 = 50,176 entries: the one plain step it is allowed settles it
+    n = 224
+    assert n * n > NUMPY_IMPORT_WORK
+    *fields, loaded = _complete_digraph_perron(n, preload_numpy=False)
+    assert not loaded
+    assert fields[:3] == [float(n).hex(), (0.0).hex(), 1]
+
+
 @given(large_irreducible_int_matrices, st.integers(1, 60))
 @settings(max_examples=80, deadline=None)
 def test_handing_the_iterate_to_numpy_at_any_step_changes_nothing(a, plain):
@@ -493,6 +539,24 @@ def _reference_sccs(n, indptr, indices):
                         break
                 comps.append(sorted(comp))
     return comps
+
+
+@st.composite
+def sparse_digraphs(draw, n_max=12):
+    """Random digraphs of up to 2n edges, loops allowed: most have vertices
+    on no cycle and vertices that no earlier root reaches."""
+    n = draw(st.integers(1, n_max))
+    edges = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=2 * n))
+    return Digraph.from_edges(n, edges)
+
+
+@given(sparse_digraphs())
+@settings(max_examples=300, deadline=None)
+def test_tarjan_lists_components_in_the_reference_order(t):
+    # perron_eigenvalue names the failing block and breaks witness ties by it
+    succ, indptr, indices, _ = _to_csr(t)
+    comps = [sorted(v - 1 for v in comp) for comp in _tarjan(t.n, succ)]
+    assert comps == _reference_sccs(t.n, indptr, indices)
 
 
 def _reference_perron(a, tol=1e-10, iteration_cap=None):
