@@ -23,10 +23,11 @@ nothing under ``bench/`` changes.
 
 Usage: python3 scripts/scale_probe.py [--root DIR] [[higher:|dot:|oracle:]name:m ...]
 
-Without rows it runs dbl:13 dbl:14 cover:5 cover:6, the scale table of
-ROADMAP.md.  ``--root`` names the checkout whose ``src/`` and
-``bench/inputs.py`` are used (default: the one holding this script), so two
-commits can be probed with the same script.
+Without rows it runs dbl:13 dbl:14 cover10k:2 cover:5 cover:6 rcover:2,
+the six rows of ROADMAP.md's scale table in its order.  ``--root`` names
+the checkout whose ``src/`` and ``bench/inputs.py`` are used (default: the
+one holding this script), so two commits can be probed with the same
+script.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from decimal import Decimal
 from pathlib import Path
 
 DEFAULT_ROOT = Path(__file__).resolve().parents[1]
-DEFAULT_ROWS = ("dbl:13", "dbl:14", "cover:5", "cover:6")
+DEFAULT_ROWS = ("dbl:13", "dbl:14", "cover10k:2", "cover:5", "cover:6", "rcover:2")
 GRAPHS = ("dbl", "dense", "cover", "rcover", "cover10k")
 RCOVER_ARCS = 2000
 RCOVER_SEED = 5
@@ -143,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
             with out.open("rb") as f:  # in blocks: a child forked later starts at this process's size
                 for block in iter(lambda: f.read(1 << 20), b""):
                     digest.update(block)
-            print(f"{row:<9} wall {wall:8.2f} s  peak_rss {rss_kib / 1024:8.1f} MB  exit {code}  sha256 {digest.hexdigest()}", flush=True)
+            print(f"{row:<10} wall {wall:8.2f} s  peak_rss {rss_kib / 1024:8.1f} MB  exit {code}  sha256 {digest.hexdigest()}", flush=True)
     return 0
 
 

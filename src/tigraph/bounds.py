@@ -506,15 +506,21 @@ def verify_bound(g: TIGraph, bound: Bound, tol: float = 1e-9) -> bool:
     missing, empty, repeats a vertex, names one outside 1..n or is not
     independent, a wrong induced eigenvalue or a ``lambda`` that is not a
     float within ``tol`` of it, a class, period, gamma, state or label count
-    that T or the presentation does not have or that is not an int, a
-    ``clique_components`` flag other than the graph's, a ``mis_exact`` that
-    is not a bool, separated witness words that are missing or are not
-    pairwise distinguishable vertex paths of one length, ``exact`` other
-    than on ``independent_subshift`` with edgeless I (at h(T)) or on
-    ``sofic`` with clique I-components, or ``certified`` on ``higher_limit``
-    for non-primitive T.  A certificate that is malformed or not a dict, or
-    a re-check that hits a cap or a solve that does not converge, fails the
-    check; it never raises.
+    that T or the presentation does not have or that is not an int, a class
+    or SCC that is not listed exactly as T lists it, a ``complete_digraph``
+    ``applicable`` other than True, a ``clique_components`` flag other than
+    the graph's, a ``mis_exact`` that is not a bool, separated witness words
+    that are missing or are not pairwise distinguishable vertex paths of one
+    length, a ``best_m`` other than that length, a ``primitive`` flag other
+    than T's, a ``truncated`` or ``clamped_to_classical`` that is not a bool
+    or a clamp on primitive T, ``exact`` other than on
+    ``independent_subshift`` with edgeless I (at h(T)) or on ``sofic`` with
+    clique I-components, or ``certified`` on ``higher_limit`` for
+    non-primitive T.  A certificate that is malformed or not a dict, or a
+    re-check that hits a cap or a solve that does not converge, fails the
+    check; it never raises.  The ``higher_limit`` ``sequence`` is not
+    re-checked: its ``ind`` values would need the MIS solve on every lift
+    that the stored witness words exist to avoid.
     The ``independent_subshift`` ``lambda`` and the ``sofic`` value are
     Perron values certified to the report's ``Config.tol`` only, so ``tol``
     must be at least that plus 1e-9.
@@ -571,6 +577,8 @@ def _recheck(g: TIGraph, bound: Bound, tol: float) -> bool:
         # complete T has p = gamma = 1 on the all-vertex class
         if method == "component" and not cert:
             return bound.value == 0.0
+        if method == "complete_digraph" and cert.get("applicable") is not True:
+            return False
         every = list(range(1, g.n + 1))
         cls, p, gamma = {
             "complete_digraph": (every, 1, 1),
@@ -582,8 +590,12 @@ def _recheck(g: TIGraph, bound: Bound, tol: float) -> bool:
             return False
         if type(p) is not int or type(gamma) is not int or type(cert.get("mis_exact")) is not bool:
             return False
-        for _, q, c, gs in g.t.structure.classes:
-            if gs is not None and set(c) == set(cls) and q == p and gs == gamma:
+        report = g.t.structure
+        for k, q, c, gs in report.classes:
+            if gs is not None and list(c) == list(cls) and q == p and gs == gamma:
+                scc = cert.get("scc")
+                if method == "component" and not (vertex_list(scc) and list(scc) == list(report.sccs[k])):
+                    return False
                 return abs(math.log(len(chosen)) / (q * gs) - bound.value) <= tol
         return False
 
@@ -599,14 +611,20 @@ def _recheck(g: TIGraph, bound: Bound, tol: float) -> bool:
         return abs(value - bound.value) <= tol
 
     if method == "higher_limit":
+        report = g.t.structure
+        if cert.get("primitive") is not report.primitive or type(cert.get("truncated")) is not bool:
+            return False
+        clamped = cert.get("clamped_to_classical")
+        if type(clamped) is not bool or clamped and report.primitive:
+            return False
         words = cert.get("witness_words")
         if not isinstance(words, (list, tuple)) or not all(vertex_list(w) for w in words):
             return False
         words = [tuple(w) for w in words]
         if not words:
             return bound.value == 0.0
-        m = len(words[0])
-        if any(len(w) != m for w in words):
+        m = cert.get("best_m")  # the length of every witness word
+        if type(m) is not int or any(len(w) != m for w in words):
             return False
         if any(not is_vertex_path(g.t, w) for w in words):
             return False
@@ -615,7 +633,6 @@ def _recheck(g: TIGraph, bound: Bound, tol: float) -> bool:
         divisor = m
         if bound.certified:
             # only primitive T turns the per-m values into bounds
-            report = g.t.structure
             if not report.primitive:
                 return False
             divisor = report.gamma(m)

@@ -32,9 +32,15 @@ def _read_graph(path: str) -> TIGraph:
     return parse_tigraph(text, fmt=fmt)
 
 
-def _config_from_args(args: argparse.Namespace) -> Config:
-    """Config from the flags the subcommand registers; the rest keep their defaults."""
-    return Config(**{k: v for k, v in vars(args).items() if k in Config.__dataclass_fields__})
+def _load(args: argparse.Namespace) -> tuple[Config, TIGraph, TIGraph, dict[int, int]]:
+    """Config, the graph at ``args.path``, its pruned graph and the old->new index map.
+
+    Config takes the flags the subcommand registers; the rest keep their
+    defaults.  It is checked before the graph is read.
+    """
+    cfg = Config(**{k: v for k, v in vars(args).items() if k in Config.__dataclass_fields__})
+    g = _read_graph(args.path)
+    return (cfg, g, *prune_stranded(g))
 
 
 def _format_report(report: BoundReport, removed: list[int], fmt: str) -> str:
@@ -78,9 +84,7 @@ def _cap_hit(report: BoundReport) -> bool:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    g = _read_graph(args.path)
-    pruned, index_map = prune_stranded(g)
+    cfg, g, pruned, index_map = _load(args)
     removed = sorted(set(range(1, g.n + 1)) - set(index_map))
     report = best_bound(pruned, cfg)
     sys.stdout.write(_format_report(report, removed, cfg.output_format))
@@ -88,9 +92,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    g = _read_graph(args.path)
-    pruned, _ = prune_stranded(g)
+    cfg, _, pruned, _ = _load(args)
     sep = oracle_separated_count(
         pruned, args.n, size_cap=cfg.size_cap, mis_budget=cfg.mis_budget
     )
@@ -105,9 +107,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_higher(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    g = _read_graph(args.path)
-    pruned, _ = prune_stranded(g)
+    cfg, _, pruned, _ = _load(args)
     lift = higher_graph(pruned, args.m, size_cap=cfg.size_cap)
     if args.stats:
         gamma = ""

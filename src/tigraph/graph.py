@@ -15,7 +15,11 @@ derived from the rows; ``component_of`` is the one breadth-first search on
 them, which the exact MIS solver also runs inside a candidate mask,
 ``UGraph.is_clique`` is the one test that a vertex mask is a clique of I,
 and ``restrict_rows`` is the one restriction of rows to a vertex subset.
-The canonical pair tuple ``edges`` is kept for callers outside the package.
+``union_rows``, the OR of the rows of a vertex mask, is the one row union:
+a level of ``component_of``, a restricted row of ``restrict_rows``, a row
+of ``structure``'s boolean product and a subset state's successors in
+``sofic`` are each one call.  The canonical pair tuple ``edges`` is kept
+for callers outside the package.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import EmptyGraphError, ParseError, SizeCapExceeded, ValidationError
 
@@ -53,14 +57,23 @@ def component_of(adj: tuple[int, ...], seed: int, within: int) -> int:
     rest = within ^ seed
     frontier = seed
     while frontier and rest:
-        nxt = 0
-        while frontier:
-            u = frontier.bit_length() - 1
-            frontier ^= 1 << u
-            nxt |= adj[u]
-        frontier = nxt & rest
+        frontier = union_rows(adj, frontier) & rest
         rest ^= frontier
     return within ^ rest
+
+
+def union_rows(rows: Sequence[int] | Mapping[int, int], mask: int) -> int:
+    """The OR of ``rows[v]`` over the set bits v of ``mask``, popped from the top bit down.
+
+    ``rows`` is a table of bitset rows indexed by bit position: a sequence,
+    or a dict keyed by the bits ``mask`` can hold.  An empty mask gives 0.
+    """
+    out = 0
+    while mask:
+        v = mask.bit_length() - 1
+        mask ^= 1 << v
+        out |= rows[v]
+    return out
 
 
 def bits_of(mask: int) -> Iterable[int]:
@@ -84,7 +97,7 @@ def restrict_rows(rows: Sequence[int], vertices: Sequence[int]) -> list[int]:
         return [rows[v - 1] & mask for v in vertices]
     mask = sum(1 << (v - 1) for v in vertices)
     new_bit = {v - 1: 1 << pos for pos, v in enumerate(vertices)}
-    return [sum(new_bit[b] for b in bits_of(rows[v - 1] & mask)) for v in vertices]
+    return [union_rows(new_bit, rows[v - 1] & mask) for v in vertices]
 
 
 @dataclass(frozen=True)
@@ -278,8 +291,6 @@ def parse_tigraph(data: str | bytes, fmt: str = "json") -> TIGraph:
         raise ParseError(f"unknown format {fmt!r} (expected 'json' or 'text')")
     if not isinstance(n, int) or isinstance(n, bool):
         raise ParseError("field 'n' must be an integer")
-    if n < 1:
-        raise ValidationError("n must be >= 1")
     _check_vertex_count(n)
     return TIGraph(Digraph.from_edges(n, t_edges), UGraph.from_edges(n, i_edges))
 

@@ -10,8 +10,9 @@ T-successors of S.
 
 The components are the vertex masks of ``UGraph.components``, the one
 connected-components routine, which the exact MIS solver also uses.  The
-subset construction works on bitset rows: T's ``rows`` and I's ``adj``;
-the clique check is ``UGraph.is_clique`` on each component.
+subset construction works on bitset rows: a state's successor set is
+``union_rows`` of T's ``rows`` over its vertex mask, and the clique check
+is ``UGraph.is_clique`` on I's ``adj`` for each component.
 ``essential_vertices``, the pruning rule of ``prune_stranded``, cuts the
 presentation to its essential states.
 """
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import StateCapExceeded
-from .graph import Digraph, TIGraph, bits_of, essential_vertices, induced_digraph
+from .graph import Digraph, TIGraph, bits_of, essential_vertices, induced_digraph, union_rows
 from .spectral import DEFAULT_TOL, perron_eigenvalue
 
 DEFAULT_STATE_CAP = 100_000
@@ -105,12 +106,7 @@ def right_resolve(lg: LabeledGraph, state_cap: int = DEFAULT_STATE_CAP) -> Right
     head = 0
     while head < len(states):
         mask, _ = states[head]
-        out = 0
-        m = mask
-        while m:
-            low = m & -m
-            out |= succ_mask[low.bit_length() - 1]
-            m ^= low
+        out = union_rows(succ_mask, mask)
         # only the labels present in out: the lowest vertex left names the
         # next one; successors are then made in ascending label order
         found = []

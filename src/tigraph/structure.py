@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import NotPrimitiveError, SizeCapExceeded
-from .graph import Digraph, restrict_rows
+from .graph import Digraph, restrict_rows, union_rows
 
 # Direct primitivity search needs n^2-bit scratch matrices; refuse beyond this.
 MAX_PRIMITIVITY_VERTICES = 16_384
@@ -147,16 +147,7 @@ def _bool_mul(a: list[int] | tuple[int, ...], b: list[int] | tuple[int, ...]) ->
     A^(k+1) = A * A^k with the sparse adjacency rows on the left: one OR per
     edge, where A^k * A would walk every bit of an already dense power.
     """
-    out = []
-    for ra in a:
-        acc = 0
-        m = ra
-        while m:
-            low = m & -m
-            acc |= b[low.bit_length() - 1]
-            m ^= low
-        out.append(acc)
-    return out
+    return [union_rows(b, r) for r in a]
 
 
 def _bool_power(rows: list[int], p: int) -> list[int]:

@@ -945,6 +945,18 @@ _TAMPERED = {
     "component-missing-mis-exact": ("component", _doubled_dbl, None, {"mis_exact": _DROP}),
     "complete_digraph-none-mis-exact": (
         "complete_digraph", _complete_dbl_t, None, {"mis_exact": None}),
+    # a class and its SCC are claimed as T lists them, not just as vertex sets
+    "component-scc-not-t-s": ("component", None, None, {"scc": [9, 9]}),
+    "component-string-scc": ("component", None, None, {"scc": "x"}),
+    "component-class-repeats-a-vertex": ("component", None, None, {"class": [1, 1, 2, 3, 4]}),
+    "component-class-out-of-order": ("component", None, None, {"class": [4, 3, 2, 1]}),
+    "higher_limit-best-m-not-the-word-length": ("higher_limit", None, None, {"best_m": 7}),
+    "higher_limit-primitive-flag-not-t-s": ("higher_limit", None, None, {"primitive": False}),
+    "higher_limit-string-truncated": ("higher_limit", None, None, {"truncated": "no"}),
+    "higher_limit-clamped-on-primitive-t": (
+        "higher_limit", None, None, {"clamped_to_classical": True}),
+    "complete_digraph-not-applicable": (
+        "complete_digraph", _complete_dbl_t, None, {"applicable": False}),
 }
 
 
@@ -1068,7 +1080,7 @@ def _reference_verify_class_bound(g, bound, tol=1e-9):
         return all(not (a in vs and b in vs) for a, b in g.i.edges)
 
     if method == "complete_digraph":
-        if type(cert.get("mis_exact")) is not bool:
+        if type(cert.get("mis_exact")) is not bool or cert.get("applicable") is not True:
             return False
         if g.t.num_edges() != g.n * g.n or not independent(cert.get("independent_set")):
             return False
@@ -1095,11 +1107,15 @@ def _reference_verify_class_bound(g, bound, tol=1e-9):
         return False
     if not set(cert["independent_set"]) <= set(cls):
         return False
-    comps = {frozenset(c): (p, gs) for _, p, c, gs in analyze_structure(g.t).classes}
-    key = frozenset(cls)
+    report = analyze_structure(g.t)
+    # the class as T lists it, ascending, and the SCC it lies in
+    comps = {tuple(c): (p, gs, report.sccs[k]) for k, p, c, gs in report.classes}
+    key = tuple(cls)
     if key not in comps:
         return False
-    p, gamma = comps[key]
+    p, gamma, scc = comps[key]
+    if not vertex_list(cert.get("scc")) or tuple(cert["scc"]) != scc:
+        return False
     if type(cert.get("period")) is not int or type(cert.get("gamma")) is not int:
         return False
     if p != cert.get("period") or gamma != cert.get("gamma"):

@@ -1,10 +1,12 @@
 """Core graph types, parsing, pruning, induced subgraphs, DOT export."""
 
+import functools
 import json
+import operator
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tigraph.graph
@@ -231,6 +233,41 @@ def test_component_of_matches_a_reference_bfs(n, prob, graph_seed, data):
     within = data.draw(st.one_of(st.just(full), st.integers(1, full)))
     seed = data.draw(st.integers(1, full)) & within or within & -within
     assert tigraph.graph.component_of(adj, seed, within) == _reference_bfs(adj, seed, within)
+
+
+def _or_of_rows(rows, mask):
+    return functools.reduce(operator.or_, (rows[v] for v in tigraph.graph.bits_of(mask)), 0)
+
+
+@given(st.integers(1, 80), st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=200, deadline=None)
+def test_union_rows_is_the_or_of_the_rows_of_the_mask(n, prob, rows_seed, data):
+    rng = random.Random(rows_seed)
+    rows = [sum(1 << j for j in range(n) if rng.random() < prob) for _ in range(n)]
+    full = (1 << n) - 1
+    mask = data.draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
+    assert tigraph.graph.union_rows(rows, mask) == _or_of_rows(rows, mask)
+    assert tigraph.graph.union_rows(tuple(rows), mask) == _or_of_rows(rows, mask)
+    # the table restrict_rows passes: a dict from the bits of a subset to
+    # their new single bits, read inside the subset only
+    keys = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+    new_bit = {b: 1 << pos for pos, b in enumerate(keys)}
+    inside = mask & sum(1 << b for b in keys)
+    assert tigraph.graph.union_rows(new_bit, inside) == _or_of_rows(new_bit, inside)
+
+
+@given(st.integers(2, 80), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=200, deadline=None)
+def test_restrict_rows_on_a_non_prefix_subset_matches_a_per_pair_reference(n, rows_seed, data):
+    rng = random.Random(rows_seed)
+    rows = [rng.getrandbits(n) for _ in range(n)]  # loops included
+    vertices = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
+    assume(vertices[-1] != len(vertices))  # a prefix 1..k takes the fast path
+    expect = [
+        sum(1 << pos for pos, w in enumerate(vertices) if rows[v - 1] >> (w - 1) & 1)
+        for v in vertices
+    ]
+    assert tigraph.graph.restrict_rows(rows, vertices) == expect
 
 
 @given(tigraphs())

@@ -1,5 +1,6 @@
 """``scripts/scale_probe.py`` runs a report, a ``higher`` dump or an oracle per row and prints one line for each."""
 
+import importlib.util
 import re
 import subprocess
 import sys
@@ -57,6 +58,16 @@ def test_scale_probe_ingests_the_10000_arc_cover():
     )
     assert proc.returncode == 0, proc.stderr
     assert re.fullmatch("cover10k:1" + LINE, proc.stdout.strip()), proc.stdout
+
+
+def test_every_default_row_is_a_report_on_a_known_graph():
+    # parsed only: run, the six rows take minutes
+    spec = importlib.util.spec_from_file_location("scale_probe", ROOT / "scripts" / "scale_probe.py")
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    rows = [probe.parse_row(r) for r in probe.DEFAULT_ROWS]
+    assert [name for _, name, _ in rows] == ["dbl", "dbl", "cover10k", "cover", "cover", "rcover"]
+    assert all(command == "report" and name in probe.GRAPHS for command, name, _ in rows)
 
 
 def test_scale_probe_refuses_an_unknown_row():
